@@ -28,9 +28,6 @@ from plumetrace.fem import (
     assemble,
     build_model,
     default_time_step,
-    element_force,
-    element_mass,
-    element_stiffness,
     stability_report,
     step,
 )
@@ -41,37 +38,31 @@ from plumetrace.flowfield import (
     element_velocities,
     load_gridded_flow,
     save_gridded_flow,
-    velocity_at,
 )
 from plumetrace.sensing import (
     QuantisedObservation,
     Quantiser,
     SensorNetwork,
     build_measurement_matrix,
-    cell_probability,
     generate_positions,
     log_cell_probability,
     log_observation_likelihood,
-    observation_likelihood,
     simulate_measurement,
 )
 from plumetrace.filters import (
     EnsembleState,
     FilterError,
     GaussianBelief,
-    Particle,
     RbpfState,
     enkf_init,
     enkf_step,
     enkf_update,
     kf_predict,
     kf_update,
-    latent_transition_density,
     latent_transition_logpdf,
     multinomial_resample,
     normalise_weights,
     particle_log_weights,
-    propose_latent,
     rbpf_init,
     rbpf_step,
 )

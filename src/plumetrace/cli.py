@@ -234,13 +234,13 @@ def cmd_estimate(args) -> int:
             f"observation file {obs_path} was simulated under config "
             f"{file_hash}, but the current config hashes to {expected}"
         )
+    if len(logs) != config.trials:
+        raise ValueError(
+            f"observation file {obs_path} holds {len(logs)} trial(s), but "
+            f"the config runs {config.trials}"
+        )
     out.mkdir(parents=True, exist_ok=True)
-    scenario = experiment.build_scenario(config)
-    results = [
-        experiment.run_trial(config, trial, scenario=scenario,
-                             observations=logs[trial])
-        for trial in sorted(logs)
-    ]
+    results = experiment.run_trials(config, args.threads, observations=logs)
     results_path = out / f"estimates_{config.estimator}.csv"
     summary_path = out / f"summary_{config.estimator}.json"
     experiment.write_results_csv(results, results_path, config)
@@ -300,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--force", action="store_true",
                         help="run even if the time step is unstable")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for trial-level parallelism")
 
     parser = argparse.ArgumentParser(
         prog="plumetrace",
@@ -334,6 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run an estimator on simulated observations")
     p_est.add_argument("--obs", default=None,
                        help="observation CSV (default: <out>/observations.csv)")
+    p_est.add_argument("--threads", type=int, default=1,
+                       help="worker processes the trials are spread over")
     p_est.set_defaults(func=cmd_estimate)
 
     p_cmp = sub.add_parser("compare", parents=[common],

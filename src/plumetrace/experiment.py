@@ -18,8 +18,8 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "Scenario",
     "ModelProvider",
     "TrialResult",
+    "TrialRun",
     "build_scenario",
     "simulate_ground_truth",
     "draw_observation",
@@ -185,10 +186,22 @@ class Scenario:
     diffusivity_eff: float
     dt: float
     t0: float
+    _schedules: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def state_dim(self) -> int:
         return self.mesh.node_count + 1
+
+    def gain_schedule(self, init_cov: float) -> list[filters.KalmanStep]:
+        """The particle filter's gain schedule over the configured horizon
+        from prior covariance ``init_cov``, built on first use."""
+        key = float(init_cov)
+        if key not in self._schedules:
+            models = [self.provider.model_at(k)
+                      for k in range(self.config.steps)]
+            self._schedules[key] = filters.gain_schedule(
+                models, self.network.H, key)
+        return self._schedules[key]
 
 
 class ModelProvider:
@@ -384,18 +397,29 @@ def run_rbpf(
     dump_path=None,
 ) -> np.ndarray:
     """Run the particle filter over an observation log; returns ``(K, C+1)``
-    estimates."""
+    estimates.
+
+    Each step takes its gain from the scenario's gain schedule, so the log
+    may be no longer than the configured horizon.
+    """
     config = scenario.config
+    if len(observations) > config.steps:
+        raise ValueError(
+            f"observation log has {len(observations)} steps, the scenario "
+            f"horizon is {config.steps}"
+        )
+    init_cov = config.init_cov if init_cov is None else init_cov
+    schedule = scenario.gain_schedule(init_cov)
     state = filters.rbpf_init(
         scenario.provider.model_at(0), scenario.network,
-        size or config.size, rng,
-        cov=init_cov if init_cov is not None else config.init_cov,
+        size or config.size, rng, cov=init_cov,
     )
     estimates = np.empty((len(observations), scenario.state_dim))
     records = []
     for k, obs in enumerate(observations):
         state, estimates[k] = filters.rbpf_step(
-            state, obs, model=scenario.provider.model_at(k)
+            state, obs, model=scenario.provider.model_at(k),
+            kalman=schedule[k],
         )
         if dump_path is not None:
             records.append((
@@ -505,19 +529,56 @@ def run_trial(
     )
 
 
-def run_trials(config: ScenarioConfig, threads: int = 1) -> list[TrialResult]:
+class TrialRun(list):
+    """Trial results in trial order; ``runtime_schedule`` holds the seconds
+    spent building the gain schedule before the trials."""
+
+    runtime_schedule = 0.0
+
+
+_WORKER_SCENARIO: Optional[Scenario] = None
+
+
+def _start_worker(scenario: Scenario) -> None:
+    global _WORKER_SCENARIO
+    _WORKER_SCENARIO = scenario
+
+
+def _worker_trial(config: ScenarioConfig, trial: int, observations):
+    return run_trial(config, trial, _WORKER_SCENARIO, observations)
+
+
+def run_trials(
+    config: ScenarioConfig,
+    threads: int = 1,
+    observations: Optional[Mapping[int, Sequence]] = None,
+) -> TrialRun:
     """Run all configured trials, optionally across processes.
 
-    Results are ordered by trial index regardless of completion order, and
-    every trial reseeds from the master seed, so the outcome does not
-    depend on the degree of parallelism.
+    ``observations`` maps each trial index to an observation log that
+    replaces the simulated one (e.g. read from file).  The scenario, and for
+    the particle filter its gain schedule, is built once, before the trials;
+    each worker process receives it once.  Results are ordered by trial
+    index regardless of completion order, and every trial reseeds from the
+    master seed, so the outcome does not depend on the degree of
+    parallelism.
     """
     indices = range(config.trials)
-    if threads <= 1:
-        scenario = build_scenario(config)
-        return [run_trial(config, i, scenario=scenario) for i in indices]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_trial, [config] * config.trials, indices))
+    logs = [None if observations is None else observations[i] for i in indices]
+    scenario = build_scenario(config)
+    results = TrialRun()
+    start = time.perf_counter()
+    if config.estimator == "rbpf":
+        scenario.gain_schedule(config.init_cov)
+    results.runtime_schedule = time.perf_counter() - start
+    if threads == 1:
+        results.extend(run_trial(config, i, scenario, logs[i]) for i in indices)
+        return results
+    with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
+                             initargs=(scenario,)) as pool:
+        results.extend(pool.map(_worker_trial, [config] * config.trials,
+                                indices, logs))
+    return results
 
 
 def compute_aee(results: Sequence[TrialResult]) -> float:
@@ -556,7 +617,9 @@ def write_summary_json(results: Sequence[TrialResult], path,
                        config: ScenarioConfig) -> dict:
     """Aggregate summary: AEE, per-step error statistics, settings, seeds.
 
-    Returns the written document as a dictionary.
+    ``runtime_total`` sums the per-trial runtimes; ``runtime_schedule`` is
+    the gain-schedule build time a :class:`TrialRun` carries (0 for a plain
+    list).  Returns the written document as a dictionary.
     """
     errors = np.stack([r.errors for r in results])
     strengths = np.stack([r.strengths for r in results])
@@ -579,6 +642,7 @@ def write_summary_json(results: Sequence[TrialResult], path,
         "per_step_strength_std": strengths.std(axis=0).tolist(),
         "runtime_total": float(sum(r.runtime for r in results)),
         "runtime_per_trial": [r.runtime for r in results],
+        "runtime_schedule": float(getattr(results, "runtime_schedule", 0.0)),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -622,30 +686,41 @@ def load_observations_csv(path) -> tuple[str, dict[int, np.ndarray]]:
     """Read an observation CSV back into per-trial ``(K, N)`` arrays.
 
     Returns the embedded config hash and the per-trial arrays; values
-    round-trip exactly thanks to full-precision formatting.
+    round-trip exactly thanks to full-precision formatting.  Every
+    (trial, step, sensor) cell of trials ``0..T-1``, steps ``1..K`` and
+    sensors ``0..N-1`` must hold exactly one finite value; otherwise a
+    ``ValueError`` names the bad row or cell.
     """
-    config_hash = ""
-    cells: dict[int, dict[int, dict[int, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# config"):
-                config_hash = line.split()[-1]
-                continue
-            if not line or line.startswith("#") or line.startswith("trial"):
-                continue
-            trial_s, step_s, sensor_s, value_s = line.split(",")
-            trial, step, sensor = int(trial_s), int(step_s), int(sensor_s)
-            cells.setdefault(trial, {}).setdefault(step, {})[sensor] = float(value_s)
-    logs: dict[int, np.ndarray] = {}
-    for trial, steps_map in cells.items():
-        n_steps = max(steps_map) if steps_map else 0
-        n_sensors = max(max(s) for s in steps_map.values()) + 1
-        arr = np.zeros((n_steps, n_sensors))
-        for step, sensors_map in steps_map.items():
-            for sensor, value in sensors_map.items():
-                arr[step - 1, sensor] = value
-        logs[trial] = arr
-    if not logs:
+        lines = fh.read().splitlines()
+    config_hash = next(
+        (line.split()[-1] for line in lines if line.startswith("# config")), "")
+    rows = [line for line in lines
+            if line.strip() and not line.startswith(("#", "trial"))]
+    if not rows:
         raise ValueError(f"observation file {path} contains no data rows")
-    return config_hash, logs
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"observation file {path}: {exc}") from exc
+    if data.shape[1] != 4:
+        raise ValueError(f"observation file {path}: rows must hold trial, "
+                         f"step, sensor and value")
+    cells = data[:, :3].astype(int) - (0, 1, 0)
+    bad = ((cells + (0, 1, 0) != data[:, :3]) | (cells < 0)).any(axis=1)
+    bad |= ~np.isfinite(data[:, 3])
+    if bad.any():
+        raise ValueError(f"observation file {path}: bad row "
+                         f"{rows[np.argmax(bad)]!r}")
+    index = tuple(cells.T)
+    counts = np.zeros(tuple(cells.max(axis=0) + 1), dtype=int)
+    np.add.at(counts, index, 1)
+    values = np.zeros(counts.shape)
+    values[index] = data[:, 3]
+    wrong = np.argwhere(counts != 1)
+    if wrong.size:
+        trial, step, sensor = wrong[0]
+        what = "no value" if counts[trial, step, sensor] == 0 else "repeated values"
+        raise ValueError(f"observation file {path} has {what} for trial "
+                         f"{trial}, step {step + 1}, sensor {sensor}")
+    return config_hash, dict(enumerate(values))

@@ -25,17 +25,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plumetrace.mesh import ElementGeometry, MeshError, TriMesh, locate_point
+from plumetrace.mesh import MeshError, TriMesh, locate_point
 
 __all__ = [
-    "ElementMatrices",
     "GlobalSystem",
     "DispersionModel",
     "AugmentedState",
     "StabilityReport",
-    "element_mass",
-    "element_stiffness",
-    "element_force",
     "assemble",
     "build_model",
     "step",
@@ -47,75 +43,6 @@ __all__ = [
 _MASS_TEMPLATE = np.array(
     [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
 ) / 12.0
-
-
-def _require_area(geom: ElementGeometry) -> None:
-    if not geom.area > 0.0:
-        raise ValueError(f"degenerate element (area {geom.area:g})")
-
-
-def element_mass(geom: ElementGeometry, lumped: bool = False) -> np.ndarray:
-    """Element mass matrix, shape ``(3, 3)``.
-
-    The consistent form is ``S/12 * [[2,1,1],[1,2,1],[1,1,2]]``; the lumped
-    form concentrates each row on the diagonal, ``S/3 * I``.
-    """
-    _require_area(geom)
-    if lumped:
-        return (geom.area / 3.0) * np.eye(3)
-    return geom.area * _MASS_TEMPLATE
-
-
-def element_stiffness(
-    geom: ElementGeometry, diffusivity: float, velocity
-) -> np.ndarray:
-    """Element transport matrix combining advection and diffusion.
-
-    Advection contributes a rank-one matrix with identical rows built from
-    the flow components against the opposite-edge coordinate differences;
-    diffusion contributes ``lam/(4S)`` times outer products of the y and x
-    edge-difference vectors.
-    """
-    _require_area(geom)
-    u, v = float(velocity[0]), float(velocity[1])
-    lam = float(diffusivity)
-    if lam < 0.0:
-        raise ValueError(f"diffusivity must be non-negative, got {lam}")
-    row = np.array(
-        [
-            v * geom.x32 - u * geom.y32,
-            u * geom.y31 - v * geom.x31,
-            v * geom.x21 - u * geom.y21,
-        ]
-    ) / 6.0
-    advection = np.tile(row, (3, 1))
-    gy = np.array([geom.y32, -geom.y31, geom.y21])
-    gx = np.array([geom.x32, -geom.x31, geom.x21])
-    scale = lam / (4.0 * geom.area)
-    return advection + scale * (np.outer(gy, gy) + np.outer(gx, gx))
-
-
-def element_force(
-    geom: ElementGeometry, strength: float, contains_source: bool
-) -> np.ndarray:
-    """Element load vector for a point source smeared over its element.
-
-    Returns ``S * u / 3`` at each node when the element holds the source and
-    zeros otherwise.
-    """
-    _require_area(geom)
-    if not contains_source:
-        return np.zeros(3)
-    return np.full(3, geom.area * float(strength) / 3.0)
-
-
-@dataclass(frozen=True)
-class ElementMatrices:
-    """Mass, transport and force contributions of a single element."""
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-    force: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -285,6 +212,8 @@ class DispersionModel:
     mesh: Optional[TriMesh] = None
     diffusivity: Optional[float] = None
     _a_bar: Optional[np.ndarray] = field(default=None, repr=False)
+    _a_csr: Optional[sp.csr_matrix] = field(default=None, init=False,
+                                            repr=False)
     _w_bar: Optional[np.ndarray] = field(default=None, repr=False)
     _w_root: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -299,13 +228,25 @@ class DispersionModel:
     def augmented_transition(self) -> np.ndarray:
         """Dense ``(C+1, C+1)`` transition with the injection as last column."""
         if self._a_bar is None:
-            n = self.node_count
-            a_bar = np.zeros((n + 1, n + 1))
-            a_bar[:n, :n] = self.transition.toarray()
-            a_bar[:n, n] = self.injection
-            a_bar[n, n] = 1.0
-            self._a_bar = a_bar
+            self._a_bar = self.sparse_augmented_transition().toarray()
         return self._a_bar
+
+    def sparse_augmented_transition(self) -> sp.csr_matrix:
+        """CSR form of :meth:`augmented_transition`."""
+        if self._a_csr is None:
+            self._a_csr = sp.bmat([
+                [self.transition, sp.csr_matrix(self.injection[:, None])],
+                [None, sp.csr_matrix([[1.0]])],
+            ], format="csr")
+        return self._a_csr
+
+    def process_variances(self) -> Optional[np.ndarray]:
+        """Diagonal of :meth:`process_covariance`, or ``None`` when the field
+        noise is a full matrix."""
+        if np.ndim(self.field_cov) != 0:
+            return None
+        return np.append(np.full(self.node_count, float(self.field_cov)),
+                         self.strength_var)
 
     def process_covariance(self) -> np.ndarray:
         """Dense ``(C+1, C+1)`` block-diagonal process noise covariance."""

@@ -4,11 +4,15 @@ The main estimator is a Rao-Blackwellised particle filter: because the
 model is linear-Gaussian conditional on the noise-free latent measurement
 ``z = H x``, each particle samples only ``z`` (one scalar per sensor, drawn
 uniformly over the received quantisation cell) and keeps a Kalman
-conditional mean; the covariance recursion does not depend on the sampled
-values and is shared by all particles, so it is computed once per step.
-Particle weights combine the quantised-measurement likelihood, the Gaussian
-predictive density of the drawn latent, and the uniform proposal density,
-accumulated in log space.
+conditional mean.  The covariance recursion depends neither on the sampled
+values nor on the data, so it is shared by all particles and all trials:
+:func:`gain_schedule` runs it once per scenario and stores each step's gain
+and innovation variances, leaving only particle work to :func:`rbpf_step`.
+The same two functions, :func:`predict_covariance` and
+:func:`condition_covariance`, serve the plain Kalman filter
+(:func:`kf_predict`, :func:`kf_update`).  Particle weights combine the
+quantised-measurement likelihood, the Gaussian predictive density of the
+drawn latent, and the uniform proposal density, accumulated in log space.
 
 An ensemble Kalman filter with perturbed observations serves as a baseline;
 quantisation enters it only as extra additive observation noise.
@@ -18,26 +22,28 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from plumetrace.fem import DispersionModel
-from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
+from plumetrace.sensing import QuantisedObservation, SensorNetwork
 
 __all__ = [
     "FilterError",
     "GaussianBelief",
-    "LinearModel",
-    "Particle",
+    "KalmanStep",
     "RbpfState",
     "EnsembleState",
     "default_jitter",
+    "predict_covariance",
+    "condition_covariance",
+    "gain_schedule",
     "kf_predict",
     "kf_update",
     "latent_transition_logpdf",
-    "latent_transition_density",
-    "propose_latent",
     "particle_log_weights",
     "normalise_weights",
     "effective_sample_size",
@@ -63,22 +69,18 @@ class GaussianBelief:
     cov: np.ndarray
 
 
-@dataclass
-class LinearModel:
-    """Minimal linear-Gaussian model: a transition matrix and process noise.
+class KalmanStep(NamedTuple):
+    """The data-independent part of one Kalman step.
 
-    Duck-type stand-in for :class:`~plumetrace.fem.DispersionModel` wherever
-    only the Kalman operations are needed.
+    ``gain_t`` is the transposed gain ``K^T``, shape ``(sensors, state)``;
+    ``innovation_var`` the diagonal of the innovation covariance ``S``,
+    jitter included; ``cov`` the posterior covariance, ``None`` for a step
+    of a :func:`gain_schedule` other than its last.
     """
 
-    a: np.ndarray
-    w: np.ndarray
-
-    def augmented_transition(self) -> np.ndarray:
-        return self.a
-
-    def process_covariance(self) -> np.ndarray:
-        return self.w
+    gain_t: np.ndarray
+    innovation_var: np.ndarray
+    cov: Optional[np.ndarray]
 
 
 def default_jitter(cov: np.ndarray) -> float:
@@ -91,22 +93,45 @@ def default_jitter(cov: np.ndarray) -> float:
     return 1e-9 * float(np.trace(cov)) / cov.shape[0]
 
 
-def kf_predict(model, belief: GaussianBelief) -> GaussianBelief:
-    """Propagate a Gaussian belief through the model dynamics."""
-    a = model.augmented_transition()
-    mean = a @ belief.mean
-    cov = a @ belief.cov @ a.T + model.process_covariance()
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, cov=cov)
+# Rows per block in the covariance products: full-size temporaries would
+# add to peak memory, which the n x n covariances dominate.
+_BAND = 64
 
 
-def kf_update(
-    belief: GaussianBelief, h: np.ndarray, z, jitter: Optional[float] = None
-) -> GaussianBelief:
-    """Condition a Gaussian belief on the noise-free observation ``z = H x``.
+def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
+    """Predicted covariance ``A P A^T + W``, symmetrised in place.
 
-    ``jitter`` is added to the diagonal of the innovation covariance; when
-    omitted it defaults to :func:`default_jitter` of the current covariance.
+    ``A`` is the model's sparse augmented transition, and a diagonal ``W``
+    is added to the diagonal only, so no dense ``A`` or ``W`` is formed.
+    """
+    a = model.sparse_augmented_transition()
+    p = np.empty_like(cov)
+    for i in range(0, cov.shape[0], _BAND):
+        rows = a[i:i + _BAND] @ cov         # rows of A P
+        p[i:i + _BAND] = (a @ rows.T).T     # the same rows of A P A^T
+    w = model.process_variances()
+    if w is None:
+        p += model.process_covariance()
+    else:
+        p[np.diag_indices_from(p)] += w
+    for i in range(0, cov.shape[0], _BAND):
+        mean = 0.5 * (p[i:i + _BAND, i:] + p[i:, i:i + _BAND].T)
+        p[i:i + _BAND, i:] = mean
+        p[i:, i:i + _BAND] = mean.T
+    return p
+
+
+def condition_covariance(
+    cov: np.ndarray, h: np.ndarray, jitter: Optional[float] = None
+) -> KalmanStep:
+    """Gain, innovation variances and posterior covariance of conditioning
+    the symmetric covariance ``cov`` on the noise-free observation ``z = H x``.
+
+    ``jitter`` is added to the diagonal of the innovation covariance ``S``;
+    when omitted it defaults to :func:`default_jitter` of ``cov``.  With the
+    Cholesky factor ``S = L L^T`` and ``V = L^-1 H P`` the gain is
+    ``K^T = L^-T V`` and the posterior ``P - K H P = P - V^T V``, which is
+    symmetric without a symmetrising pass.
 
     Raises
     ------
@@ -114,26 +139,75 @@ def kf_update(
         If the innovation covariance is singular even with the jitter,
         which signals an ill-posed observation configuration.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     if jitter is None:
-        jitter = default_jitter(belief.cov)
-    pht = belief.cov @ h.T
-    s = h @ pht + jitter * np.eye(h.shape[0])
+        jitter = default_jitter(cov)
+    hp = sp.csr_matrix(h) @ cov      # H has a few nonzeros per row
+    s = hp @ h.T
+    s[np.diag_indices_from(s)] += jitter
     try:
-        gain = np.linalg.solve(s, pht.T).T
+        root = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise FilterError(
             "innovation covariance is singular despite jitter; observation "
             "configuration is ill posed"
         ) from exc
-    if not np.isfinite(gain).all():
+    v = solve_triangular(root, hp, lower=True, check_finite=False)
+    gain_t = solve_triangular(root, v, lower=True, trans="T",
+                              check_finite=False)
+    if not np.isfinite(gain_t).all():
         raise FilterError("Kalman gain overflowed; observation configuration "
                           "is ill posed")
-    mean = belief.mean + gain @ (z - h @ belief.mean)
-    cov = (np.eye(belief.cov.shape[0]) - gain @ h) @ belief.cov
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, cov=cov)
+    post = v.T @ v
+    np.subtract(cov, post, out=post)
+    return KalmanStep(gain_t, np.diag(s).copy(), post)
+
+
+def gain_schedule(
+    models: Sequence, h: np.ndarray, init_cov
+) -> list[KalmanStep]:
+    """Run the covariance recursion from prior covariance ``init_cov``
+    (scalar or matrix) through the per-step ``models``: each step predicts
+    with :func:`predict_covariance` and conditions on ``z = H x`` with
+    :func:`condition_covariance` and the default jitter.
+
+    Returns one :class:`KalmanStep` per model; only the last keeps its
+    posterior covariance.  Each step's arrays are allocated separately, so
+    the schedule is never one large block of memory.
+    """
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    _, cov = _initial_moments(h.shape[1], None, init_cov)
+    schedule = []
+    for model in models:
+        # rebinding cov frees each covariance once it is used
+        cov = predict_covariance(model, cov)
+        gain_t, innovation_var, cov = condition_covariance(cov, h)
+        schedule.append(KalmanStep(gain_t, innovation_var, None))
+    if schedule:
+        schedule[-1] = schedule[-1]._replace(cov=cov)
+    return schedule
+
+
+def kf_predict(model, belief: GaussianBelief) -> GaussianBelief:
+    """Propagate a Gaussian belief through the model dynamics."""
+    return GaussianBelief(
+        mean=model.sparse_augmented_transition() @ belief.mean,
+        cov=predict_covariance(model, belief.cov),
+    )
+
+
+def kf_update(
+    belief: GaussianBelief, h: np.ndarray, z, jitter: Optional[float] = None
+) -> GaussianBelief:
+    """Condition a Gaussian belief on the noise-free observation ``z = H x``.
+
+    ``jitter`` is as for :func:`condition_covariance`, which raises
+    :class:`FilterError` for an ill-posed observation configuration.
+    """
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    step = condition_covariance(belief.cov, h, jitter)
+    mean = belief.mean + (z - h @ belief.mean) @ step.gain_t
+    return GaussianBelief(mean=mean, cov=step.cov)
 
 
 def latent_transition_logpdf(z, mean, variance):
@@ -141,36 +215,6 @@ def latent_transition_logpdf(z, mean, variance):
     z = np.asarray(z, dtype=float)
     variance = np.asarray(variance, dtype=float)
     return -0.5 * (np.log(2.0 * np.pi * variance) + (z - mean) ** 2 / variance)
-
-
-def latent_transition_density(
-    predicted: GaussianBelief, h_row, z, jitter: Optional[float] = None
-):
-    """Gaussian predictive density of a drawn latent measurement.
-
-    Under the predicted belief the latent ``z_j = H_j x`` is scalar Gaussian
-    with mean ``H_j mean`` and variance ``H_j P H_j^T`` (plus the same
-    jitter used in the update).
-    """
-    h_row = np.asarray(h_row, dtype=float)
-    if jitter is None:
-        jitter = default_jitter(predicted.cov)
-    mean = float(h_row @ predicted.mean)
-    var = float(h_row @ predicted.cov @ h_row) + jitter
-    return float(np.exp(latent_transition_logpdf(z, mean, var)))
-
-
-def propose_latent(q: Quantiser, y_hat, rng, size=None):
-    """Draw latent measurements uniformly over a received cell.
-
-    The proposal density is the constant ``num_levels / (2 * scale)``.
-    """
-    w = q.cell_half_width
-    y_hat = np.asarray(y_hat, dtype=float)
-    out = rng.uniform(y_hat - w, y_hat + w, size=size)
-    if np.ndim(out) == 0 and size is None:
-        return float(out)
-    return out
 
 
 def particle_log_weights(log_obs, log_trans, log_proposal) -> np.ndarray:
@@ -221,24 +265,15 @@ def multinomial_resample(weights, rng, size: Optional[int] = None) -> np.ndarray
 
 
 @dataclass
-class Particle:
-    """Snapshot of one particle after a filter step."""
-
-    latent: np.ndarray
-    mean: np.ndarray
-    weight: float
-
-    @property
-    def strength(self) -> float:
-        return float(self.mean[-1])
-
-
-@dataclass
 class RbpfState:
-    """Particle population and shared covariances of the filter.
+    """Particle population and shared covariance of the filter.
 
     ``means`` and ``weights`` are the population carried into the next step
-    (weights are uniform whenever the step resampled).  The ``last_*``
+    (weights are uniform whenever the step resampled).  ``cov`` is the
+    posterior covariance after ``step_index`` steps.  A step driven by a
+    :func:`gain_schedule` sets it to the step's ``cov``: ``None`` within the
+    schedule and its final covariance after the last step, so it never holds
+    a covariance from an earlier step.  The ``last_*``
     fields snapshot the step just computed, before resampling: they are what
     the reported estimate ``sum(last_weights * last_means)`` is built from
     and what particle dumps record.
@@ -247,12 +282,11 @@ class RbpfState:
     model: DispersionModel
     network: SensorNetwork
     means: np.ndarray
-    cov: np.ndarray
+    cov: Optional[np.ndarray]
     weights: np.ndarray
     rng: np.random.Generator
     step_index: int = 0
     resample_threshold: Optional[float] = None
-    cov_pred: Optional[np.ndarray] = None
     last_weights: Optional[np.ndarray] = None
     last_means: Optional[np.ndarray] = None
     last_latent: Optional[np.ndarray] = None
@@ -260,23 +294,6 @@ class RbpfState:
     @property
     def particle_count(self) -> int:
         return self.means.shape[0]
-
-    def particles(self) -> list[Particle]:
-        """Particle views of the latest step's snapshot."""
-        if self.last_weights is None:
-            return [
-                Particle(latent=np.empty(0), mean=self.means[m],
-                         weight=float(self.weights[m]))
-                for m in range(self.particle_count)
-            ]
-        return [
-            Particle(
-                latent=self.last_latent[m],
-                mean=self.last_means[m],
-                weight=float(self.last_weights[m]),
-            )
-            for m in range(self.particle_count)
-        ]
 
 
 def _initial_moments(dim: int, mean, cov):
@@ -288,7 +305,7 @@ def _initial_moments(dim: int, mean, cov):
     if np.ndim(cov) == 0:
         if float(cov) <= 0.0:
             raise ValueError("initial covariance must be positive")
-        cov = float(cov) * np.eye(dim)
+        cov = np.diag(np.full(dim, float(cov)))
     else:
         cov = np.asarray(cov, dtype=float).copy()
         if cov.shape != (dim, dim):
@@ -333,12 +350,14 @@ def rbpf_step(
     state: RbpfState,
     observation: Union[QuantisedObservation, np.ndarray],
     model: Optional[DispersionModel] = None,
+    kalman: Optional[KalmanStep] = None,
 ) -> tuple[RbpfState, np.ndarray]:
     """Advance the filter by one observation; return the new state and the
     weighted posterior-mean estimate.
 
-    The covariance recursion runs once, outside the particle population:
-    the drawn latents never enter it.  Per particle the conditional mean is
+    ``kalman`` is the step's covariance recursion, usually taken from a
+    :func:`gain_schedule`; when omitted it is computed from ``state.cov`` by
+    a one-step :func:`gain_schedule`.  Per particle the conditional mean is
     predicted, a latent is drawn uniformly over each sensor's received
     cell, the weight accumulates the mixture likelihood and predictive
     density against the proposal, and the mean is updated with the shared
@@ -352,32 +371,20 @@ def rbpf_step(
         raise ValueError(
             f"observation must supply {net.count} values, got {y_hat.shape}"
         )
-
-    a_bar = model.augmented_transition()
-    p_pred = a_bar @ state.cov @ a_bar.T + model.process_covariance()
-    p_pred = 0.5 * (p_pred + p_pred.T)
     h = net.H
-    jitter = default_jitter(p_pred)
-    pht = p_pred @ h.T
-    s = h @ pht + jitter * np.eye(net.count)
-    try:
-        gain = np.linalg.solve(s, pht.T).T
-    except np.linalg.LinAlgError as exc:
-        raise FilterError(
-            "innovation covariance is singular despite jitter; sensor "
-            "configuration is ill posed"
-        ) from exc
-    p_post = (np.eye(p_pred.shape[0]) - gain @ h) @ p_pred
-    p_post = 0.5 * (p_post + p_post.T)
+    if kalman is None:
+        if state.cov is None:
+            raise ValueError("filter state holds no covariance; pass the "
+                             "step of its gain schedule")
+        kalman = gain_schedule([model], h, state.cov)[0]
 
-    means_pred = state.means @ a_bar.T
+    means_pred = (model.sparse_augmented_transition() @ state.means.T).T
     z_pred = means_pred @ h.T
     half = net.cell_half_width
     draws = state.rng.random((state.particle_count, net.count))
     z = (y_hat - half) + 2.0 * half * draws
 
-    s_diag = np.diag(s)
-    log_trans = latent_transition_logpdf(z, z_pred, s_diag)
+    log_trans = latent_transition_logpdf(z, z_pred, kalman.innovation_var)
     log_obs = net.log_likelihood(y_hat, z)
     with np.errstate(divide="ignore"):
         log_prior = np.log(state.weights)
@@ -386,7 +393,7 @@ def rbpf_step(
     )
     weights = normalise_weights(log_w)
 
-    means_post = means_pred + (z - z_pred) @ gain.T
+    means_post = means_pred + (z - z_pred) @ kalman.gain_t
     estimate = weights @ means_post
 
     if state.resample_threshold is None or (
@@ -404,10 +411,9 @@ def rbpf_step(
         state,
         model=model,
         means=next_means,
-        cov=p_post,
+        cov=kalman.cov,
         weights=next_weights,
         step_index=state.step_index + 1,
-        cov_pred=p_pred,
         last_weights=weights,
         last_means=means_post,
         last_latent=z,

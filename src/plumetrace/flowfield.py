@@ -21,7 +21,6 @@ __all__ = [
     "UniformFlow",
     "RigidRotationFlow",
     "GriddedFlow",
-    "velocity_at",
     "element_velocities",
     "load_gridded_flow",
     "save_gridded_flow",
@@ -188,11 +187,6 @@ class GriddedFlow:
             f"GriddedFlow(nx={self.xs.size}, ny={self.ys.size}, "
             f"nt={self.ts.size})"
         )
-
-
-def velocity_at(flow: FlowField, point, t: float) -> tuple[float, float]:
-    """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair."""
-    return flow.velocity(point, t)
 
 
 def element_velocities(flow: FlowField, mesh: TriMesh, t: float) -> np.ndarray:

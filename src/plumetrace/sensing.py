@@ -27,9 +27,7 @@ __all__ = [
     "build_measurement_matrix",
     "generate_positions",
     "simulate_measurement",
-    "cell_probability",
     "log_cell_probability",
-    "observation_likelihood",
     "log_observation_likelihood",
     "load_sensor_layout",
     "save_sensor_layout",
@@ -119,14 +117,6 @@ def log_cell_probability(q: Quantiser, level, mean, var):
     return out
 
 
-def cell_probability(q: Quantiser, level, mean, var):
-    """Gaussian probability mass of a level's quantisation cell."""
-    out = np.exp(log_cell_probability(q, level, mean, var))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def _log_mixture(log_detect, log_miss, detect_rate):
     detect_rate = np.asarray(detect_rate, dtype=float)
     with np.errstate(divide="ignore"):
@@ -147,14 +137,6 @@ def log_observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
     log_detect = log_cell_probability(q, y_hat, z, noise_var)
     log_miss = log_cell_probability(q, y_hat, 0.0, noise_var)
     out = _log_mixture(log_detect, log_miss, detect_rate)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
-    """Probability of receiving level ``y_hat`` given latent signal ``z``."""
-    out = np.exp(log_observation_likelihood(q, y_hat, z, noise_var, detect_rate))
     if np.ndim(out) == 0:
         return float(out)
     return out

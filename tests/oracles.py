@@ -1,0 +1,194 @@
+"""Reference implementations and helpers that only the tests use.
+
+Per-element FEM matrices, checked against the vectorised ``fem.assemble``;
+scalar forms of the particle filter's latent proposal and predictive
+density and linear-domain forms of the quantised likelihoods, checked
+against closed forms; a dense linear model for the Kalman functions; and
+per-particle views of a filter state.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+import scipy.sparse as sp
+
+from plumetrace.filters import (
+    GaussianBelief,
+    RbpfState,
+    default_jitter,
+    latent_transition_logpdf,
+)
+from plumetrace.mesh import ElementGeometry
+from plumetrace.sensing import (
+    Quantiser,
+    log_cell_probability,
+    log_observation_likelihood,
+)
+
+_MASS_TEMPLATE = np.array(
+    [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
+) / 12.0
+
+
+def _require_area(geom: ElementGeometry) -> None:
+    if not geom.area > 0.0:
+        raise ValueError(f"degenerate element (area {geom.area:g})")
+
+
+def element_mass(geom: ElementGeometry, lumped: bool = False) -> np.ndarray:
+    """Element mass matrix, shape ``(3, 3)``.
+
+    The consistent form is ``S/12 * [[2,1,1],[1,2,1],[1,1,2]]``; the lumped
+    form concentrates each row on the diagonal, ``S/3 * I``.
+    """
+    _require_area(geom)
+    if lumped:
+        return (geom.area / 3.0) * np.eye(3)
+    return geom.area * _MASS_TEMPLATE
+
+
+def element_stiffness(
+    geom: ElementGeometry, diffusivity: float, velocity
+) -> np.ndarray:
+    """Element transport matrix combining advection and diffusion.
+
+    Advection contributes a rank-one matrix with identical rows built from
+    the flow components against the opposite-edge coordinate differences;
+    diffusion contributes ``lam/(4S)`` times outer products of the y and x
+    edge-difference vectors.
+    """
+    _require_area(geom)
+    u, v = float(velocity[0]), float(velocity[1])
+    lam = float(diffusivity)
+    if lam < 0.0:
+        raise ValueError(f"diffusivity must be non-negative, got {lam}")
+    row = np.array(
+        [
+            v * geom.x32 - u * geom.y32,
+            u * geom.y31 - v * geom.x31,
+            v * geom.x21 - u * geom.y21,
+        ]
+    ) / 6.0
+    advection = np.tile(row, (3, 1))
+    gy = np.array([geom.y32, -geom.y31, geom.y21])
+    gx = np.array([geom.x32, -geom.x31, geom.x21])
+    scale = lam / (4.0 * geom.area)
+    return advection + scale * (np.outer(gy, gy) + np.outer(gx, gx))
+
+
+def element_force(
+    geom: ElementGeometry, strength: float, contains_source: bool
+) -> np.ndarray:
+    """Element load vector for a point source smeared over its element.
+
+    Returns ``S * u / 3`` at each node when the element holds the source and
+    zeros otherwise.
+    """
+    _require_area(geom)
+    if not contains_source:
+        return np.zeros(3)
+    return np.full(3, geom.area * float(strength) / 3.0)
+
+
+def latent_transition_density(
+    predicted: GaussianBelief, h_row, z, jitter: Optional[float] = None
+):
+    """Gaussian predictive density of a drawn latent measurement.
+
+    Under the predicted belief the latent ``z_j = H_j x`` is scalar Gaussian
+    with mean ``H_j mean`` and variance ``H_j P H_j^T`` (plus the same
+    jitter used in the update).
+    """
+    h_row = np.asarray(h_row, dtype=float)
+    if jitter is None:
+        jitter = default_jitter(predicted.cov)
+    mean = float(h_row @ predicted.mean)
+    var = float(h_row @ predicted.cov @ h_row) + jitter
+    return float(np.exp(latent_transition_logpdf(z, mean, var)))
+
+
+def propose_latent(q: Quantiser, y_hat, rng, size=None):
+    """Draw latent measurements uniformly over a received cell.
+
+    The proposal density is the constant ``num_levels / (2 * scale)``.
+    """
+    w = q.cell_half_width
+    y_hat = np.asarray(y_hat, dtype=float)
+    out = rng.uniform(y_hat - w, y_hat + w, size=size)
+    if np.ndim(out) == 0 and size is None:
+        return float(out)
+    return out
+
+
+def velocity_at(flow, point, t: float) -> tuple[float, float]:
+    """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair."""
+    return flow.velocity(point, t)
+
+
+def cell_probability(q: Quantiser, level, mean, var):
+    """Gaussian probability mass of a level's quantisation cell."""
+    out = np.exp(log_cell_probability(q, level, mean, var))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
+    """Probability of receiving level ``y_hat`` given latent signal ``z``."""
+    out = np.exp(log_observation_likelihood(q, y_hat, z, noise_var, detect_rate))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+@dataclass
+class LinearModel:
+    """Dense linear-Gaussian model: a transition matrix and process noise.
+
+    Stands in for :class:`~plumetrace.fem.DispersionModel` in the Kalman
+    functions.
+    """
+
+    a: np.ndarray
+    w: np.ndarray
+
+    def sparse_augmented_transition(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.a)
+
+    def process_variances(self) -> None:
+        return None
+
+    def process_covariance(self) -> np.ndarray:
+        return self.w
+
+
+@dataclass
+class Particle:
+    """Snapshot of one particle after a filter step."""
+
+    latent: np.ndarray
+    mean: np.ndarray
+    weight: float
+
+    @property
+    def strength(self) -> float:
+        return float(self.mean[-1])
+
+
+def particles(state: RbpfState) -> list[Particle]:
+    """Particle views of a filter state's latest step."""
+    if state.last_weights is None:
+        return [
+            Particle(latent=np.empty(0), mean=state.means[m],
+                     weight=float(state.weights[m]))
+            for m in range(state.particle_count)
+        ]
+    return [
+        Particle(
+            latent=state.last_latent[m],
+            mean=state.last_means[m],
+            weight=float(state.last_weights[m]),
+        )
+        for m in range(state.particle_count)
+    ]

@@ -31,9 +31,11 @@ from plumetrace.experiment import (
     write_observations_csv,
     write_results_csv,
 )
-from plumetrace.filters import GaussianBelief, LinearModel, kf_predict, kf_update
+from plumetrace.filters import GaussianBelief, kf_predict, kf_update
 from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import Quantiser
+
+from oracles import LinearModel
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -1,8 +1,10 @@
+import json
+import os
 from pathlib import Path
 
 import pytest
 
-from plumetrace import mesh as meshmod
+from plumetrace import filters, mesh as meshmod
 from plumetrace.cli import load_config, main
 from plumetrace.experiment import ScenarioConfig
 
@@ -220,6 +222,65 @@ class TestPipeline:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, name
+
+    def test_estimate_threads_write_identical_bytes(self, tiny_cfg, tmp_path):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        estimates = []
+        for threads in ("1", "2"):
+            assert main(["estimate", "--threads", threads] + args) == 0
+            estimates.append((out / "estimates_rbpf.csv").read_bytes())
+        assert estimates[0] == estimates[1]
+
+    def test_simulate_rejects_threads(self, tiny_cfg, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(tiny_cfg), "--threads", "2",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimate_builds_one_schedule(self, threads, tiny_cfg, tmp_path,
+                                          monkeypatch):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        calls = tmp_path / "calls.txt"
+        build = filters.gain_schedule
+
+        def counted(*a, **kw):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*a, **kw)
+
+        monkeypatch.setattr(filters, "gain_schedule", counted)
+        assert main(["estimate", "--threads", threads] + args) == 0
+        assert calls.read_text().split() == [str(os.getpid())]
+        summary = json.loads((out / "summary_rbpf.json").read_text())
+        assert summary["runtime_schedule"] > 0.0
+
+    def test_estimate_rejects_a_missing_trial(self, tiny_cfg, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        path = out / "observations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("1,")))
+        assert main(["estimate"] + args) == 2
+        assert "holds 1 trial(s), but the config runs 2" in \
+            capsys.readouterr().err
+
+    def test_estimate_names_a_missing_cell(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        path = out / "observations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        assert main(["estimate"] + args) == 2
+        assert "no value for trial 1, step 3, sensor 4" in \
+            capsys.readouterr().err
 
     def test_seed_override_changes_draws(self, tiny_cfg, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from plumetrace import fem, flowfield, sensing
+from plumetrace import fem, filters, flowfield, sensing
 from plumetrace.experiment import (
     STREAM_ENKF,
     STREAM_RBPF,
@@ -295,6 +296,46 @@ class TestTrials:
             assert s.trial == p.trial
             np.testing.assert_array_equal(s.estimates, p.estimates)
 
+    def test_run_trials_replays_observation_logs(self):
+        config = tiny_config(trials=2)
+        direct = run_trials(config)
+        logs = {r.trial: None for r in direct}
+        scen = build_scenario(config)
+        for trial in logs:
+            _, obs = simulate_ground_truth(
+                scen, _trial_rng(config, STREAM_TRUTH, trial))
+            logs[trial] = np.stack([o.values for o in obs])
+        for threads in (1, 2):
+            replayed = run_trials(config, threads, observations=logs)
+            for d, r in zip(direct, replayed):
+                np.testing.assert_array_equal(d.estimates, r.estimates)
+        with pytest.raises(ValueError):
+            run_trials(config, threads=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_trials_builds_one_schedule(self, threads, monkeypatch,
+                                            tmp_path):
+        calls = tmp_path / "calls.txt"
+        build = filters.gain_schedule
+
+        def counted(*args, **kwargs):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(filters, "gain_schedule", counted)
+        results = run_trials(tiny_config(trials=3), threads=threads)
+        assert len(results) == 3
+        assert calls.read_text().split() == [str(os.getpid())]
+        assert results.runtime_schedule > 0.0
+
+    def test_enkf_builds_no_schedule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ensemble filter built a gain schedule")
+
+        monkeypatch.setattr(filters, "gain_schedule", refuse)
+        assert len(run_trials(tiny_config(estimator="enkf", trials=1))) == 1
+
     def test_compute_aee_validation(self):
         with pytest.raises(ValueError, match="no trial"):
             compute_aee([])
@@ -343,6 +384,9 @@ class TestOutputs:
         assert doc["runtime_total"] == pytest.approx(
             sum(r.runtime for r in results)
         )
+        assert doc["runtime_schedule"] == results.runtime_schedule > 0.0
+        plain = write_summary_json(list(results), path, config)
+        assert plain["runtime_schedule"] == 0.0
 
     def test_truth_csv_stride(self, run, tmp_path):
         config, results = run
@@ -378,6 +422,46 @@ class TestOutputs:
         for trial, obs in logs.items():
             expected = np.stack([o.values for o in obs])
             np.testing.assert_array_equal(arrays[trial], expected)
+
+    @pytest.fixture
+    def observation_file(self, tmp_path):
+        config = tiny_config(trials=2)
+        scen = build_scenario(config)
+        logs = {
+            trial: simulate_ground_truth(
+                scen, _trial_rng(config, STREAM_TRUTH, trial))[1]
+            for trial in range(config.trials)
+        }
+        path = tmp_path / "observations.csv"
+        write_observations_csv(logs, path, config)
+        return path
+
+    @pytest.mark.parametrize("row,cell", [
+        (-1, "trial 1, step 3, sensor 4"),    # the last row
+        (2, "trial 0, step 1, sensor 0"),     # the first data row
+        (20, "trial 1, step 1, sensor 3"),    # a row inside a later trial
+    ])
+    def test_load_observations_rejects_a_missing_cell(self, observation_file,
+                                                      row, cell):
+        lines = observation_file.read_text().splitlines(keepends=True)
+        del lines[row]
+        observation_file.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"no value for {cell}$"):
+            load_observations_csv(observation_file)
+
+    def test_load_observations_rejects_bad_rows(
+        self, observation_file,
+    ):
+        lines = observation_file.read_text().splitlines(keepends=True)
+        observation_file.write_text("".join(lines + [lines[5]]))
+        with pytest.raises(ValueError, match="repeated values for trial 0, "
+                                             "step 1, sensor 3$"):
+            load_observations_csv(observation_file)
+        for bad in ("1,2,x,0.5", "1,0,0,0.5", "1,1,2,nan", "1,1.5,2,0.5",
+                    "1,1,2"):
+            observation_file.write_text("".join(lines) + bad + "\n")
+            with pytest.raises(ValueError, match="observation file"):
+                load_observations_csv(observation_file)
 
     def test_load_observations_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -3,30 +3,37 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import norm
 
-from plumetrace import fem, filters, sensing
+from plumetrace import experiment, fem, filters, flowfield, sensing
 from plumetrace.filters import (
     FilterError,
     GaussianBelief,
-    LinearModel,
+    condition_covariance,
     default_jitter,
     effective_sample_size,
     enkf_init,
     enkf_step,
     enkf_update,
+    gain_schedule,
     kf_predict,
     kf_update,
-    latent_transition_density,
     latent_transition_logpdf,
     multinomial_resample,
     normalise_weights,
     particle_log_weights,
-    propose_latent,
+    predict_covariance,
     rbpf_init,
     rbpf_step,
     write_particle_dump,
 )
 from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
+
+from oracles import (
+    LinearModel,
+    latent_transition_density,
+    particles,
+    propose_latent,
+)
 
 
 def _random_system(rng, dim=5, obs=2):
@@ -258,7 +265,7 @@ class TestRbpf:
         model, net, state = _small_setup(particles=4)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         state, _ = rbpf_step(state, obs)
-        parts = state.particles()
+        parts = particles(state)
         assert len(parts) == 4
         total = sum(p.weight for p in parts)
         assert total == pytest.approx(1.0)
@@ -281,6 +288,132 @@ class TestRbpf:
         assert len(lines) == 1 + 2 * 3
         weights = [float(l.split(",")[2]) for l in lines[1:4]]
         assert sum(weights) == pytest.approx(1.0)
+
+
+def _time_varying_models(steps=5):
+    """Per-step models of a gridded flow that changes at every step."""
+    mesh = build_structured_mesh(0.0, 0.0, 10.0, 10.0, 5, 4)
+    xs = np.array([-1.0, 4.0, 11.0])
+    ys = np.array([-1.0, 11.0])
+    ts = np.arange(steps + 1, dtype=float)
+    rng = np.random.default_rng(31)
+    u = rng.uniform(-0.2, 0.2, (ts.size, ys.size, xs.size))
+    v = rng.uniform(-0.2, 0.2, (ts.size, ys.size, xs.size))
+    flow = flowfield.GriddedFlow(xs, ys, ts, u, v)
+    provider = experiment.ModelProvider(mesh, flow, 0.5, 1.0, 1e-3, 1e-6,
+                                        source=(4.0, 6.0))
+    models = [provider.model_at(k) for k in range(steps)]
+    net = SensorNetwork.build(mesh, [(2.0, 2.0), (7.5, 3.0), (5.0, 8.0)],
+                              noise_var=1e-3, detect_rate=0.9, scale=4.0,
+                              levels=64)
+    return models, net
+
+
+def _relative_gap(got, expected):
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+class TestCovarianceStep:
+    def test_sparse_step_matches_dense_algebra_on_time_varying_flow(self):
+        models, net = _time_varying_models()
+        assert _relative_gap(models[0].transition.toarray(),
+                             models[-1].transition.toarray()) > 1e-3
+        h = net.H
+        rng = np.random.default_rng(7)
+        root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
+        cov = root @ root.T + np.eye(models[0].state_dim)
+        for model in models:
+            a = model.augmented_transition()
+            predicted = predict_covariance(model, cov)
+            dense = a @ cov @ a.T + model.process_covariance()
+            assert _relative_gap(predicted, dense) < 1e-12
+            step = condition_covariance(predicted, h)
+            s = h @ dense @ h.T + default_jitter(dense) * np.eye(net.count)
+            gain = np.linalg.solve(s, h @ dense).T
+            posterior = (np.eye(model.state_dim) - gain @ h) @ dense
+            assert _relative_gap(step.gain_t, gain.T) < 1e-12
+            np.testing.assert_allclose(step.innovation_var, np.diag(s),
+                                       rtol=1e-12)
+            assert _relative_gap(step.cov, posterior) < 1e-12
+            np.testing.assert_array_equal(step.cov, step.cov.T)
+            cov = step.cov
+
+    def test_results_are_arrays_not_matrices(self):
+        models, net = _time_varying_models(steps=2)
+        cov = np.eye(models[0].state_dim)
+        step = condition_covariance(predict_covariance(models[0], cov), net.H)
+        schedule = gain_schedule(models, net.H, 2.0)
+        belief = kf_update(kf_predict(models[0], GaussianBelief(
+            mean=np.ones(models[0].state_dim), cov=cov)), net.H, np.zeros(3))
+        state = rbpf_init(models[0], net, 4, np.random.default_rng(1))
+        state, estimate = rbpf_step(state, np.zeros(3), kalman=schedule[0])
+        arrays = (predict_covariance(models[0], cov), *step,
+                  *schedule[0][:2], *schedule[1], belief.mean, belief.cov,
+                  estimate, state.means)
+        assert all(type(x) is np.ndarray for x in arrays)
+
+    def test_schedule_covariances_and_gains_follow_the_recursion(self):
+        models, net = _time_varying_models()
+        schedule = gain_schedule(models, net.H, 3.0)
+        assert len(schedule) == len(models)
+        cov = 3.0 * np.eye(models[0].state_dim)
+        for k, model in enumerate(models):
+            step = condition_covariance(predict_covariance(model, cov), net.H)
+            np.testing.assert_array_equal(schedule[k].gain_t, step.gain_t)
+            np.testing.assert_array_equal(schedule[k].innovation_var,
+                                          step.innovation_var)
+            assert (schedule[k].cov is None) == (k < len(models) - 1)
+            cov = step.cov
+        np.testing.assert_array_equal(schedule[-1].cov, cov)
+
+
+class TestGainSchedule:
+    @pytest.fixture(scope="class")
+    def desk(self):
+        config = experiment.ScenarioConfig()
+        scenario = experiment.build_scenario(config)
+        _, observations = experiment.simulate_ground_truth(
+            scenario, np.random.default_rng(5))
+        return config, scenario, observations
+
+    def test_schedule_and_on_the_fly_steps_agree_over_the_desk_horizon(
+        self, desk,
+    ):
+        config, scenario, observations = desk
+        schedule = scenario.gain_schedule(config.init_cov)
+        assert len(schedule) == len(observations) == 48
+        states = [
+            rbpf_init(scenario.provider.model_at(0), scenario.network,
+                      config.size, np.random.default_rng(8),
+                      cov=config.init_cov)
+            for _ in range(2)
+        ]
+        for k, obs in enumerate(observations):
+            model = scenario.provider.model_at(k)
+            states[0], scheduled = rbpf_step(states[0], obs, model=model,
+                                             kalman=schedule[k])
+            states[1], on_the_fly = rbpf_step(states[1], obs, model=model)
+            np.testing.assert_allclose(scheduled, on_the_fly, rtol=1e-13,
+                                       atol=1e-13)
+            if k < 47:
+                assert states[0].cov is None
+        np.testing.assert_allclose(states[0].cov, states[1].cov, rtol=1e-13,
+                                   atol=1e-13)
+
+    def test_schedule_is_built_once_per_initial_covariance(self, desk):
+        config, scenario, _ = desk
+        first = scenario.gain_schedule(config.init_cov)
+        assert scenario.gain_schedule(float(config.init_cov)) is first
+        assert scenario.gain_schedule(2.0 * config.init_cov) is not first
+
+    def test_state_without_covariance_needs_a_scheduled_step(self, desk):
+        config, scenario, observations = desk
+        schedule = scenario.gain_schedule(config.init_cov)
+        state = rbpf_init(scenario.provider.model_at(0), scenario.network, 3,
+                          np.random.default_rng(0))
+        state, _ = rbpf_step(state, observations[0], kalman=schedule[0])
+        with pytest.raises(ValueError, match="no covariance"):
+            rbpf_step(state, observations[1])
 
 
 class TestEnkf:

@@ -10,9 +10,10 @@ from plumetrace.flowfield import (
     element_velocities,
     load_gridded_flow,
     save_gridded_flow,
-    velocity_at,
 )
 from plumetrace.mesh import build_structured_mesh
+
+from oracles import velocity_at
 
 pos = st.floats(-100.0, 100.0)
 

@@ -9,16 +9,16 @@ from plumetrace.sensing import (
     Quantiser,
     SensorNetwork,
     build_measurement_matrix,
-    cell_probability,
     fence_positions,
     generate_positions,
     load_sensor_layout,
     log_cell_probability,
     log_observation_likelihood,
-    observation_likelihood,
     save_sensor_layout,
     simulate_measurement,
 )
+
+from oracles import cell_probability, observation_likelihood
 
 quantisers = st.builds(
     Quantiser,
