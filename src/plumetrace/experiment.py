@@ -247,7 +247,6 @@ class ModelProvider:
             )
             self._cache[idx] = fem.build_model(
                 system, self._dt, self._field_noise, self._strength_walk,
-                mesh=self._mesh, diffusivity=self._diffusivity,
             )
         return self._cache[idx]
 

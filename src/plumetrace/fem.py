@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,26 +196,18 @@ class DispersionModel:
     """Discrete-time linear model of dispersion with unknown source strength.
 
     The field evolves as ``c' = A c + B u`` and the strength as a random
-    walk ``u' = u + noise``.  ``field_cov`` is the process noise covariance
-    of the field (scalar variance or full SPD matrix) and ``strength_var``
-    the random-walk variance; both enter the augmented process covariance.
+    walk ``u' = u + noise``.  ``field_var`` is the process noise variance of
+    each field node and ``strength_var`` the random-walk variance; together
+    they form the diagonal process covariance.
     """
 
     transition: sp.csr_matrix
     injection: np.ndarray
     dt: float
-    field_cov: Union[float, np.ndarray]
+    field_var: float
     strength_var: float
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    source_pattern: np.ndarray
-    mesh: Optional[TriMesh] = None
-    diffusivity: Optional[float] = None
-    _a_bar: Optional[np.ndarray] = field(default=None, repr=False)
     _a_csr: Optional[sp.csr_matrix] = field(default=None, init=False,
                                             repr=False)
-    _w_bar: Optional[np.ndarray] = field(default=None, repr=False)
-    _w_root: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -225,14 +217,8 @@ class DispersionModel:
     def state_dim(self) -> int:
         return self.node_count + 1
 
-    def augmented_transition(self) -> np.ndarray:
-        """Dense ``(C+1, C+1)`` transition with the injection as last column."""
-        if self._a_bar is None:
-            self._a_bar = self.sparse_augmented_transition().toarray()
-        return self._a_bar
-
-    def sparse_augmented_transition(self) -> sp.csr_matrix:
-        """CSR form of :meth:`augmented_transition`."""
+    def augmented_transition(self) -> sp.csr_matrix:
+        """Sparse ``(C+1, C+1)`` transition with the injection as last column."""
         if self._a_csr is None:
             self._a_csr = sp.bmat([
                 [self.transition, sp.csr_matrix(self.injection[:, None])],
@@ -240,47 +226,17 @@ class DispersionModel:
             ], format="csr")
         return self._a_csr
 
-    def process_variances(self) -> Optional[np.ndarray]:
-        """Diagonal of :meth:`process_covariance`, or ``None`` when the field
-        noise is a full matrix."""
-        if np.ndim(self.field_cov) != 0:
-            return None
-        return np.append(np.full(self.node_count, float(self.field_cov)),
+    def process_variances(self) -> np.ndarray:
+        """Diagonal ``(C+1,)`` of the process covariance, strength last."""
+        return np.append(np.full(self.node_count, self.field_var),
                          self.strength_var)
-
-    def process_covariance(self) -> np.ndarray:
-        """Dense ``(C+1, C+1)`` block-diagonal process noise covariance."""
-        if self._w_bar is None:
-            n = self.node_count
-            w_bar = np.zeros((n + 1, n + 1))
-            if np.ndim(self.field_cov) == 0:
-                w_bar[:n, :n] = float(self.field_cov) * np.eye(n)
-            else:
-                w_bar[:n, :n] = self.field_cov
-            w_bar[n, n] = self.strength_var
-            self._w_bar = w_bar
-        return self._w_bar
-
-    def process_noise_root(self) -> np.ndarray:
-        """Lower-triangular L with ``L @ L.T`` equal to the process covariance."""
-        if self._w_root is None:
-            w_bar = self.process_covariance()
-            try:
-                self._w_root = np.linalg.cholesky(w_bar)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    "process noise covariance is not positive definite"
-                ) from exc
-        return self._w_root
 
 
 def build_model(
     system: GlobalSystem,
     dt: float,
-    field_cov: Union[float, np.ndarray],
+    field_var: float,
     strength_var: float,
-    mesh: Optional[TriMesh] = None,
-    diffusivity: Optional[float] = None,
 ) -> DispersionModel:
     """Form the forward-Euler state-space model from assembled matrices.
 
@@ -291,9 +247,9 @@ def build_model(
     Raises
     ------
     ValueError
-        If ``dt`` is negative, the mass matrix is singular, the field noise
-        covariance is not symmetric or has non-positive variance, or the
-        strength variance is not positive.
+        If ``dt`` is negative, the mass matrix is singular, the field
+        variance is not a positive scalar, or the strength variance is not
+        positive.
     """
     dt = float(dt)
     if dt < 0.0:
@@ -301,19 +257,13 @@ def build_model(
     strength_var = float(strength_var)
     if strength_var <= 0.0:
         raise ValueError(f"strength variance must be positive, got {strength_var}")
-    if np.ndim(field_cov) == 0:
-        field_cov = float(field_cov)
-        if field_cov <= 0.0:
-            raise ValueError(f"field variance must be positive, got {field_cov}")
-    else:
-        field_cov = np.asarray(field_cov, dtype=float)
-        n = system.source.shape[0]
-        if field_cov.shape != (n, n):
-            raise ValueError(
-                f"field covariance must have shape ({n}, {n}), got {field_cov.shape}"
-            )
-        if not np.allclose(field_cov, field_cov.T, rtol=0.0, atol=1e-12):
-            raise ValueError("field covariance must be symmetric")
+    if np.ndim(field_var) != 0:
+        raise ValueError(
+            f"field variance must be a scalar, got shape {np.shape(field_var)}"
+        )
+    field_var = float(field_var)
+    if field_var <= 0.0:
+        raise ValueError(f"field variance must be positive, got {field_var}")
 
     mass = system.mass.tocsr()
     stiffness = system.stiffness.tocsr()
@@ -337,13 +287,8 @@ def build_model(
         transition=a,
         injection=np.asarray(b, dtype=float),
         dt=dt,
-        field_cov=field_cov,
+        field_var=field_var,
         strength_var=strength_var,
-        mass=mass,
-        stiffness=stiffness,
-        source_pattern=system.source.copy(),
-        mesh=mesh,
-        diffusivity=diffusivity,
     )
 
 

@@ -101,17 +101,19 @@ _BAND = 64
 def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
     """Predicted covariance ``A P A^T + W``, symmetrised in place.
 
-    ``A`` is the model's sparse augmented transition, and a diagonal ``W``
-    is added to the diagonal only, so no dense ``A`` or ``W`` is formed.
+    ``A`` is the model's sparse augmented transition.  ``W`` is its
+    ``process_variances()``: a vector is the diagonal of ``W`` and is added
+    to the diagonal only, so no dense ``A`` or ``W`` is formed; a matrix is
+    a full ``W``.
     """
-    a = model.sparse_augmented_transition()
+    a = model.augmented_transition()
     p = np.empty_like(cov)
     for i in range(0, cov.shape[0], _BAND):
         rows = a[i:i + _BAND] @ cov         # rows of A P
         p[i:i + _BAND] = (a @ rows.T).T     # the same rows of A P A^T
     w = model.process_variances()
-    if w is None:
-        p += model.process_covariance()
+    if w.ndim == 2:
+        p += w
     else:
         p[np.diag_indices_from(p)] += w
     for i in range(0, cov.shape[0], _BAND):
@@ -190,7 +192,7 @@ def gain_schedule(
 def kf_predict(model, belief: GaussianBelief) -> GaussianBelief:
     """Propagate a Gaussian belief through the model dynamics."""
     return GaussianBelief(
-        mean=model.sparse_augmented_transition() @ belief.mean,
+        mean=model.augmented_transition() @ belief.mean,
         cov=predict_covariance(model, belief.cov),
     )
 
@@ -378,7 +380,7 @@ def rbpf_step(
                              "step of its gain schedule")
         kalman = gain_schedule([model], h, state.cov)[0]
 
-    means_pred = (model.sparse_augmented_transition() @ state.means.T).T
+    means_pred = (model.augmented_transition() @ state.means.T).T
     z_pred = means_pred @ h.T
     half = net.cell_half_width
     draws = state.rng.random((state.particle_count, net.count))
@@ -490,9 +492,10 @@ def enkf_step(
 ) -> tuple[EnsembleState, np.ndarray]:
     """Advance the ensemble one step; return the new state and ensemble mean.
 
-    Members are propagated with sampled process noise and updated against
-    perturbed observations; quantisation contributes additive noise of
-    variance ``(cell half-width)^2 / 3`` on top of the sensor noise.
+    Members are propagated through the sparse augmented transition with
+    process noise drawn from the diagonal process covariance, then updated
+    against perturbed observations; quantisation contributes additive noise
+    of variance ``(cell half-width)^2 / 3`` on top of the sensor noise.
     """
     model = state.model if model is None else model
     net = state.network
@@ -502,10 +505,10 @@ def enkf_step(
             f"observation must supply {net.count} values, got {y_hat.shape}"
         )
 
-    a_bar = model.augmented_transition()
-    root = model.process_noise_root()
-    noise = state.rng.standard_normal(state.members.shape) @ root.T
-    members = state.members @ a_bar.T + noise
+    noise = state.rng.standard_normal(state.members.shape) * np.sqrt(
+        model.process_variances()
+    )
+    members = (model.augmented_transition() @ state.members.T).T + noise
 
     spread = float((members - members.mean(axis=0)).var(axis=0).mean())
     if spread < 1e-24:

@@ -153,13 +153,12 @@ class LinearModel:
     a: np.ndarray
     w: np.ndarray
 
-    def sparse_augmented_transition(self) -> sp.csr_matrix:
+    def augmented_transition(self) -> sp.csr_matrix:
         return sp.csr_matrix(self.a)
 
-    def process_variances(self) -> None:
-        return None
-
-    def process_covariance(self) -> np.ndarray:
+    def process_variances(self) -> np.ndarray:
+        """The full process covariance, which the Kalman functions add as
+        a matrix."""
         return self.w
 
 

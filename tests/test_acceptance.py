@@ -262,8 +262,8 @@ def test_criterion_08_particle_filter_collapses_to_kalman_without_noise(
         scenario, observations, _trial_rng(config, STREAM_RBPF, 0)
     )
     model = scenario.provider.model_at(0)
-    linear = LinearModel(a=model.augmented_transition(),
-                         w=model.process_covariance())
+    linear = LinearModel(a=model.augmented_transition().toarray(),
+                         w=np.diag(model.process_variances()))
     belief = GaussianBelief(
         mean=np.zeros(scenario.state_dim),
         cov=config.init_cov * np.eye(scenario.state_dim),

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from plumetrace import fem, filters, flowfield, sensing
+from plumetrace import experiment, fem, filters, flowfield, sensing
 from plumetrace.experiment import (
     STREAM_ENKF,
     STREAM_RBPF,
@@ -42,6 +42,22 @@ def tiny_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def gridded_config(tmp_path, **overrides) -> ScenarioConfig:
+    """:func:`tiny_config` under a file flow that changes at t = 2."""
+    xs = np.array([-1.0, 11.0])
+    ys = np.array([-1.0, 11.0])
+    ts = np.array([0.0, 2.0, 1e6])
+    u = np.zeros((3, 2, 2))
+    u[0] = 0.01
+    u[1] = 0.05
+    u[2] = 0.05
+    flow = flowfield.GriddedFlow(xs, ys, ts, u, np.zeros_like(u))
+    path = tmp_path / "flow.txt"
+    flowfield.save_gridded_flow(flow, path)
+    return tiny_config(flow_kind="file", flow_file=str(path), dt=1.5,
+                       steps=4, **overrides)
 
 
 class TestConfigValidation:
@@ -228,19 +244,7 @@ class TestModelProvider:
         assert scen.provider.interval_index(1000) == 0
 
     def test_gridded_flow_switches_models(self, tmp_path):
-        xs = np.array([-1.0, 11.0])
-        ys = np.array([-1.0, 11.0])
-        ts = np.array([0.0, 2.0, 1e6])
-        u = np.zeros((3, 2, 2))
-        u[0] = 0.01
-        u[1] = 0.05
-        u[2] = 0.05
-        flow = flowfield.GriddedFlow(xs, ys, ts, u, np.zeros_like(u))
-        path = tmp_path / "flow.txt"
-        flowfield.save_gridded_flow(flow, path)
-        scen = build_scenario(tiny_config(
-            flow_kind="file", flow_file=str(path), dt=1.5, steps=4,
-        ))
+        scen = build_scenario(gridded_config(tmp_path))
         provider = scen.provider
         assert provider.interval_index(0) == 0   # t = 0.0
         assert provider.interval_index(1) == 0   # t = 1.5
@@ -335,6 +339,24 @@ class TestTrials:
 
         monkeypatch.setattr(filters, "gain_schedule", refuse)
         assert len(run_trials(tiny_config(estimator="enkf", trials=1))) == 1
+
+    @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
+    def test_models_hold_no_dense_matrices(self, estimator, monkeypatch,
+                                           tmp_path):
+        scenarios = []
+
+        def kept(config):
+            scenarios.append(build_scenario(config))
+            return scenarios[-1]
+
+        monkeypatch.setattr(experiment, "build_scenario", kept)
+        run_trials(gridded_config(tmp_path, estimator=estimator, trials=1))
+        models = list(scenarios[0].provider._cache.values())
+        assert len(models) == 2
+        for model in models:
+            for name, value in vars(model).items():
+                dense = isinstance(value, np.ndarray) and value.ndim == 2
+                assert not dense, name
 
     def test_compute_aee_validation(self):
         with pytest.raises(ValueError, match="no trial"):

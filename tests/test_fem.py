@@ -217,7 +217,7 @@ class TestBuildModel:
     def test_augmented_layout(self):
         model = build_model(self.system, 0.01, 1e-4, 1e-6)
         n = model.node_count
-        a_bar = model.augmented_transition()
+        a_bar = model.augmented_transition().toarray()
         assert a_bar.shape == (n + 1, n + 1)
         np.testing.assert_array_equal(a_bar[:n, :n], model.transition.toarray())
         np.testing.assert_array_equal(a_bar[:n, n], model.injection)
@@ -227,18 +227,10 @@ class TestBuildModel:
     def test_process_covariance_blocks(self):
         model = build_model(self.system, 0.01, 2e-4, 3e-6)
         n = model.node_count
-        w_bar = model.process_covariance()
+        w_bar = np.diag(model.process_variances())
         np.testing.assert_array_equal(w_bar[:n, :n], 2e-4 * np.eye(n))
         assert w_bar[n, n] == 3e-6
         assert (w_bar[n, :n] == 0.0).all() and (w_bar[:n, n] == 0.0).all()
-        root = model.process_noise_root()
-        np.testing.assert_allclose(root @ root.T, w_bar, atol=1e-18)
-
-    def test_full_field_covariance(self):
-        n = self.mesh.node_count
-        cov = 1e-4 * (np.eye(n) + 0.1 * np.ones((n, n)))
-        model = build_model(self.system, 0.01, cov, 1e-6)
-        np.testing.assert_array_equal(model.process_covariance()[:n, :n], cov)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -250,9 +242,9 @@ class TestBuildModel:
         n = self.mesh.node_count
         asym = np.eye(n)
         asym[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="field variance must be a scalar"):
             build_model(self.system, 0.01, asym, 1e-6)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="field variance must be a scalar"):
             build_model(self.system, 0.01, np.eye(3), 1e-6)
 
     def test_singular_mass_rejected(self):

@@ -205,8 +205,9 @@ class TestRbpf:
         new_state, estimate = rbpf_step(state, obs)
 
         rng = np.random.default_rng(seed)
-        a = model.augmented_transition()
-        p_pred = a @ (2.0 * np.eye(model.state_dim)) @ a.T + model.process_covariance()
+        a = model.augmented_transition().toarray()
+        p_pred = (a @ (2.0 * np.eye(model.state_dim)) @ a.T
+                  + np.diag(model.process_variances()))
         p_pred = 0.5 * (p_pred + p_pred.T)
         w = net.cell_half_width
         z = (obs - w) + 2.0 * w * rng.random((1, net.count))
@@ -323,9 +324,9 @@ class TestCovarianceStep:
         root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
         cov = root @ root.T + np.eye(models[0].state_dim)
         for model in models:
-            a = model.augmented_transition()
+            a = model.augmented_transition().toarray()
             predicted = predict_covariance(model, cov)
-            dense = a @ cov @ a.T + model.process_covariance()
+            dense = a @ cov @ a.T + np.diag(model.process_variances())
             assert _relative_gap(predicted, dense) < 1e-12
             step = condition_covariance(predicted, h)
             s = h @ dense @ h.T + default_jitter(dense) * np.eye(net.count)
@@ -405,6 +406,14 @@ class TestGainSchedule:
         first = scenario.gain_schedule(config.init_cov)
         assert scenario.gain_schedule(float(config.init_cov)) is first
         assert scenario.gain_schedule(2.0 * config.init_cov) is not first
+
+    def test_posterior_stays_symmetric_and_semidefinite_over_2000_steps(self):
+        config = experiment.ScenarioConfig(nx=10, ny=10, source=(500.0, 500.0),
+                                           sensor_count=12, steps=2000)
+        scenario = experiment.build_scenario(config)
+        cov = scenario.gain_schedule(config.init_cov)[-1].cov
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() >= -1e-9 * np.abs(cov).max()
 
     def test_state_without_covariance_needs_a_scheduled_step(self, desk):
         config, scenario, observations = desk
@@ -488,6 +497,27 @@ class TestEnkf:
         np.testing.assert_array_equal(outs[0], outs[1])
         assert outs[0].shape == (model.state_dim,)
         np.testing.assert_allclose(outs[0], state.members.mean(axis=0))
+
+    def test_steps_match_dense_reference_draw_for_draw(self):
+        models, net = _time_varying_models()
+        size, r_eff = 8, net.noise_var + net.cell_half_width ** 2 / 3.0
+        state = enkf_init(models[0], net, size, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        members = enkf_init(models[0], net, size, rng).members
+        for k, model in enumerate(models):
+            obs = net.quantise(np.full(net.count, 0.05 * k))
+            state, estimate = enkf_step(state, obs, model=model)
+            a = model.augmented_transition().toarray()
+            root = np.linalg.cholesky(np.diag(model.process_variances()))
+            members = (members @ a.T
+                       + rng.standard_normal(members.shape) @ root.T)
+            perturbations = rng.standard_normal((size, net.count)) * np.sqrt(
+                r_eff)
+            members = enkf_update(members, net.H, r_eff, obs, perturbations)
+            np.testing.assert_allclose(state.members, members, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(estimate, members.mean(axis=0),
+                                       rtol=0.0, atol=1e-12)
 
     def test_step_wrong_observation_length(self):
         model, net, _ = _small_setup()
