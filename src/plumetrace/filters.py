@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from plumetrace.fem import DispersionModel
 from plumetrace.sensing import QuantisedObservation, SensorNetwork
@@ -98,42 +100,73 @@ def default_jitter(cov: np.ndarray) -> float:
 _BAND = 64
 
 
-def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
-    """Predicted covariance ``A P A^T + W``, symmetrised in place.
+def _row_blocks(a) -> list:
+    """``(i, A[i:i+_BAND], A[i:])`` for each band of rows of the CSR ``a``."""
+    return [(i, a[i:i + _BAND], a[i:]) for i in range(0, a.shape[0], _BAND)]
 
-    ``A`` is the model's sparse augmented transition.  ``W`` is its
-    ``process_variances()``: a vector is the diagonal of ``W`` and is added
-    to the diagonal only, so no dense ``A`` or ``W`` is formed; a matrix is
-    a full ``W``.
-    """
-    a = model.augmented_transition()
-    p = np.empty_like(cov)
-    for i in range(0, cov.shape[0], _BAND):
-        rows = a[i:i + _BAND] @ cov         # rows of A P
-        p[i:i + _BAND] = (a @ rows.T).T     # the same rows of A P A^T
-    w = model.process_variances()
-    if w.ndim == 2:
-        p += w
-    else:
-        p[np.diag_indices_from(p)] += w
-    for i in range(0, cov.shape[0], _BAND):
-        mean = 0.5 * (p[i:i + _BAND, i:] + p[i:, i:i + _BAND].T)
-        p[i:i + _BAND, i:] = mean
-        p[i:, i:i + _BAND] = mean.T
+
+@lru_cache(maxsize=None)
+def _strict_upper(k: int) -> tuple:
+    """Strict upper-triangle indices of a ``k x k`` block; ``k <= _BAND``."""
+    return np.triu_indices(k, 1)
+
+
+def _mirror_lower(p: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of the square ``p`` onto its upper triangle."""
+    n = p.shape[0]
+    for i in range(0, n, _BAND):
+        j = min(i + _BAND, n)
+        block = p[i:j, i:j]
+        upper = _strict_upper(j - i)
+        block[upper] = block.T[upper]
+        p[i:j, j:] = p[j:, i:j].T
     return p
 
 
+def predict_covariance(model, cov: np.ndarray, *, _blocks=None) -> np.ndarray:
+    """Predicted covariance ``A P A^T + W``, exactly symmetric.
+
+    ``A`` is the model's sparse augmented transition.  Only the lower block
+    triangle of ``A P A^T`` is formed, a band of columns at a time, each
+    diagonal block averaged with its transpose; ``W`` is added to the lower
+    triangle, which is then copied onto the upper one.  ``W`` is the
+    model's ``process_variances()``: a vector is the diagonal of ``W``, so
+    no dense ``A`` or ``W`` is formed; a matrix is a full ``W``, of which
+    only the lower triangle is read.  ``_blocks`` is ``_row_blocks`` of the
+    transition, which :func:`gain_schedule` slices once per model.
+    """
+    if _blocks is None:
+        _blocks = _row_blocks(model.augmented_transition())
+    p = np.empty_like(cov)
+    for i, band, tail in _blocks:
+        j = i + band.shape[0]
+        # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T
+        p[i:, i:j] = tail @ (band @ cov).T
+        p[i:j, i:j] = 0.5 * (p[i:j, i:j] + p[i:j, i:j].T)
+    w = model.process_variances()
+    if w.ndim == 2:
+        lower = np.tril_indices_from(p)
+        p[lower] += w[lower]
+    else:
+        p[np.diag_indices_from(p)] += w
+    return _mirror_lower(p)
+
+
 def condition_covariance(
-    cov: np.ndarray, h: np.ndarray, jitter: Optional[float] = None
+    cov: np.ndarray, h, jitter: Optional[float] = None
 ) -> KalmanStep:
     """Gain, innovation variances and posterior covariance of conditioning
     the symmetric covariance ``cov`` on the noise-free observation ``z = H x``.
 
-    ``jitter`` is added to the diagonal of the innovation covariance ``S``;
-    when omitted it defaults to :func:`default_jitter` of ``cov``.  With the
-    Cholesky factor ``S = L L^T`` and ``V = L^-1 H P`` the gain is
-    ``K^T = L^-T V`` and the posterior ``P - K H P = P - V^T V``, which is
-    symmetric without a symmetrising pass.
+    ``h`` is a dense array or a sparse matrix.  ``jitter`` is added to the
+    diagonal of the innovation covariance ``S``; when omitted it defaults to
+    :func:`default_jitter` of ``cov``.  With the Cholesky factor
+    ``S = L L^T`` and ``V = L^-1 H P`` the gain is ``K^T = L^-T V`` and the
+    posterior ``P - K H P = P - V^T V``.  The posterior reads only the lower
+    triangle of ``cov``: a symmetric rank-k update (BLAS ``dsyrk``) forms
+    its lower triangle, which is then copied onto the upper one, so it is
+    exactly symmetric.  ``H P`` reads whole rows of ``cov``, so ``cov``
+    must still be symmetric.
 
     Raises
     ------
@@ -143,7 +176,8 @@ def condition_covariance(
     """
     if jitter is None:
         jitter = default_jitter(cov)
-    hp = sp.csr_matrix(h) @ cov      # H has a few nonzeros per row
+    h = sp.csr_matrix(h)             # H has a few nonzeros per row
+    hp = h @ cov
     s = hp @ h.T
     s[np.diag_indices_from(s)] += jitter
     try:
@@ -159,9 +193,10 @@ def condition_covariance(
     if not np.isfinite(gain_t).all():
         raise FilterError("Kalman gain overflowed; observation configuration "
                           "is ill posed")
-    post = v.T @ v
-    np.subtract(cov, post, out=post)
-    return KalmanStep(gain_t, np.diag(s).copy(), post)
+    # BLAS sees cov^T: its upper triangle is the lower one of cov, and the
+    # copy dsyrk makes of it is the posterior's storage
+    post = dsyrk(-1.0, v, beta=1.0, c=cov.T, trans=1, lower=0).T
+    return KalmanStep(gain_t, np.diag(s).copy(), _mirror_lower(post))
 
 
 def gain_schedule(
@@ -172,16 +207,24 @@ def gain_schedule(
     with :func:`predict_covariance` and conditions on ``z = H x`` with
     :func:`condition_covariance` and the default jitter.
 
-    Returns one :class:`KalmanStep` per model; only the last keeps its
-    posterior covariance.  Each step's arrays are allocated separately, so
-    the schedule is never one large block of memory.
+    ``H`` is converted to CSR once, and each run of steps that share a
+    model slices its transition into row blocks once; the blocks are freed
+    with the next model.  Returns one :class:`KalmanStep` per model; only
+    the last keeps its posterior covariance.  Each step's arrays are
+    allocated separately, so the schedule is never one large block of
+    memory.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
+    h = sp.csr_matrix(np.atleast_2d(np.asarray(h, dtype=float)))
     _, cov = _initial_moments(h.shape[1], None, init_cov)
+    cov = _dense_cov(h.shape[1], cov)
     schedule = []
+    sliced = blocks = None
     for model in models:
+        if model is not sliced:
+            blocks = None               # free the old blocks before slicing
+            blocks, sliced = _row_blocks(model.augmented_transition()), model
         # rebinding cov frees each covariance once it is used
-        cov = predict_covariance(model, cov)
+        cov = predict_covariance(model, cov, _blocks=blocks)
         gain_t, innovation_var, cov = condition_covariance(cov, h)
         schedule.append(KalmanStep(gain_t, innovation_var, None))
     if schedule:
@@ -272,7 +315,9 @@ class RbpfState:
 
     ``means`` and ``weights`` are the population carried into the next step
     (weights are uniform whenever the step resampled).  ``cov`` is the
-    posterior covariance after ``step_index`` steps.  A step driven by a
+    posterior covariance after ``step_index`` steps; before the first step
+    it is the prior, kept as a float for an isotropic one, which only a
+    step without a schedule expands to a matrix.  A step driven by a
     :func:`gain_schedule` sets it to the step's ``cov``: ``None`` within the
     schedule and its final covariance after the last step, so it never holds
     a covariance from an earlier step.  The ``last_*``
@@ -299,6 +344,8 @@ class RbpfState:
 
 
 def _initial_moments(dim: int, mean, cov):
+    """Validated prior mean and covariance; a scalar covariance stays a
+    float, so no isotropic ``dim x dim`` matrix is built until one is read."""
     mean = np.zeros(dim) if mean is None else np.asarray(mean, dtype=float).copy()
     if mean.shape != (dim,):
         raise ValueError(f"initial mean must have shape ({dim},), got {mean.shape}")
@@ -307,7 +354,7 @@ def _initial_moments(dim: int, mean, cov):
     if np.ndim(cov) == 0:
         if float(cov) <= 0.0:
             raise ValueError("initial covariance must be positive")
-        cov = np.diag(np.full(dim, float(cov)))
+        cov = float(cov)
     else:
         cov = np.asarray(cov, dtype=float).copy()
         if cov.shape != (dim, dim):
@@ -315,6 +362,11 @@ def _initial_moments(dim: int, mean, cov):
                 f"initial covariance must have shape ({dim}, {dim}), got {cov.shape}"
             )
     return mean, cov
+
+
+def _dense_cov(dim: int, cov) -> np.ndarray:
+    """The prior covariance as a matrix: ``cov I`` for a scalar ``cov``."""
+    return np.diag(np.full(dim, cov)) if np.ndim(cov) == 0 else cov
 
 
 def rbpf_init(
@@ -328,10 +380,11 @@ def rbpf_init(
 ) -> RbpfState:
     """Initial particle population: all means at the prior mean.
 
-    ``cov`` may be a scalar (isotropic) or a full matrix; the default prior
-    is zero mean with covariance ``10 I``.  ``resample_threshold`` switches
-    resampling from every step (the default) to only when the effective
-    sample size falls below ``threshold * particle_count``.
+    ``cov`` may be a scalar (isotropic, kept as a float) or a full matrix;
+    the default prior is zero mean with covariance ``10 I``.
+    ``resample_threshold`` switches resampling from every step (the
+    default) to only when the effective sample size falls below
+    ``threshold * particle_count``.
     """
     particle_count = int(particle_count)
     if particle_count < 1:
@@ -395,7 +448,10 @@ def rbpf_step(
     )
     weights = normalise_weights(log_w)
 
-    means_post = means_pred + (z - z_pred) @ kalman.gain_t
+    # in place: one (particles x state) array fewer per step, so the heap
+    # is not trimmed and regrown (and page-faulted) every other step
+    means_post = means_pred
+    means_post += (z - z_pred) @ kalman.gain_t
     estimate = weights @ means_post
 
     if state.resample_threshold is None or (
@@ -452,7 +508,7 @@ def enkf_init(
         raise ValueError("ensemble size must be at least 2")
     mean, cov = _initial_moments(model.state_dim, mean, cov)
     try:
-        root = np.linalg.cholesky(cov)
+        root = np.linalg.cholesky(_dense_cov(model.state_dim, cov))
     except np.linalg.LinAlgError as exc:
         raise ValueError("initial covariance must be positive definite") from exc
     members = mean + rng.standard_normal((size, model.state_dim)) @ root.T

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -185,7 +191,7 @@ class TestRbpf:
         assert state.means.shape == (7, model.state_dim)
         np.testing.assert_array_equal(state.means, np.zeros_like(state.means))
         np.testing.assert_allclose(state.weights, 1 / 7)
-        np.testing.assert_array_equal(state.cov, 10.0 * np.eye(model.state_dim))
+        assert state.cov == 10.0          # the isotropic prior stays a float
 
     def test_init_validation(self):
         model, net, _ = _small_setup()
@@ -291,9 +297,15 @@ class TestRbpf:
         assert sum(weights) == pytest.approx(1.0)
 
 
-def _time_varying_models(steps=5):
-    """Per-step models of a gridded flow that changes at every step."""
-    mesh = build_structured_mesh(0.0, 0.0, 10.0, 10.0, 5, 4)
+# A mesh whose state fits in one covariance band, and one whose state spans
+# more than two bands and is not a multiple of the band (n = 157).
+ONE_BAND, THREE_BANDS = (5, 4), (12, 11)
+
+
+def _time_varying_models(steps=5, cells=ONE_BAND):
+    """Per-step models of a gridded flow that changes at every step, on a
+    10 x 10 domain split into ``cells`` = (nx, ny) cells."""
+    mesh = build_structured_mesh(0.0, 0.0, 10.0, 10.0, *cells)
     xs = np.array([-1.0, 4.0, 11.0])
     ys = np.array([-1.0, 11.0])
     ts = np.arange(steps + 1, dtype=float)
@@ -314,30 +326,55 @@ def _relative_gap(got, expected):
     return float(np.abs(got - expected).max() / np.abs(expected).max())
 
 
+def _assert_sparse_step_matches_dense_algebra(cells):
+    models, net = _time_varying_models(cells=cells)
+    assert _relative_gap(models[0].transition.toarray(),
+                         models[-1].transition.toarray()) > 1e-3
+    h = net.H
+    rng = np.random.default_rng(7)
+    root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
+    cov = root @ root.T + np.eye(models[0].state_dim)
+    for model in models:
+        a = model.augmented_transition().toarray()
+        predicted = predict_covariance(model, cov)
+        dense = a @ cov @ a.T + np.diag(model.process_variances())
+        assert _relative_gap(predicted, dense) < 1e-12
+        step = condition_covariance(predicted, h)
+        s = h @ dense @ h.T + default_jitter(dense) * np.eye(net.count)
+        gain = np.linalg.solve(s, h @ dense).T
+        posterior = (np.eye(model.state_dim) - gain @ h) @ dense
+        assert _relative_gap(step.gain_t, gain.T) < 1e-12
+        np.testing.assert_allclose(step.innovation_var, np.diag(s),
+                                   rtol=1e-12)
+        assert _relative_gap(step.cov, posterior) < 1e-12
+        np.testing.assert_array_equal(step.cov, step.cov.T)
+        cov = step.cov
+
+
+def _assert_schedule_follows_the_recursion(cells):
+    models, net = _time_varying_models(cells=cells)
+    schedule = gain_schedule(models, net.H, 3.0)
+    assert len(schedule) == len(models)
+    cov = 3.0 * np.eye(models[0].state_dim)
+    for k, model in enumerate(models):
+        step = condition_covariance(predict_covariance(model, cov), net.H)
+        np.testing.assert_array_equal(schedule[k].gain_t, step.gain_t)
+        np.testing.assert_array_equal(schedule[k].innovation_var,
+                                      step.innovation_var)
+        assert (schedule[k].cov is None) == (k < len(models) - 1)
+        cov = step.cov
+    np.testing.assert_array_equal(schedule[-1].cov, cov)
+
+
 class TestCovarianceStep:
     def test_sparse_step_matches_dense_algebra_on_time_varying_flow(self):
-        models, net = _time_varying_models()
-        assert _relative_gap(models[0].transition.toarray(),
-                             models[-1].transition.toarray()) > 1e-3
-        h = net.H
-        rng = np.random.default_rng(7)
-        root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
-        cov = root @ root.T + np.eye(models[0].state_dim)
-        for model in models:
-            a = model.augmented_transition().toarray()
-            predicted = predict_covariance(model, cov)
-            dense = a @ cov @ a.T + np.diag(model.process_variances())
-            assert _relative_gap(predicted, dense) < 1e-12
-            step = condition_covariance(predicted, h)
-            s = h @ dense @ h.T + default_jitter(dense) * np.eye(net.count)
-            gain = np.linalg.solve(s, h @ dense).T
-            posterior = (np.eye(model.state_dim) - gain @ h) @ dense
-            assert _relative_gap(step.gain_t, gain.T) < 1e-12
-            np.testing.assert_allclose(step.innovation_var, np.diag(s),
-                                       rtol=1e-12)
-            assert _relative_gap(step.cov, posterior) < 1e-12
-            np.testing.assert_array_equal(step.cov, step.cov.T)
-            cov = step.cov
+        _assert_sparse_step_matches_dense_algebra(ONE_BAND)
+
+    def test_sparse_step_matches_dense_algebra_across_bands(self):
+        models, _ = _time_varying_models(steps=1, cells=THREE_BANDS)
+        dim = models[0].state_dim
+        assert dim > 2 * filters._BAND and dim % filters._BAND
+        _assert_sparse_step_matches_dense_algebra(THREE_BANDS)
 
     def test_results_are_arrays_not_matrices(self):
         models, net = _time_varying_models(steps=2)
@@ -354,18 +391,10 @@ class TestCovarianceStep:
         assert all(type(x) is np.ndarray for x in arrays)
 
     def test_schedule_covariances_and_gains_follow_the_recursion(self):
-        models, net = _time_varying_models()
-        schedule = gain_schedule(models, net.H, 3.0)
-        assert len(schedule) == len(models)
-        cov = 3.0 * np.eye(models[0].state_dim)
-        for k, model in enumerate(models):
-            step = condition_covariance(predict_covariance(model, cov), net.H)
-            np.testing.assert_array_equal(schedule[k].gain_t, step.gain_t)
-            np.testing.assert_array_equal(schedule[k].innovation_var,
-                                          step.innovation_var)
-            assert (schedule[k].cov is None) == (k < len(models) - 1)
-            cov = step.cov
-        np.testing.assert_array_equal(schedule[-1].cov, cov)
+        _assert_schedule_follows_the_recursion(ONE_BAND)
+
+    def test_schedule_follows_the_recursion_across_bands(self):
+        _assert_schedule_follows_the_recursion(THREE_BANDS)
 
 
 class TestGainSchedule:
@@ -423,6 +452,43 @@ class TestGainSchedule:
         state, _ = rbpf_step(state, observations[0], kalman=schedule[0])
         with pytest.raises(ValueError, match="no covariance"):
             rbpf_step(state, observations[1])
+
+    def test_run_rbpf_never_holds_a_dense_prior(self, desk):
+        config, scenario, observations = desk
+        scenario.gain_schedule(config.init_cov)
+        tracemalloc.start()
+        try:
+            experiment.run_rbpf(scenario, observations,
+                                np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * scenario.state_dim ** 2
+
+    def test_schedule_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import hashlib\n"
+            "from plumetrace import experiment\n"
+            "config = experiment.ScenarioConfig()\n"
+            "scenario = experiment.build_scenario(config)\n"
+            "digest = hashlib.sha256()\n"
+            "for step in scenario.gain_schedule(config.init_cov):\n"
+            "    for array in step:\n"
+            "        if array is not None:\n"
+            "            digest.update(array.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(filters.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestEnkf:
