@@ -15,88 +15,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from plumetrace import experiment, fem, flowfield, mesh as meshmod, sensing
 
 __all__ = ["main", "load_config"]
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _parse_dt(value: str):
-    if value.strip().lower() == "auto":
-        return None
-    return float(value)
-
-
-# section -> key -> (config attribute or tuple slot, converter)
-_SCHEMA = {
-    "mesh": {
-        "file": ("mesh_file", str),
-        "x0": (("domain", 0), float),
-        "y0": (("domain", 1), float),
-        "x1": (("domain", 2), float),
-        "y1": (("domain", 3), float),
-        "nx": ("nx", int),
-        "ny": ("ny", int),
-    },
-    "flow": {
-        "kind": ("flow_kind", str),
-        "u": ("flow_u", float),
-        "v": ("flow_v", float),
-        "center_x": (("flow_center", 0), float),
-        "center_y": (("flow_center", 1), float),
-        "rate": ("flow_rate", float),
-        "file": ("flow_file", str),
-    },
-    "physics": {
-        "diffusivity": ("diffusivity", float),
-        "auto_stabilise": ("auto_stabilise", _parse_bool),
-        "dt": ("dt", _parse_dt),
-        "steps": ("steps", int),
-        "source_x": (("source", 0), float),
-        "source_y": (("source", 1), float),
-        "strength": ("strength", float),
-        "field_noise": ("field_noise", float),
-        "strength_walk": ("strength_walk", float),
-    },
-    "sensors": {
-        "file": ("sensor_file", str),
-        "layout": ("sensor_layout", str),
-        "count": ("sensor_count", int),
-        "detect_rate": ("detect_rate", float),
-        "scale": ("quantiser_scale", float),
-        "levels": ("quantiser_levels", int),
-        "noise": ("sensor_noise", float),
-    },
-    "estimator": {
-        "kind": ("estimator", str),
-        "size": ("size", int),
-        "init_cov": ("init_cov", float),
-    },
-    "run": {
-        "trials": ("trials", int),
-        "seed": ("seed", int),
-        "node_stride": ("node_stride", int),
-    },
-}
-
-
 def load_config(path) -> experiment.ScenarioConfig:
     """Parse a sectioned key-value config file into a ScenarioConfig.
 
+    Sections and keys come from the ``ScenarioConfig`` field metadata.
     Unknown sections or keys raise ``ValueError`` so typos never pass
     silently.
     """
@@ -106,36 +38,31 @@ def load_config(path) -> experiment.ScenarioConfig:
     if not Path(path).is_file():
         raise ValueError(f"config file {path} not found")
     parser.read(path, encoding="utf-8")
+    schema = {}  # (section, key) -> (field, tuple slot)
+    for f in dataclasses.fields(experiment.ScenarioConfig):
+        for slot, key in enumerate(f.metadata["keys"]):
+            schema[f.metadata["section"], key] = (f, slot)
+    sections = {section for section, _ in schema}
     config = experiment.ScenarioConfig()
-    tuples = {
-        "domain": list(config.domain),
-        "flow_center": list(config.flow_center),
-        "source": list(config.source),
-    }
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            target = _SCHEMA[section].get(key)
-            if target is None:
+            if (section, key) not in schema:
                 raise ValueError(
                     f"unknown key '{key}' in config section [{section}]"
                 )
-            attr, convert = target
+            f, slot = schema[section, key]
             try:
-                value = convert(raw)
+                value = f.metadata["parse"](raw)
             except ValueError as exc:
                 raise ValueError(
                     f"bad value for [{section}] {key}: {exc}"
                 ) from exc
-            if isinstance(attr, tuple):
-                name, slot = attr
-                tuples[name][slot] = value
-            else:
-                setattr(config, attr, value)
-    config.domain = tuple(tuples["domain"])
-    config.flow_center = tuple(tuples["flow_center"])
-    config.source = tuple(tuples["source"])
+            if len(f.metadata["keys"]) > 1:
+                old = getattr(config, f.name)
+                value = old[:slot] + (value,) + old[slot + 1:]
+            setattr(config, f.name, value)
     config.validate()
     return config
 
@@ -188,6 +115,7 @@ def cmd_mesh(args) -> int:
             verdict = "stable" if report.approves(args.dt) else "UNSTABLE"
             print(f"dt={args.dt:g}: {verdict}")
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         meshmod.save_mesh(grid, args.out)
         print(f"wrote {args.out}")
     return 0
@@ -199,16 +127,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    trajectories: dict[int, np.ndarray] = {}
-    logs: dict[int, list] = {}
+    trajectories, logs = {}, {}
     for trial in range(config.trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, experiment.STREAM_TRUTH, trial))
-        )
-        states, observations = experiment.simulate_ground_truth(scenario, rng)
-        trajectories[trial] = states
-        logs[trial] = observations
-
+        trajectories[trial], logs[trial] = experiment.simulate_trial(
+            scenario, trial)
     experiment.write_truth_csv(trajectories, out / "truth.csv", config)
     experiment.write_observations_csv(logs, out / "observations.csv", config)
     sensing.save_sensor_layout(scenario.network, out / "sensors.txt")

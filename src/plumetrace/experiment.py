@@ -18,8 +18,8 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "TrialRun",
     "build_scenario",
     "simulate_ground_truth",
+    "simulate_trial",
     "draw_observation",
     "run_rbpf",
     "run_enkf",
@@ -53,23 +54,41 @@ STREAM_ENKF = 3
 
 _ESTIMATOR_STREAMS = {"rbpf": STREAM_RBPF, "enkf": STREAM_ENKF}
 
-# Fields that define the simulated scenario; estimator choice and output
-# settings are deliberately excluded so runs of different estimators on the
-# same scenario share a config hash and can be compared.
-_HASH_FIELDS = (
-    "mesh_file", "domain", "nx", "ny",
-    "flow_kind", "flow_u", "flow_v", "flow_center", "flow_rate", "flow_file",
-    "diffusivity", "auto_stabilise", "dt", "steps",
-    "source", "strength", "field_noise", "strength_walk",
-    "sensor_file", "sensor_layout", "sensor_count", "detect_rate", "quantiser_scale",
-    "quantiser_levels", "sensor_noise",
-    "trials", "seed",
-)
+def _parse_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parse_dt(value: str) -> Optional[float]:
+    if value.strip().lower() == "auto":
+        return None
+    return float(value)
+
+
+def _setting(default, section=None, *keys, parse=float, hashed=True):
+    """A config field read from ``keys`` of config-file ``[section]``.
+
+    A tuple field takes one key per slot.  ``parse`` converts each raw
+    value.  ``hashed`` fields enter the scenario digest; a field without a
+    section has no config key.
+    """
+    return field(default=default, metadata={
+        "section": section, "keys": keys, "parse": parse, "hashed": hashed})
 
 
 @dataclass
 class ScenarioConfig:
-    """Complete description of one experiment.
+    """Complete description of one experiment, and the config-file schema.
+
+    Each field's metadata names its config-file section and keys (see
+    :func:`_setting`) and whether it enters :meth:`scenario_hash`.  The
+    estimator choice and the output settings stay out of the hash, so runs
+    of different estimators on the same scenario share it and can be
+    compared.
 
     The defaults form the desk-scale demonstration scenario: a 1 km square
     meshed 20 by 20, a weak uniform current with strong eddy mixing, one
@@ -78,43 +97,49 @@ class ScenarioConfig:
     """
 
     # mesh: either a file or a structured rectangle
-    mesh_file: Optional[str] = None
-    domain: tuple[float, float, float, float] = (0.0, 0.0, 1000.0, 1000.0)
-    nx: int = 20
-    ny: int = 20
-    # flow
-    flow_kind: str = "uniform"  # uniform | rotation | zero | file
-    flow_u: float = 0.02
-    flow_v: float = 0.0
-    flow_center: tuple[float, float] = (0.0, 0.0)
-    flow_rate: float = 0.0
-    flow_file: Optional[str] = None
-    # physics and time stepping
-    diffusivity: float = 25.0
-    auto_stabilise: bool = True
-    dt: Optional[float] = 18.0  # None selects the conservative default step
-    steps: int = 48
-    source: tuple[float, float] = (250.0, 500.0)
-    strength: float = 1.0
-    field_noise: float = 5e-3
-    strength_walk: float = 1e-8
-    # sensors
-    sensor_file: Optional[str] = None
-    sensor_layout: str = "fence"  # fence | random
-    sensor_count: int = 40
-    detect_rate: float = 0.85
-    quantiser_scale: float = 24.0
-    quantiser_levels: int = 10_000
-    sensor_noise: float = 5e-3
+    mesh_file: Optional[str] = _setting(None, "mesh", "file", parse=str)
+    domain: tuple[float, float, float, float] = _setting(
+        (0.0, 0.0, 1000.0, 1000.0), "mesh", "x0", "y0", "x1", "y1")
+    nx: int = _setting(20, "mesh", "nx", parse=int)
+    ny: int = _setting(20, "mesh", "ny", parse=int)
+    # flow: uniform | rotation | zero | file
+    flow_kind: str = _setting("uniform", "flow", "kind", parse=str)
+    flow_u: float = _setting(0.02, "flow", "u")
+    flow_v: float = _setting(0.0, "flow", "v")
+    flow_center: tuple[float, float] = _setting(
+        (0.0, 0.0), "flow", "center_x", "center_y")
+    flow_rate: float = _setting(0.0, "flow", "rate")
+    flow_file: Optional[str] = _setting(None, "flow", "file", parse=str)
+    # physics and time stepping; dt None selects the conservative default
+    diffusivity: float = _setting(25.0, "physics", "diffusivity")
+    auto_stabilise: bool = _setting(True, "physics", "auto_stabilise",
+                                    parse=_parse_bool)
+    dt: Optional[float] = _setting(18.0, "physics", "dt", parse=_parse_dt)
+    steps: int = _setting(48, "physics", "steps", parse=int)
+    source: tuple[float, float] = _setting(
+        (250.0, 500.0), "physics", "source_x", "source_y")
+    strength: float = _setting(1.0, "physics", "strength")
+    field_noise: float = _setting(5e-3, "physics", "field_noise")
+    strength_walk: float = _setting(1e-8, "physics", "strength_walk")
+    # sensors: layout fence | random
+    sensor_file: Optional[str] = _setting(None, "sensors", "file", parse=str)
+    sensor_layout: str = _setting("fence", "sensors", "layout", parse=str)
+    sensor_count: int = _setting(40, "sensors", "count", parse=int)
+    detect_rate: float = _setting(0.85, "sensors", "detect_rate")
+    quantiser_scale: float = _setting(24.0, "sensors", "scale")
+    quantiser_levels: int = _setting(10_000, "sensors", "levels", parse=int)
+    sensor_noise: float = _setting(5e-3, "sensors", "noise")
     # estimator
-    estimator: str = "rbpf"
-    size: int = 30
-    init_cov: float = 10.0
-    # trials
-    trials: int = 20
-    seed: int = 0
-    force_dt: bool = False
-    node_stride: int = 1
+    estimator: str = _setting("rbpf", "estimator", "kind", parse=str,
+                              hashed=False)
+    size: int = _setting(30, "estimator", "size", parse=int, hashed=False)
+    init_cov: float = _setting(10.0, "estimator", "init_cov", hashed=False)
+    # trials; force_dt is set only by the command line's --force
+    trials: int = _setting(20, "run", "trials", parse=int)
+    seed: int = _setting(0, "run", "seed", parse=int)
+    force_dt: bool = _setting(False, hashed=False)
+    node_stride: int = _setting(1, "run", "node_stride", parse=int,
+                                hashed=False)
 
     def validate(self) -> None:
         if self.mesh_file is None:
@@ -159,16 +184,15 @@ class ScenarioConfig:
             raise ValueError("node stride must be at least 1")
 
     def scenario_hash(self) -> str:
-        """Digest of the scenario-defining fields.
+        """Digest of the scenario-defining (``hashed``) fields, in field
+        order.
 
         Embedded in every output file so estimates are never computed
-        against observations from a different scenario.  Estimator settings
-        are excluded: runs of different estimators on the same scenario
-        share the hash.
+        against observations from a different scenario.
         """
         parts = ["plumetrace-config-v1"]
-        for name in _HASH_FIELDS:
-            parts.append(f"{name}={getattr(self, name)!r}")
+        parts += [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                  if f.metadata["hashed"]]
         digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
         return digest.hexdigest()[:16]
 
@@ -213,7 +237,7 @@ class ModelProvider:
     """
 
     def __init__(self, mesh, flow, diffusivity, dt, field_noise, strength_walk,
-                 source, lumped: bool = True, t0: float = 0.0):
+                 source, t0: float = 0.0):
         self._mesh = mesh
         self._flow = flow
         self._diffusivity = diffusivity
@@ -221,7 +245,6 @@ class ModelProvider:
         self._field_noise = field_noise
         self._strength_walk = strength_walk
         self._source = source
-        self._lumped = lumped
         self._t0 = t0
         self._times = (
             np.asarray(flow.ts) if isinstance(flow, flowfield.GriddedFlow)
@@ -242,8 +265,7 @@ class ModelProvider:
             t = self._t0 if self._times is None else float(self._times[idx])
             velocities = flowfield.element_velocities(self._flow, self._mesh, t)
             system = fem.assemble(
-                self._mesh, velocities, self._diffusivity,
-                source=self._source, lumped=self._lumped,
+                self._mesh, velocities, self._diffusivity, source=self._source,
             )
             self._cache[idx] = fem.build_model(
                 system, self._dt, self._field_noise, self._strength_walk,
@@ -355,7 +377,7 @@ def draw_observation(
 
 
 def simulate_ground_truth(
-    scenario: Union[Scenario, ScenarioConfig], rng
+    scenario: Scenario, rng
 ) -> tuple[np.ndarray, list[sensing.QuantisedObservation]]:
     """Simulate the true trajectory and its quantised observation log.
 
@@ -367,8 +389,6 @@ def simulate_ground_truth(
     Returns the state trajectory as an ``(K + 1, C + 1)`` array (initial
     state first) and the list of ``K`` observations, taken after each step.
     """
-    if isinstance(scenario, ScenarioConfig):
-        scenario = build_scenario(scenario)
     config = scenario.config
     n = scenario.mesh.node_count
     state = fem.AugmentedState(
@@ -385,6 +405,22 @@ def simulate_ground_truth(
         states[k + 1] = state.as_vector()
         observations.append(draw_observation(scenario.network, states[k + 1], rng))
     return states, observations
+
+
+def _trial_rng(config: ScenarioConfig, stream: int, trial: int):
+    return np.random.default_rng(
+        np.random.SeedSequence((config.seed, stream, trial))
+    )
+
+
+def simulate_trial(
+    scenario: Scenario, trial: int
+) -> tuple[np.ndarray, list[sensing.QuantisedObservation]]:
+    """Trial ``trial``'s truth and observation log, drawn from its truth
+    stream ``(seed, STREAM_TRUTH, trial)``; see :func:`simulate_ground_truth`.
+    """
+    return simulate_ground_truth(
+        scenario, _trial_rng(scenario.config, STREAM_TRUTH, trial))
 
 
 def run_rbpf(
@@ -478,12 +514,6 @@ class TrialResult:
         return self.errors.shape[0]
 
 
-def _trial_rng(config: ScenarioConfig, stream: int, trial: int):
-    return np.random.default_rng(
-        np.random.SeedSequence((config.seed, stream, trial))
-    )
-
-
 def run_trial(
     config: ScenarioConfig,
     trial: int,
@@ -500,9 +530,7 @@ def run_trial(
     if scenario is None:
         scenario = build_scenario(config)
     start = time.perf_counter()
-    truth_states, obs_log = simulate_ground_truth(
-        scenario, _trial_rng(config, STREAM_TRUTH, trial)
-    )
+    truth_states, obs_log = simulate_trial(scenario, trial)
     if observations is not None:
         if len(observations) != config.steps:
             raise ValueError(

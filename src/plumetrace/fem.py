@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from plumetrace.mesh import MeshError, TriMesh, locate_point
 
@@ -40,11 +39,6 @@ __all__ = [
     "default_time_step",
 ]
 
-_MASS_TEMPLATE = np.array(
-    [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
-) / 12.0
-
-
 @dataclass(frozen=True)
 class GlobalSystem:
     """Assembled global matrices of the semi-discrete transport equation.
@@ -52,7 +46,7 @@ class GlobalSystem:
     Attributes
     ----------
     mass : scipy.sparse.csr_matrix
-        Global mass matrix M, shape ``(C, C)``.
+        Global diagonal mass matrix M, shape ``(C, C)``.
     stiffness : scipy.sparse.csr_matrix
         Global transport matrix N, shape ``(C, C)``.
     source : numpy.ndarray
@@ -61,15 +55,12 @@ class GlobalSystem:
     source_element : int or None
         Element containing the source position, ``None`` when no source was
         requested.
-    lumped : bool
-        Whether the mass matrix was lumped.
     """
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     source: np.ndarray
     source_element: Optional[int]
-    lumped: bool
 
 
 def _element_velocities_array(mesh: TriMesh, velocities) -> np.ndarray:
@@ -88,9 +79,11 @@ def assemble(
     velocities,
     diffusivity: float,
     source=None,
-    lumped: bool = True,
 ) -> GlobalSystem:
     """Assemble the global mass and transport matrices and source vector.
+
+    The mass matrix is diagonal: each element gives ``S/3`` to each of its
+    vertices, the row sums of its consistent mass matrix.
 
     Parameters
     ----------
@@ -103,9 +96,6 @@ def assemble(
     source : array_like, optional
         Source position ``(x, y)``.  When given it must lie inside the mesh;
         its element receives the injection pattern with unit strength.
-    lumped : bool
-        Assemble the lumped (diagonal) mass matrix instead of the
-        consistent one.
 
     Returns
     -------
@@ -145,15 +135,9 @@ def assemble(
         (ke.reshape(-1), (i_idx, j_idx)), shape=(n, n)
     ).tocsr()
 
-    if lumped:
-        diag = np.zeros(n)
-        np.add.at(diag, elems.ravel(), np.repeat(areas / 3.0, 3))
-        mass = sp.diags(diag).tocsr()
-    else:
-        me = areas[:, None, None] * _MASS_TEMPLATE
-        mass = sp.coo_matrix(
-            (me.reshape(-1), (i_idx, j_idx)), shape=(n, n)
-        ).tocsr()
+    diag = np.zeros(n)
+    np.add.at(diag, elems.ravel(), np.repeat(areas / 3.0, 3))
+    mass = sp.diags(diag).tocsr()
 
     q = np.zeros(n)
     source_element = None
@@ -170,7 +154,6 @@ def assemble(
         stiffness=stiffness,
         source=q,
         source_element=source_element,
-        lumped=lumped,
     )
 
 
@@ -232,6 +215,17 @@ class DispersionModel:
                          self.strength_var)
 
 
+def _mass_diagonal(mass: sp.spmatrix) -> np.ndarray:
+    """The diagonal of a diagonal mass matrix; ``ValueError`` if ``mass`` is
+    not diagonal or has a zero on its diagonal."""
+    diag = mass.diagonal()
+    if (mass - sp.diags(diag)).nnz:
+        raise ValueError("mass matrix is not diagonal")
+    if (diag == 0.0).any():
+        raise ValueError("mass matrix is singular (zero diagonal entry)")
+    return diag
+
+
 def build_model(
     system: GlobalSystem,
     dt: float,
@@ -240,16 +234,16 @@ def build_model(
 ) -> DispersionModel:
     """Form the forward-Euler state-space model from assembled matrices.
 
-    ``A = I - dt M^-1 N`` and ``B = dt M^-1 Q``.  A lumped (diagonal) mass
-    matrix is inverted entrywise; otherwise a sparse LU factorisation is
-    used.  ``dt`` may be zero, which freezes the field (``A = I, B = 0``).
+    ``A = I - dt M^-1 N`` and ``B = dt M^-1 Q``, with the diagonal mass
+    matrix inverted entrywise.  ``dt`` may be zero, which freezes the
+    field (``A = I, B = 0``).
 
     Raises
     ------
     ValueError
-        If ``dt`` is negative, the mass matrix is singular, the field
-        variance is not a positive scalar, or the strength variance is not
-        positive.
+        If ``dt`` is negative, the mass matrix is not diagonal or is
+        singular, the field variance is not a positive scalar, or the
+        strength variance is not positive.
     """
     dt = float(dt)
     if dt < 0.0:
@@ -265,23 +259,10 @@ def build_model(
     if field_var <= 0.0:
         raise ValueError(f"field variance must be positive, got {field_var}")
 
-    mass = system.mass.tocsr()
-    stiffness = system.stiffness.tocsr()
+    diag = _mass_diagonal(system.mass)
     n = system.source.shape[0]
-    diag = mass.diagonal()
-    off_diag = mass - sp.diags(diag)
-    if off_diag.nnz == 0:
-        if (diag == 0.0).any():
-            raise ValueError("mass matrix is singular (zero diagonal entry)")
-        minv_n = sp.diags(1.0 / diag) @ stiffness
-        b = dt * system.source / diag
-    else:
-        try:
-            lu = spla.splu(mass.tocsc())
-        except RuntimeError as exc:
-            raise ValueError("mass matrix is singular") from exc
-        minv_n = sp.csc_matrix(lu.solve(stiffness.toarray()))
-        b = dt * lu.solve(system.source)
+    minv_n = sp.diags(1.0 / diag) @ system.stiffness.tocsr()
+    b = dt * system.source / diag
     a = (sp.identity(n, format="csr") - dt * minv_n).tocsr()
     return DispersionModel(
         transition=a,
@@ -352,14 +333,7 @@ def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix,
                 tol: float = 1e-8, max_iter: int = 10000) -> float:
     """Dominant eigenvalue magnitude of ``M^-1 N`` by power iteration."""
     n = stiffness.shape[0]
-    diag = mass.diagonal()
-    if (mass - sp.diags(diag)).nnz == 0:
-        if (diag == 0.0).any():
-            raise ValueError("mass matrix is singular (zero diagonal entry)")
-        apply = lambda v: (stiffness @ v) / diag
-    else:
-        lu = spla.splu(mass.tocsc())
-        apply = lambda v: lu.solve(stiffness @ v)
+    diag = _mass_diagonal(mass)
 
     # Fixed seed keeps the report deterministic; the random start avoids
     # landing in an invariant subspace such as the constant mode.
@@ -368,7 +342,7 @@ def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix,
     v /= np.linalg.norm(v)
     previous = np.inf
     for _ in range(max_iter):
-        w = apply(v)
+        w = (stiffness @ v) / diag
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
@@ -378,8 +352,7 @@ def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix,
             return estimate
         previous = estimate
     if n <= 2500:
-        dense = spla.splu(mass.tocsc()).solve(stiffness.toarray()) \
-            if (mass - sp.diags(diag)).nnz else stiffness.toarray() / diag[:, None]
+        dense = stiffness.toarray() / diag[:, None]
         return float(np.abs(np.linalg.eigvals(dense)).max())
     warnings.warn(
         "power iteration did not converge; using the last estimate",
@@ -392,7 +365,6 @@ def stability_report(
     mesh: TriMesh,
     velocities,
     diffusivity: float,
-    lumped: bool = True,
     system: Optional[GlobalSystem] = None,
     compute_lambda_max: bool = True,
 ) -> StabilityReport:
@@ -404,9 +376,6 @@ def stability_report(
     velocities : array_like
         Per-element velocities, shape ``(E, 2)``, or a single vector.
     diffusivity : float
-    lumped : bool
-        Mass-matrix treatment used when assembling for the eigenvalue
-        estimate; ignored when ``system`` is supplied.
     system : GlobalSystem, optional
         Reuse already-assembled matrices instead of assembling here.
     compute_lambda_max : bool
@@ -437,7 +406,7 @@ def stability_report(
 
     if compute_lambda_max:
         if system is None:
-            system = assemble(mesh, vel, lam, source=None, lumped=lumped)
+            system = assemble(mesh, vel, lam)
         lambda_max = _lambda_max(system.mass, system.stiffness)
         critical = 2.0 / lambda_max if lambda_max > 0.0 else np.inf
     else:

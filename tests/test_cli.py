@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from plumetrace import filters, mesh as meshmod
 from plumetrace.cli import load_config, main
-from plumetrace.experiment import ScenarioConfig
+from plumetrace.experiment import ScenarioConfig, run_trial
 
 DESK_HASH = "1d6eeab85a34ae50"
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -60,7 +61,80 @@ def tiny_cfg(tmp_path):
     return path
 
 
+# one row per config-file key: section, key, raw value, field, parsed value
+ONE_KEY_CASES = [
+    ("mesh", "file", "grid.txt", "mesh_file", "grid.txt"),
+    ("mesh", "x0", "1", "domain", (1.0, 0.0, 1000.0, 1000.0)),
+    ("mesh", "y0", "2", "domain", (0.0, 2.0, 1000.0, 1000.0)),
+    ("mesh", "x1", "900", "domain", (0.0, 0.0, 900.0, 1000.0)),
+    ("mesh", "y1", "800", "domain", (0.0, 0.0, 1000.0, 800.0)),
+    ("mesh", "nx", "7", "nx", 7),
+    ("mesh", "ny", "9", "ny", 9),
+    ("flow", "kind", "rotation", "flow_kind", "rotation"),
+    ("flow", "u", "0.5", "flow_u", 0.5),
+    ("flow", "v", "-0.25", "flow_v", -0.25),
+    ("flow", "center_x", "10", "flow_center", (10.0, 0.0)),
+    ("flow", "center_y", "20", "flow_center", (0.0, 20.0)),
+    ("flow", "rate", "0.125", "flow_rate", 0.125),
+    ("flow", "file", "flow.txt", "flow_file", "flow.txt"),
+    ("physics", "diffusivity", "3.5", "diffusivity", 3.5),
+    ("physics", "auto_stabilise", "false", "auto_stabilise", False),
+    ("physics", "auto_stabilise", "Off", "auto_stabilise", False),
+    ("physics", "auto_stabilise", "0", "auto_stabilise", False),
+    ("physics", "auto_stabilise", "yes", "auto_stabilise", True),
+    ("physics", "dt", "auto", "dt", None),
+    ("physics", "dt", "12.5", "dt", 12.5),
+    ("physics", "steps", "12", "steps", 12),
+    ("physics", "source_x", "100", "source", (100.0, 500.0)),
+    ("physics", "source_y", "200", "source", (250.0, 200.0)),
+    ("physics", "strength", "2", "strength", 2.0),
+    ("physics", "field_noise", "1e-3", "field_noise", 1e-3),
+    ("physics", "strength_walk", "1e-6", "strength_walk", 1e-6),
+    ("sensors", "file", "sensors.txt", "sensor_file", "sensors.txt"),
+    ("sensors", "layout", "random", "sensor_layout", "random"),
+    ("sensors", "count", "7", "sensor_count", 7),
+    ("sensors", "detect_rate", "0.5", "detect_rate", 0.5),
+    ("sensors", "scale", "4", "quantiser_scale", 4.0),
+    ("sensors", "levels", "16", "quantiser_levels", 16),
+    ("sensors", "noise", "1e-3", "sensor_noise", 1e-3),
+    ("estimator", "kind", "enkf", "estimator", "enkf"),
+    ("estimator", "size", "50", "size", 50),
+    ("estimator", "init_cov", "3", "init_cov", 3.0),
+    ("run", "trials", "3", "trials", 3),
+    ("run", "seed", "42", "seed", 42),
+    ("run", "node_stride", "2", "node_stride", 2),
+]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("section,key,raw,name,expected", ONE_KEY_CASES)
+    def test_one_key_sets_exactly_its_field(self, section, key, raw, name,
+                                            expected, tmp_path):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        config = load_config(path)
+        default = ScenarioConfig()
+        for f in dataclasses.fields(ScenarioConfig):
+            value = getattr(config, f.name)
+            if f.name == name:
+                assert repr(value) == repr(expected)
+            else:
+                assert repr(value) == repr(getattr(default, f.name)), f.name
+
+    def test_one_key_cases_cover_the_schema(self):
+        declared = {
+            (f.metadata["section"], key)
+            for f in dataclasses.fields(ScenarioConfig)
+            for key in f.metadata["keys"]
+        }
+        assert declared == {case[:2] for case in ONE_KEY_CASES}
+
+    def test_force_dt_has_no_config_key(self, tmp_path):
+        path = tmp_path / "force.cfg"
+        path.write_text("[run]\nforce_dt = true\n")
+        with pytest.raises(ValueError, match=r"unknown key 'force_dt'"):
+            load_config(path)
+
     def test_desk_config_matches_defaults(self):
         config = load_config(CONFIG_DIR / "desk.cfg")
         assert config == ScenarioConfig()
@@ -131,6 +205,12 @@ class TestMeshCommand:
         assert "peclet: max=2" in captured
         assert "warning: Pe > 1" in captured
         assert "UNSTABLE" in captured
+
+    def test_out_directory_is_created(self, tmp_path):
+        out = tmp_path / "new" / "grid.txt"
+        assert main(["mesh", "--rect", "0", "0", "1", "1",
+                     "--out", str(out)]) == 0
+        assert meshmod.load_mesh(out).node_count == 121
 
     def test_roundtrip_through_infile(self, tmp_path, capsys):
         first = tmp_path / "a.txt"
@@ -281,6 +361,23 @@ class TestPipeline:
         assert main(["estimate"] + args) == 2
         assert "no value for trial 1, step 3, sensor 4" in \
             capsys.readouterr().err
+
+    def test_simulate_shares_the_trial_pipeline_truth(self, tiny_cfg,
+                                                      tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tiny_cfg),
+                     "--out", str(out)]) == 0
+        rows = (out / "truth.csv").read_text().splitlines()[2:]
+        config = load_config(tiny_cfg)
+        for trial in range(config.trials):
+            truth = run_trial(config, trial).truth
+            expected = [
+                f"{trial},{k + 1}," + ",".join(format(v, ".17g") for v in row)
+                for k, row in enumerate(truth)
+            ]
+            written = [r for r in rows if r.startswith(f"{trial},")
+                       and not r.startswith(f"{trial},0,")]
+            assert written == expected
 
     def test_seed_override_changes_draws(self, tiny_cfg, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"

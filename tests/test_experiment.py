@@ -21,6 +21,7 @@ from plumetrace.experiment import (
     run_trial,
     run_trials,
     simulate_ground_truth,
+    simulate_trial,
     write_observations_csv,
     write_results_csv,
     write_summary_json,
@@ -60,6 +61,21 @@ def gridded_config(tmp_path, **overrides) -> ScenarioConfig:
                        steps=4, **overrides)
 
 
+def _other_values(value) -> list:
+    """Values of a config field's type that differ from ``value``, one per
+    slot of a tuple."""
+    if isinstance(value, tuple):
+        return [value[:i] + (value[i] + 1.0,) + value[i + 1:]
+                for i in range(len(value))]
+    if value is None:
+        return ["other.txt"]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, str):
+        return [value + "-other"]
+    return [value + 1]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("overrides,match", [
         (dict(domain=(0.0, 0.0, -1.0, 1.0)), "positive extent"),
@@ -94,22 +110,28 @@ class TestConfigValidation:
 
     def test_hash_covers_scenario_not_estimator(self):
         base = ScenarioConfig()
-        same = [
-            dataclasses.replace(base, estimator="enkf", size=99),
-            dataclasses.replace(base, init_cov=3.0),
-            dataclasses.replace(base, force_dt=True, node_stride=5),
-        ]
-        for other in same:
-            assert other.scenario_hash() == base.scenario_hash()
-        different = [
-            dataclasses.replace(base, seed=1),
-            dataclasses.replace(base, trials=7),
-            dataclasses.replace(base, sensor_layout="random"),
-            dataclasses.replace(base, diffusivity=24.0),
-            dataclasses.replace(base, steps=47),
-        ]
-        for other in different:
-            assert other.scenario_hash() != base.scenario_hash()
+        unhashed = {"estimator", "size", "init_cov", "force_dt", "node_stride"}
+        for f in dataclasses.fields(ScenarioConfig):
+            for value in _other_values(getattr(base, f.name)):
+                other = dataclasses.replace(base, **{f.name: value})
+                same = other.scenario_hash() == base.scenario_hash()
+                assert same == (f.name in unhashed), (f.name, value)
+        auto_dt = dataclasses.replace(base, dt=None)
+        assert auto_dt.scenario_hash() != base.scenario_hash()
+
+    def test_hash_pins_a_non_default_scenario(self):
+        config = ScenarioConfig(
+            mesh_file="grid.txt", domain=(1.0, 2.0, 3.0, 4.0), nx=7, ny=9,
+            flow_kind="file", flow_u=0.5, flow_v=-0.25,
+            flow_center=(10.0, 20.0), flow_rate=0.125, flow_file="flow.txt",
+            diffusivity=3.5, auto_stabilise=False, dt=None, steps=12,
+            source=(1.5, 2.5), strength=2.0, field_noise=1e-3,
+            strength_walk=1e-6, sensor_file="sensors.txt",
+            sensor_layout="random", sensor_count=7, detect_rate=0.5,
+            quantiser_scale=4.0, quantiser_levels=16, sensor_noise=1e-3,
+            trials=3, seed=42,
+        )
+        assert config.scenario_hash() == "8741ff9a53036500"
 
 
 class TestBuildScenario:
@@ -204,11 +226,11 @@ class TestGroundTruth:
         assert len(obs) == config.steps
         assert all(o.values.shape == (5,) for o in obs)
 
-    def test_reproducible_and_accepts_config(self):
+    def test_trial_draws_from_its_truth_stream(self):
         config = tiny_config()
-        s1, o1 = simulate_ground_truth(config, _trial_rng(config, 1, 0))
+        s1, o1 = simulate_trial(build_scenario(config), 0)
         s2, o2 = simulate_ground_truth(
-            build_scenario(config), _trial_rng(config, 1, 0)
+            build_scenario(config), _trial_rng(config, STREAM_TRUTH, 0)
         )
         np.testing.assert_array_equal(s1, s2)
         for a, b in zip(o1, o2):

@@ -113,27 +113,29 @@ class TestElementMatrices:
                 fn()
 
 
-class TestAssembly:
-    def _oracle(self, mesh, velocities, lam, lumped):
-        n = mesh.node_count
-        mass = np.zeros((n, n))
-        stiff = np.zeros((n, n))
-        for e in range(mesh.element_count):
-            g = element_geometry(mesh, e)
-            idx = mesh.elements[e]
-            mass[np.ix_(idx, idx)] += element_mass(g, lumped=lumped)
-            stiff[np.ix_(idx, idx)] += element_stiffness(g, lam, velocities[e])
-        return mass, stiff
+def _element_loop(mesh, velocities, lam, lumped):
+    """Dense global mass and transport matrices summed element by element
+    from the oracle element matrices."""
+    n = mesh.node_count
+    mass = np.zeros((n, n))
+    stiff = np.zeros((n, n))
+    for e in range(mesh.element_count):
+        g = element_geometry(mesh, e)
+        idx = mesh.elements[e]
+        mass[np.ix_(idx, idx)] += element_mass(g, lumped=lumped)
+        stiff[np.ix_(idx, idx)] += element_stiffness(g, lam, velocities[e])
+    return mass, stiff
 
+
+class TestAssembly:
     def test_matches_element_loop(self):
         mesh = build_structured_mesh(0.0, 0.0, 2.0, 1.0, 3, 2)
         rng = np.random.default_rng(3)
         vel = rng.normal(0.0, 0.1, (mesh.element_count, 2))
-        for lumped in (True, False):
-            sys_ = assemble(mesh, vel, 0.7, lumped=lumped)
-            mass, stiff = self._oracle(mesh, vel, 0.7, lumped)
-            np.testing.assert_allclose(sys_.mass.toarray(), mass, atol=1e-13)
-            np.testing.assert_allclose(sys_.stiffness.toarray(), stiff, atol=1e-13)
+        sys_ = assemble(mesh, vel, 0.7)
+        mass, stiff = _element_loop(mesh, vel, 0.7, lumped=True)
+        np.testing.assert_allclose(sys_.mass.toarray(), mass, atol=1e-13)
+        np.testing.assert_allclose(sys_.stiffness.toarray(), stiff, atol=1e-13)
 
     def test_single_velocity_broadcasts(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 2, 2)
@@ -149,12 +151,11 @@ class TestAssembly:
 
     def test_mass_row_sums_match_lumped_diagonal(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 3)
-        consistent = assemble(mesh, (0, 0), 0.0, lumped=False)
-        lumped = assemble(mesh, (0, 0), 0.0, lumped=True)
+        consistent, _ = _element_loop(
+            mesh, np.zeros((mesh.element_count, 2)), 0.0, lumped=False)
+        lumped = assemble(mesh, (0, 0), 0.0)
         np.testing.assert_allclose(
-            np.asarray(consistent.mass.sum(axis=1)).ravel(),
-            lumped.mass.diagonal(),
-            rtol=1e-12,
+            consistent.sum(axis=1), lumped.mass.diagonal(), rtol=1e-12
         )
         assert np.isclose(lumped.mass.diagonal().sum(), 1.0)  # total area
 
@@ -197,16 +198,19 @@ class TestBuildModel:
             model.injection, dt * self.system.source / diag, atol=1e-16
         )
 
-    def test_consistent_mass_transition(self):
-        system = assemble(self.mesh, (0.05, 0.0), 1e-3, source=(0.4, 0.6),
-                          lumped=False)
-        dt = 0.01
-        model = build_model(system, dt, 1e-4, 1e-6)
-        n = self.mesh.node_count
-        minv_n = np.linalg.solve(system.mass.toarray(), system.stiffness.toarray())
-        np.testing.assert_allclose(
-            model.transition.toarray(), np.eye(n) - dt * minv_n, atol=1e-10
+    def test_non_diagonal_mass_rejected(self):
+        consistent, _ = _element_loop(
+            self.mesh, np.zeros((self.mesh.element_count, 2)), 0.0,
+            lumped=False)
+        system = GlobalSystem(
+            mass=sp.csr_matrix(consistent), stiffness=self.system.stiffness,
+            source=self.system.source,
+            source_element=self.system.source_element,
         )
+        with pytest.raises(ValueError, match="not diagonal"):
+            build_model(system, 0.01, 1e-4, 1e-6)
+        with pytest.raises(ValueError, match="not diagonal"):
+            stability_report(self.mesh, (0.05, 0.0), 1e-3, system=system)
 
     def test_zero_dt_freezes_field(self):
         model = build_model(self.system, 0.0, 1e-4, 1e-6)
@@ -254,7 +258,6 @@ class TestBuildModel:
         broken = GlobalSystem(
             mass=sp.diags(diag).tocsr(), stiffness=self.system.stiffness,
             source=self.system.source, source_element=self.system.source_element,
-            lumped=True,
         )
         with pytest.raises(ValueError, match="singular"):
             build_model(broken, 0.01, 1e-4, 1e-6)
@@ -303,17 +306,12 @@ class TestStep:
 class TestStability:
     def test_lambda_max_matches_dense_eigenvalues(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 5, 5)
-        for lumped in (True, False):
-            system = assemble(mesh, (0.03, 0.01), 1e-3, lumped=lumped)
-            report = stability_report(mesh, (0.03, 0.01), 1e-3, system=system)
-            if lumped:
-                dense = system.stiffness.toarray() / system.mass.diagonal()[:, None]
-            else:
-                dense = np.linalg.solve(system.mass.toarray(),
-                                        system.stiffness.toarray())
-            exact = np.abs(np.linalg.eigvals(dense)).max()
-            assert report.lambda_max == pytest.approx(exact, rel=1e-6)
-            assert report.critical_dt == pytest.approx(2.0 / exact, rel=1e-6)
+        system = assemble(mesh, (0.03, 0.01), 1e-3)
+        report = stability_report(mesh, (0.03, 0.01), 1e-3, system=system)
+        dense = system.stiffness.toarray() / system.mass.diagonal()[:, None]
+        exact = np.abs(np.linalg.eigvals(dense)).max()
+        assert report.lambda_max == pytest.approx(exact, rel=1e-6)
+        assert report.critical_dt == pytest.approx(2.0 / exact, rel=1e-6)
 
     def test_classical_bounds(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)
