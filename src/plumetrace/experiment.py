@@ -224,7 +224,7 @@ class Scenario:
             models = [self.provider.model_at(k)
                       for k in range(self.config.steps)]
             self._schedules[key] = filters.gain_schedule(
-                models, self.network.H, key)
+                models, self.network.H_csr, key)
         return self._schedules[key]
 
 

@@ -16,6 +16,12 @@ drawn latent, and the uniform proposal density, accumulated in log space.
 
 An ensemble Kalman filter with perturbed observations serves as a baseline;
 quantisation enters it only as extra additive observation noise.
+
+Both filters keep their population state-major: one C-ordered
+``(state, population)`` array for its whole life, so the sparse transition
+and the sparse ``H`` act on it without a transposed copy.  The public
+arrays ``RbpfState.means``, ``RbpfState.last_means`` and
+``EnsembleState.members`` are ``(population, state)`` transpose views of it.
 """
 
 from __future__ import annotations
@@ -207,14 +213,15 @@ def gain_schedule(
     with :func:`predict_covariance` and conditions on ``z = H x`` with
     :func:`condition_covariance` and the default jitter.
 
-    ``H`` is converted to CSR once, and each run of steps that share a
-    model slices its transition into row blocks once; the blocks are freed
-    with the next model.  Returns one :class:`KalmanStep` per model; only
-    the last keeps its posterior covariance.  Each step's arrays are
-    allocated separately, so the schedule is never one large block of
-    memory.
+    ``h`` is dense or sparse; it is converted to CSR once, and each run of
+    steps that share a model slices its transition into row blocks once;
+    the blocks are freed with the next model.  Returns one
+    :class:`KalmanStep` per model; only the last keeps its posterior
+    covariance.  Each step's arrays are allocated separately, so the
+    schedule is never one large block of memory.
     """
-    h = sp.csr_matrix(np.atleast_2d(np.asarray(h, dtype=float)))
+    h = sp.csr_matrix(
+        h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
     _, cov = _initial_moments(h.shape[1], None, init_cov)
     cov = _dense_cov(h.shape[1], cov)
     schedule = []
@@ -323,7 +330,9 @@ class RbpfState:
     a covariance from an earlier step.  The ``last_*``
     fields snapshot the step just computed, before resampling: they are what
     the reported estimate ``sum(last_weights * last_means)`` is built from
-    and what particle dumps record.
+    and what particle dumps record.  ``means`` and ``last_means`` are
+    ``(particles, state)`` transpose views of C-ordered ``(state, particles)``
+    arrays.
     """
 
     model: DispersionModel
@@ -393,7 +402,7 @@ def rbpf_init(
     return RbpfState(
         model=model,
         network=network,
-        means=np.tile(mean, (particle_count, 1)),
+        means=np.repeat(mean[:, None], particle_count, axis=1).T,
         cov=cov,
         weights=np.full(particle_count, 1.0 / particle_count),
         rng=rng,
@@ -426,15 +435,16 @@ def rbpf_step(
         raise ValueError(
             f"observation must supply {net.count} values, got {y_hat.shape}"
         )
-    h = net.H
+    h = net.H_csr
     if kalman is None:
         if state.cov is None:
             raise ValueError("filter state holds no covariance; pass the "
                              "step of its gain schedule")
         kalman = gain_schedule([model], h, state.cov)[0]
 
-    means_pred = (model.augmented_transition() @ state.means.T).T
-    z_pred = means_pred @ h.T
+    # x holds the particle means as columns; means.T is x's C-ordered storage
+    x = model.augmented_transition() @ state.means.T
+    z_pred = (h @ x).T
     half = net.cell_half_width
     draws = state.rng.random((state.particle_count, net.count))
     z = (y_hat - half) + 2.0 * half * draws
@@ -448,32 +458,29 @@ def rbpf_step(
     )
     weights = normalise_weights(log_w)
 
-    # in place: one (particles x state) array fewer per step, so the heap
-    # is not trimmed and regrown (and page-faulted) every other step
-    means_post = means_pred
-    means_post += (z - z_pred) @ kalman.gain_t
-    estimate = weights @ means_post
+    x += kalman.gain_t.T @ (z - z_pred).T
+    estimate = x @ weights
 
     if state.resample_threshold is None or (
         effective_sample_size(weights)
         < state.resample_threshold * state.particle_count
     ):
         ancestors = multinomial_resample(weights, state.rng)
-        next_means = means_post[ancestors]
+        next_x = np.take(x, ancestors, axis=1)
         next_weights = np.full_like(weights, 1.0 / weights.size)
     else:
-        next_means = means_post
+        next_x = x
         next_weights = weights
 
     new_state = replace(
         state,
         model=model,
-        means=next_means,
+        means=next_x.T,
         cov=kalman.cov,
         weights=next_weights,
         step_index=state.step_index + 1,
         last_weights=weights,
-        last_means=means_post,
+        last_means=x.T,
         last_latent=z,
     )
     return new_state, estimate
@@ -481,7 +488,11 @@ def rbpf_step(
 
 @dataclass
 class EnsembleState:
-    """Equally weighted ensemble carried by the baseline filter."""
+    """Equally weighted ensemble carried by the baseline filter.
+
+    ``members`` is a ``(size, state)`` transpose view of a C-ordered
+    ``(state, size)`` array.
+    """
 
     model: DispersionModel
     network: SensorNetwork
@@ -512,33 +523,49 @@ def enkf_init(
     except np.linalg.LinAlgError as exc:
         raise ValueError("initial covariance must be positive definite") from exc
     members = mean + rng.standard_normal((size, model.state_dim)) @ root.T
-    return EnsembleState(model=model, network=network, members=members, rng=rng)
+    return EnsembleState(model=model, network=network,
+                         members=np.ascontiguousarray(members.T).T, rng=rng)
 
 
 def enkf_update(
-    members: np.ndarray, h: np.ndarray, noise_var, y_hat, perturbations
+    members: np.ndarray, h, noise_var, y_hat, perturbations, *, _out=None
 ) -> np.ndarray:
     """Kalman-style ensemble update with explicit observation perturbations.
 
     The gain uses the sample covariance of ``members``; each member is
     pulled toward its own perturbed copy of the observation.  Passing zero
     perturbations gives the deterministic shift shared by identical
-    members.
+    members.  ``h`` is a dense array or a sparse matrix.  Warns when the
+    ensemble spread has collapsed.
+
+    The work is done state-major, on ``x = members.T``: the anomalies are
+    formed once, for the spread and for ``P H^T``, and ``H x`` once, for the
+    observed anomalies and the innovations.  ``_out`` is a spent C-ordered
+    ``(state, size)`` buffer that takes the anomalies and then the updated
+    ensemble; the result is its ``(size, state)`` transpose view.
     """
-    members = np.asarray(members, dtype=float)
-    count = members.shape[0]
-    mean = members.mean(axis=0)
-    anomalies = members - mean
-    ye = anomalies @ h.T
+    x = np.asarray(members, dtype=float).T
+    count = x.shape[1]
     denom = max(count - 1, 1)
-    s = ye.T @ ye / denom + np.diag(np.asarray(noise_var, dtype=float))
-    pht = anomalies.T @ ye / denom
+    anomalies = np.subtract(x, x.mean(axis=1)[:, None], out=_out)
+    if np.vdot(anomalies, anomalies) / anomalies.size < 1e-24:
+        warnings.warn(
+            "ensemble spread has collapsed; consider covariance inflation",
+            RuntimeWarning,
+        )
+    hx = h @ x
+    ye = hx - hx.mean(axis=1)[:, None]
+    s = ye @ ye.T / denom + np.diag(np.asarray(noise_var, dtype=float))
+    pht = anomalies @ ye.T / denom
     try:
         gain = np.linalg.solve(s, pht.T).T
     except np.linalg.LinAlgError as exc:
         raise FilterError("ensemble innovation covariance is singular") from exc
-    innovations = y_hat + perturbations - members @ h.T
-    return members + innovations @ gain.T
+    innovations = (y_hat + perturbations).T - hx
+    # the anomalies are spent: their buffer takes the update, then x
+    update = np.matmul(gain, innovations, out=anomalies)
+    update += x
+    return update.T
 
 
 def enkf_step(
@@ -550,8 +577,9 @@ def enkf_step(
 
     Members are propagated through the sparse augmented transition with
     process noise drawn from the diagonal process covariance, then updated
-    against perturbed observations; quantisation contributes additive noise
-    of variance ``(cell half-width)^2 / 3`` on top of the sensor noise.
+    against perturbed observations by :func:`enkf_update`; quantisation
+    contributes additive noise of variance ``(cell half-width)^2 / 3`` on
+    top of the sensor noise.
     """
     model = state.model if model is None else model
     net = state.network
@@ -561,23 +589,21 @@ def enkf_step(
             f"observation must supply {net.count} values, got {y_hat.shape}"
         )
 
-    noise = state.rng.standard_normal(state.members.shape) * np.sqrt(
-        model.process_variances()
-    )
-    members = (model.augmented_transition() @ state.members.T).T + noise
-
-    spread = float((members - members.mean(axis=0)).var(axis=0).mean())
-    if spread < 1e-24:
-        warnings.warn(
-            "ensemble spread has collapsed; consider covariance inflation",
-            RuntimeWarning,
-        )
+    # x before the noise buffer, which outlives the step as the new
+    # ensemble: the other order leaves the freed x on top of the heap, which
+    # is then trimmed and regrown (and page-faulted) every other step
+    x = model.augmented_transition() @ state.members.T
+    noise = state.rng.standard_normal(state.members.shape)   # member by member
+    noise *= np.sqrt(model.process_variances())
+    x += noise.T
 
     r_eff = net.noise_var + net.cell_half_width ** 2 / 3.0
     perturbations = state.rng.standard_normal((state.size, net.count)) * np.sqrt(
         r_eff
     )
-    members = enkf_update(members, net.H, r_eff, y_hat, perturbations)
+    # the noise is spent: its buffer, read state-major, takes the update
+    members = enkf_update(x.T, net.H_csr, r_eff, y_hat, perturbations,
+                          _out=noise.reshape(x.shape))
     estimate = members.mean(axis=0)
 
     new_state = replace(

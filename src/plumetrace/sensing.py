@@ -13,9 +13,11 @@ Gaussian tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import log_ndtr
 
 from plumetrace.mesh import TriMesh, locate_point, shape_functions_at
@@ -304,7 +306,8 @@ class SensorNetwork:
     positions : numpy.ndarray
         Sensor locations, shape ``(N, 2)``.
     H : numpy.ndarray
-        Measurement operator on the augmented state, shape ``(N, C + 1)``.
+        Measurement operator on the augmented state, shape ``(N, C + 1)``;
+        ``H_csr`` is the same operator as a CSR matrix, which the filters use.
     noise_var : numpy.ndarray
         Measurement noise variances, positive, shape ``(N,)``.
     detect_rate : numpy.ndarray
@@ -365,6 +368,12 @@ class SensorNetwork:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def H_csr(self) -> sp.csr_matrix:
+        """``H`` as a CSR matrix, built on first use: each row has the few
+        nonzeros of one sensor's shape functions."""
+        return sp.csr_matrix(self.H)
 
     @property
     def cell_half_width(self) -> np.ndarray:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,37 @@ def _small_setup(seed=0, sensors=3, particles=5):
                               detect_rate=0.9, scale=4.0, levels=50)
     state = rbpf_init(model, net, particles, np.random.default_rng(seed))
     return model, net, state
+
+
+@pytest.fixture(scope="module")
+def desk():
+    config = experiment.ScenarioConfig()
+    scenario = experiment.build_scenario(config)
+    _, observations = experiment.simulate_ground_truth(
+        scenario, np.random.default_rng(5))
+    return config, scenario, observations
+
+
+def _state_major(population):
+    """Whether a (population, state) array views C-ordered (state, population)
+    storage."""
+    return population.T.flags.c_contiguous
+
+
+def _digests_at_one_and_two_blas_threads(script):
+    """The output of ``script`` run in a subprocess with one BLAS thread and
+    with two."""
+    src = str(Path(filters.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    return digests
 
 
 class TestKalman:
@@ -254,6 +286,19 @@ class TestRbpf:
         np.testing.assert_array_equal(st_.weights, st_.last_weights)
         np.testing.assert_array_equal(st_.means, st_.last_means)
 
+    def test_population_stays_state_major(self):
+        model, net, state = _small_setup(particles=6)
+        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
+        assert _state_major(state.means)
+        for threshold in (None, 0.0):     # resample every step, then never
+            st_ = replace(state, resample_threshold=threshold)
+            for _ in range(2):
+                st_, _ = rbpf_step(st_, obs)
+                assert _state_major(st_.means)
+                assert _state_major(st_.last_means)
+            resampled = not np.array_equal(st_.weights, st_.last_weights)
+            assert resampled == (threshold is None)
+
     def test_accepts_observation_object_and_array(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
@@ -396,16 +441,16 @@ class TestCovarianceStep:
     def test_schedule_follows_the_recursion_across_bands(self):
         _assert_schedule_follows_the_recursion(THREE_BANDS)
 
+    def test_schedule_takes_dense_or_sparse_h(self):
+        models, net = _time_varying_models(steps=3)
+        dense = gain_schedule(models, net.H, 3.0)
+        sparse = gain_schedule(models, net.H_csr, 3.0)
+        for a, b in zip(dense, sparse):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+
 
 class TestGainSchedule:
-    @pytest.fixture(scope="class")
-    def desk(self):
-        config = experiment.ScenarioConfig()
-        scenario = experiment.build_scenario(config)
-        _, observations = experiment.simulate_ground_truth(
-            scenario, np.random.default_rng(5))
-        return config, scenario, observations
-
     def test_schedule_and_on_the_fly_steps_agree_over_the_desk_horizon(
         self, desk,
     ):
@@ -478,16 +523,24 @@ class TestGainSchedule:
             "            digest.update(array.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
-        src = str(Path(filters.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            run = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, check=True)
-            digests.append(run.stdout)
+        digests = _digests_at_one_and_two_blas_threads(script)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("size", [30, 1000])
+    def test_rbpf_bytes_do_not_depend_on_the_blas_thread_count(self, size):
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from plumetrace import experiment\n"
+            f"config = experiment.ScenarioConfig(size={size})\n"
+            "scenario = experiment.build_scenario(config)\n"
+            "_, observations = experiment.simulate_ground_truth(\n"
+            "    scenario, np.random.default_rng(5))\n"
+            "estimates = experiment.run_rbpf(scenario, observations,\n"
+            "                                np.random.default_rng(0))\n"
+            "print(hashlib.sha256(estimates.tobytes()).hexdigest())\n"
+        )
+        digests = _digests_at_one_and_two_blas_threads(script)
         assert digests[0] == digests[1]
 
 
@@ -535,7 +588,8 @@ class TestEnkf:
     def test_update_singular_covariance_raises(self):
         members = np.ones((10, 3))  # zero spread
         h = np.array([[1.0, 0.0, 0.0]])
-        with pytest.raises(FilterError, match="singular"):
+        with pytest.raises(FilterError, match="singular"), \
+                pytest.warns(RuntimeWarning, match="collapsed"):
             enkf_update(members, h, np.array([0.0]), np.array([1.0]),
                         np.zeros((10, 1)))
 
@@ -563,6 +617,27 @@ class TestEnkf:
         np.testing.assert_array_equal(outs[0], outs[1])
         assert outs[0].shape == (model.state_dim,)
         np.testing.assert_allclose(outs[0], state.members.mean(axis=0))
+
+    def test_ensemble_stays_state_major(self):
+        model, net, _ = _small_setup()
+        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
+        state = enkf_init(model, net, 12, np.random.default_rng(21))
+        assert _state_major(state.members)
+        for _ in range(2):
+            state, _ = enkf_step(state, obs)
+            assert _state_major(state.members)
+
+    def test_step_holds_at_most_three_ensembles(self, desk):
+        config, scenario, observations = desk
+        state = enkf_init(scenario.provider.model_at(0), scenario.network,
+                          1000, np.random.default_rng(0), cov=config.init_cov)
+        tracemalloc.start()
+        try:
+            state, _ = enkf_step(state, observations[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * state.members.nbytes
 
     def test_steps_match_dense_reference_draw_for_draw(self):
         models, net = _time_varying_models()

@@ -296,6 +296,13 @@ class TestSensorNetwork:
         with pytest.raises(ValueError):
             self.net.H[0, 0] = 1.0
 
+    def test_sparse_operator_is_built_once(self):
+        h = self.net.H_csr
+        assert h.format == "csr"
+        np.testing.assert_array_equal(h.toarray(), self.net.H)
+        assert h.nnz == np.count_nonzero(self.net.H)
+        assert self.net.H_csr is h
+
     def test_layout_round_trip(self, tmp_path):
         path = tmp_path / "sensors.txt"
         save_sensor_layout(self.net, path)
