@@ -518,11 +518,17 @@ def enkf_init(
     if size < 2:
         raise ValueError("ensemble size must be at least 2")
     mean, cov = _initial_moments(model.state_dim, mean, cov)
-    try:
-        root = np.linalg.cholesky(_dense_cov(model.state_dim, cov))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("initial covariance must be positive definite") from exc
-    members = mean + rng.standard_normal((size, model.state_dim)) @ root.T
+    draws = rng.standard_normal((size, model.state_dim))
+    if np.ndim(cov) == 0:
+        # the root of c I is sqrt(c) I: the same members, no (n+1)^2 matrix
+        members = mean + draws * np.sqrt(cov)
+    else:
+        try:
+            root = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "initial covariance must be positive definite") from exc
+        members = mean + draws @ root.T
     return EnsembleState(model=model, network=network,
                          members=np.ascontiguousarray(members.T).T, rng=rng)
 

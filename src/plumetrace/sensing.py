@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import log_ndtr
+from scipy.special import erf, log_ndtr
 
 from plumetrace.mesh import TriMesh, locate_point, shape_functions_at
 
@@ -34,6 +34,8 @@ __all__ = [
     "load_sensor_layout",
     "save_sensor_layout",
 ]
+
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,62 @@ def _quantise(y: np.ndarray, scale, num_levels):
 def _log_gauss_cell_mass(lo, hi, mean, var) -> np.ndarray:
     """``log(P(lo <= X < hi))`` for ``X ~ N(mean, var)``, stable in far tails.
 
-    Both bounds are reflected into the lower tail, where ``log_ndtr`` keeps
-    full precision, and the difference of CDFs is taken through ``expm1`` so
-    cells tens of standard deviations from the mean still produce finite
-    logs.  Infinite bounds give the corresponding tail mass.
+    Both standardised bounds are first reflected so that ``a + b <= 0``.
+    Each cell then takes one of two exact forms:
+
+    - a cell that straddles the mean (``a < 0 < b``) has mass
+      ``(erf(b/sqrt2) - erf(a/sqrt2)) / 2``, a sum of two non-negative terms,
+      so it loses no precision to cancellation and has no tail to lose;
+    - a cell with both bounds in the lower tail (``b <= 0``) takes the
+      difference of CDFs from ``log_ndtr``, which keeps full precision there,
+      through ``expm1``, so cells tens of standard deviations from the mean
+      still produce finite logs.
+
+    Infinite bounds give the corresponding tail mass.
     """
+    return _log_cell_mass(*_reflected_bounds(lo, hi, mean, var))
+
+
+def _reflected_bounds(lo, hi, mean, var):
+    """Standardised bounds ``a, b`` of the cell, reflected about the mean
+    (``a, b -> -b, -a``) when ``a + b > 0``; both have the broadcast shape."""
     sd = np.sqrt(var)
     a = (np.asarray(lo, dtype=float) - mean) / sd
     b = (np.asarray(hi, dtype=float) - mean) / sd
-    flip = (a + b) > 0.0
-    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    return np.minimum(a, -b), np.minimum(b, -a)
+
+
+def _by_cell_kind(straddles, straddling, tail, *arrays):
+    """``straddling(*arrays)`` where ``straddles`` holds, ``tail(*arrays)``
+    elsewhere; each form is evaluated on its own cells only.  The arrays
+    share the shape of ``straddles``."""
+    if straddles.all():             # a particle population's detection cells
+        return straddling(*arrays)
+    out = np.empty(straddles.shape)
+    rest = ~straddles
+    out[straddles] = straddling(*(x[straddles] for x in arrays))
+    out[rest] = tail(*(x[rest] for x in arrays))
+    return out
+
+
+def _log_cell_mass(a, b):
+    """``log(Phi(b) - Phi(a))`` for reflected bounds, ``a + b <= 0``."""
+    return _by_cell_kind(b > 0.0, _log_straddling_mass, _log_tail_mass, a, b)
+
+
+def _straddling_mass(a, b):
+    """``Phi(b) - Phi(a)`` for ``a < 0 < b``: half the sum of the
+    non-negative terms ``erf(b/sqrt2)`` and ``-erf(a/sqrt2)``."""
+    return 0.5 * (erf(b * _SQRT_HALF) - erf(a * _SQRT_HALF))
+
+
+def _log_straddling_mass(a, b):
+    with np.errstate(divide="ignore"):
+        return np.log(_straddling_mass(a, b))
+
+
+def _log_tail_mass(a, b):
+    """``log(Phi(b) - Phi(a))`` for ``a <= b <= 0``."""
     log_hi = log_ndtr(b)
     diff = log_ndtr(a) - log_hi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -103,17 +151,23 @@ def _log_gauss_cell_mass(lo, hi, mean, var) -> np.ndarray:
     return np.where(diff < 0.0, out, -np.inf)
 
 
+def _positive_variance(var) -> np.ndarray:
+    var = np.asarray(var, dtype=float)
+    if (var <= 0.0).any():
+        raise ValueError("variance must be positive")
+    return var
+
+
 def log_cell_probability(q: Quantiser, level, mean, var):
     """Log Gaussian mass of a level's quantisation cell.
 
     The cell is ``[level - w, level + w)`` with ``w`` the cell half-width.
     """
-    var = np.asarray(var, dtype=float)
-    if (var <= 0.0).any():
-        raise ValueError("variance must be positive")
     w = q.cell_half_width
     level = np.asarray(level, dtype=float)
-    out = _log_gauss_cell_mass(level - w, level + w, np.asarray(mean, dtype=float), var)
+    out = _log_gauss_cell_mass(level - w, level + w,
+                               np.asarray(mean, dtype=float),
+                               _positive_variance(var))
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -129,6 +183,38 @@ def _log_mixture(log_detect, log_miss, detect_rate):
     return out
 
 
+def _log_quantised_likelihood(lo, hi, z, var, detect_rate):
+    """Log mixture likelihood of the received cell ``[lo, hi)`` given the
+    latent signal ``z``; the one kernel behind the likelihood functions.
+
+    Where the detection cell straddles ``z`` and the detection rate ``p`` is
+    positive, the mixture is formed in linear space,
+    ``log(p m + (1 - p) exp(log_miss))``.  The cell mass ``m`` is then at
+    least about ``min(1/2, 0.4 (hi - lo) / sd)``, so a miss term that
+    underflows in ``exp`` is negligible against ``p m``.  Every other cell,
+    each cell of a sensor with ``p = 0`` included, goes through
+    ``logaddexp``, which gives exactly ``log_miss`` when ``p = 0``.
+    """
+    detect_rate = np.asarray(detect_rate, dtype=float)
+    log_miss = _log_gauss_cell_mass(lo, hi, 0.0, var)
+    miss = (1.0 - detect_rate) * np.exp(log_miss)    # per sensor, unbroadcast
+    a, b = _reflected_bounds(lo, hi, z, var)
+    arrays = np.broadcast_arrays(a, b, miss, log_miss, detect_rate)
+    straddles = (arrays[1] > 0.0) & (arrays[4] > 0.0)
+    return _by_cell_kind(straddles, _straddling_mixture, _tail_mixture,
+                         *arrays)
+
+
+def _straddling_mixture(a, b, miss, log_miss, detect_rate):
+    mixed = detect_rate * _straddling_mass(a, b) + miss
+    with np.errstate(divide="ignore"):
+        return np.log(mixed)
+
+
+def _tail_mixture(a, b, miss, log_miss, detect_rate):
+    return _log_mixture(_log_cell_mass(a, b), log_miss, detect_rate)
+
+
 def log_observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
     """Log probability of receiving level ``y_hat`` given latent signal ``z``.
 
@@ -136,9 +222,11 @@ def log_observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
     branch (centred at zero, the noise alone), weighted by the detection
     probability.
     """
-    log_detect = log_cell_probability(q, y_hat, z, noise_var)
-    log_miss = log_cell_probability(q, y_hat, 0.0, noise_var)
-    out = _log_mixture(log_detect, log_miss, detect_rate)
+    w = q.cell_half_width
+    y_hat = np.asarray(y_hat, dtype=float)
+    out = _log_quantised_likelihood(y_hat - w, y_hat + w,
+                                    np.asarray(z, dtype=float),
+                                    _positive_variance(noise_var), detect_rate)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -398,13 +486,19 @@ class SensorNetwork:
         ``y_hat`` has shape ``(N,)`` and ``z`` any shape broadcastable with
         it (e.g. ``(M, N)`` for a particle population); the result follows
         the broadcast shape.
+
+        A particle filter draws each latent inside its received cell, so its
+        detection cells straddle their means.  Such a cell's mass is the sum
+        of two non-negative ``erf`` terms, exact without a tail form, and is
+        mixed with the sensor's miss term in linear space; cells with both
+        bounds in one tail keep the ``log_ndtr`` form and ``logaddexp``.
+        :func:`log_observation_likelihood` shares the kernel.
         """
         y_hat = np.asarray(y_hat, dtype=float)
         z = np.asarray(z, dtype=float)
         w = self.cell_half_width
-        log_detect = _log_gauss_cell_mass(y_hat - w, y_hat + w, z, self.noise_var)
-        log_miss = _log_gauss_cell_mass(y_hat - w, y_hat + w, 0.0, self.noise_var)
-        return _log_mixture(log_detect, log_miss, self.detect_rate)
+        return _log_quantised_likelihood(y_hat - w, y_hat + w, z,
+                                         self.noise_var, self.detect_rate)
 
 
 def save_sensor_layout(network: SensorNetwork, path) -> None:

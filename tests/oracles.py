@@ -3,8 +3,9 @@
 Per-element FEM matrices, checked against the vectorised ``fem.assemble``;
 scalar forms of the particle filter's latent proposal and predictive
 density and linear-domain forms of the quantised likelihoods, checked
-against closed forms; a dense linear model for the Kalman functions; and
-per-particle views of a filter state.
+against closed forms; the tail-only form of the quantised log likelihood,
+checked against the sensing kernel; a dense linear model for the Kalman
+functions; and per-particle views of a filter state.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import log_ndtr
 
 from plumetrace.filters import (
     GaussianBelief,
@@ -140,6 +142,38 @@ def observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def reference_log_cell_mass(lo, hi, mean, var):
+    """``log(P(lo <= X < hi))`` for ``X ~ N(mean, var)`` in the far-tail form,
+    on every cell.
+
+    Both bounds are reflected into the lower tail and the difference of
+    ``log_ndtr`` values is taken through ``expm1``, whether or not the cell
+    straddles the mean.
+    """
+    sd = np.sqrt(var)
+    a = (np.asarray(lo, dtype=float) - mean) / sd
+    b = (np.asarray(hi, dtype=float) - mean) / sd
+    flip = (a + b) > 0.0
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    log_hi = log_ndtr(b)
+    diff = log_ndtr(a) - log_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log_hi + np.log(-np.expm1(diff))
+    return np.where(diff < 0.0, out, -np.inf)
+
+
+def reference_log_likelihood(lo, hi, z, var, detect_rate):
+    """Log mixture likelihood of the cell ``[lo, hi)`` given ``z``: the
+    tail-form cell masses of the detection and miss branches, mixed with
+    ``logaddexp``."""
+    detect_rate = np.asarray(detect_rate, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(
+            np.log(detect_rate) + reference_log_cell_mass(lo, hi, z, var),
+            np.log1p(-detect_rate) + reference_log_cell_mass(lo, hi, 0.0, var),
+        )
 
 
 @dataclass

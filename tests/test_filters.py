@@ -561,6 +561,29 @@ class TestEnkf:
         with pytest.raises(ValueError, match="positive definite"):
             enkf_init(model, net, 5, np.random.default_rng(0), cov=bad)
 
+    def test_isotropic_prior_members_equal_the_dense_root_draws(self, desk):
+        _, scenario, _ = desk
+        model, dim = scenario.provider.model_at(0), scenario.state_dim
+        mean = np.random.default_rng(2).normal(0.0, 1.0, dim)
+        for c in (10.0, 0.3, 7.77):
+            state = enkf_init(model, scenario.network, 200,
+                              np.random.default_rng(4), mean=mean, cov=c)
+            root = np.linalg.cholesky(c * np.eye(dim))
+            draws = np.random.default_rng(4).standard_normal((200, dim))
+            np.testing.assert_array_equal(state.members,
+                                          mean + draws @ root.T)
+
+    def test_init_never_holds_a_dense_prior(self, desk):
+        config, scenario, _ = desk
+        tracemalloc.start()
+        try:
+            enkf_init(scenario.provider.model_at(0), scenario.network, 30,
+                      np.random.default_rng(0), cov=config.init_cov)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * scenario.state_dim ** 2
+
     def test_update_algebra(self):
         rng = np.random.default_rng(13)
         members = rng.normal(0.0, 1.0, (50, 4))

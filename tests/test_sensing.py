@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from plumetrace import experiment
 from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import (
     QuantisedObservation,
@@ -18,13 +19,51 @@ from plumetrace.sensing import (
     simulate_measurement,
 )
 
-from oracles import cell_probability, observation_likelihood
+from oracles import (
+    cell_probability,
+    observation_likelihood,
+    reference_log_cell_mass,
+    reference_log_likelihood,
+)
 
 quantisers = st.builds(
     Quantiser,
     scale=st.floats(0.5, 2000.0),
     num_levels=st.integers(1, 11000),
 )
+
+
+def assert_log_close(actual, expected):
+    """Finite and equal to 1e-13: absolute, relative below -1."""
+    actual, expected = np.broadcast_arrays(actual, expected)
+    assert np.isfinite(expected).all()
+    tolerance = 1e-13 * np.maximum(1.0, -expected)
+    assert (np.abs(actual - expected) <= tolerance).all()
+
+
+@st.composite
+def placed_cells(draw):
+    """A quantiser, one of its levels, a mean placed against that level's
+    cell and a variance: the mean inside the cell, on an edge, within a few
+    standard deviations of an edge (or a hair from it), or 50-60 standard
+    deviations out.  The cell is 0.01 to 10 standard deviations wide."""
+    q = Quantiser(scale=2.0, num_levels=draw(st.sampled_from([25, 100, 400])))
+    level = float(q.level_values()[draw(st.integers(0, q.num_levels - 1))])
+    w = q.cell_half_width
+    sd = 2.0 * w / draw(st.floats(0.01, 10.0))
+    place = draw(st.sampled_from(["inside", "edge", "near", "far"]))
+    if place == "inside":
+        mean = level - w + 2.0 * w * draw(st.floats(0.0, 1.0))
+    else:
+        edge = level + draw(st.sampled_from([-w, w]))
+        if place == "edge":
+            offset = 0.0
+        elif place == "near":
+            offset = draw(st.one_of(st.floats(-1e-6, 1e-6), st.floats(-3.0, 3.0)))
+        else:
+            offset = draw(st.floats(50.0, 60.0)) * draw(st.sampled_from([-1, 1]))
+        mean = edge + offset * sd
+    return q, level, mean, sd * sd
 
 
 class TestQuantiser:
@@ -132,6 +171,16 @@ class TestObservationLikelihood:
         assert observation_likelihood(q, y_hat, z, var, rate) == pytest.approx(
             expected, abs=1e-13
         )
+
+    @given(placed_cells(), st.sampled_from([0.0, 0.85, 1.0]))
+    def test_kernels_match_the_tail_form_reference(self, cell, rate):
+        q, level, mean, var = cell
+        lo, hi = level - q.cell_half_width, level + q.cell_half_width
+        assert_log_close(log_cell_probability(q, level, mean, var),
+                         reference_log_cell_mass(lo, hi, mean, var))
+        assert_log_close(
+            log_observation_likelihood(q, level, mean, var, rate),
+            reference_log_likelihood(lo, hi, mean, var, rate))
 
     def test_degenerate_rates(self):
         q = Quantiser(scale=3.0, num_levels=25)
@@ -273,6 +322,23 @@ class TestSensorNetwork:
                     self.net.quantiser(j), y_hat[j], z[m, j], 5e-3, 0.85
                 )
                 assert out[m, j] == pytest.approx(expected, abs=1e-12)
+
+    def test_log_likelihood_on_particle_draws_matches_the_reference(self):
+        # latents drawn uniformly in each received cell, as the particle
+        # filter draws them, plus the two cell edges
+        scenario = experiment.build_scenario(experiment.ScenarioConfig())
+        net = scenario.network
+        _, observations = experiment.simulate_trial(scenario, 0)
+        w = net.cell_half_width
+        rng = np.random.default_rng(11)
+        for obs in observations[::16]:
+            y = obs.values
+            z = np.vstack([(y - w) + 2.0 * w * rng.random((1000, net.count)),
+                           y - w, y + w])
+            assert_log_close(
+                net.log_likelihood(y, z),
+                reference_log_likelihood(y - w, y + w, z, net.noise_var,
+                                         net.detect_rate))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="noise"):
