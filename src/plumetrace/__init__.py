@@ -62,7 +62,6 @@ from plumetrace.filters import (
     latent_transition_logpdf,
     multinomial_resample,
     normalise_weights,
-    particle_log_weights,
     rbpf_init,
     rbpf_step,
 )

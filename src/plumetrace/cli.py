@@ -97,21 +97,36 @@ def _print_stability(report: fem.StabilityReport) -> None:
         )
 
 
+def _given(args, *flags) -> list[str]:
+    """Those of ``flags`` (long options whose default is
+    ``argparse.SUPPRESS``) that the command line set."""
+    return [f for f in flags if hasattr(args, f[2:].replace("-", "_"))]
+
+
 def cmd_mesh(args) -> int:
+    building = _given(args, "--rect", "--nx", "--ny")
+    if args.infile and building:
+        raise ValueError(f"--in reads a mesh file; {', '.join(building)} "
+                         f"cannot be combined with it")
+    preview = _given(args, "--flow-u", "--flow-v", "--dt")
+    if preview and args.diffusivity is None:
+        raise ValueError(f"--diffusivity is required by {', '.join(preview)}")
     if args.infile:
         grid = meshmod.load_mesh(args.infile)
     else:
-        if args.rect is None:
+        if not hasattr(args, "rect"):
             raise ValueError("either --rect or --in is required")
         x0, y0, x1, y1 = args.rect
-        grid = meshmod.build_structured_mesh(x0, y0, x1, y1, args.nx, args.ny)
+        grid = meshmod.build_structured_mesh(
+            x0, y0, x1, y1, getattr(args, "nx", 10), getattr(args, "ny", 10))
     print(f"nodes {grid.node_count}  elements {grid.element_count}")
     if args.diffusivity is not None:
-        flow = flowfield.UniformFlow(args.flow_u, args.flow_v)
+        flow = flowfield.UniformFlow(getattr(args, "flow_u", 0.0),
+                                     getattr(args, "flow_v", 0.0))
         velocities = flowfield.element_velocities(flow, grid, 0.0)
         report = fem.stability_report(grid, velocities, args.diffusivity)
         _print_stability(report)
-        if args.dt is not None:
+        if hasattr(args, "dt"):
             verdict = "stable" if report.approves(args.dt) else "UNSTABLE"
             print(f"dt={args.dt:g}: {verdict}")
     if args.out:
@@ -230,21 +245,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mesh = sub.add_parser("mesh", parents=[common],
-                            help="build or inspect a triangular mesh")
+    # options without a default are absent unless given (see _given)
+    p_mesh = sub.add_parser("mesh", help="build or inspect a triangular mesh",
+                            argument_default=argparse.SUPPRESS)
     p_mesh.add_argument("--rect", nargs=4, type=float,
                         metavar=("X0", "Y0", "X1", "Y1"),
                         help="rectangle corners")
-    p_mesh.add_argument("--nx", type=int, default=10)
-    p_mesh.add_argument("--ny", type=int, default=10)
-    p_mesh.add_argument("--in", dest="infile", help="read a mesh file instead")
+    p_mesh.add_argument("--nx", type=int, help="cells along x (default 10)")
+    p_mesh.add_argument("--ny", type=int, help="cells along y (default 10)")
+    p_mesh.add_argument("--in", dest="infile", default=None,
+                        help="read a mesh file instead")
+    p_mesh.add_argument("--out", default=None,
+                        help="write the mesh to this file")
     p_mesh.add_argument("--diffusivity", type=float, default=None,
                         help="print a stability preview for this diffusivity")
-    p_mesh.add_argument("--flow-u", type=float, default=0.0)
-    p_mesh.add_argument("--flow-v", type=float, default=0.0)
-    p_mesh.add_argument("--dt", type=float, default=None,
+    p_mesh.add_argument("--flow-u", type=float,
+                        help="uniform flow x-velocity in the preview "
+                             "(default 0)")
+    p_mesh.add_argument("--flow-v", type=float,
+                        help="uniform flow y-velocity in the preview "
+                             "(default 0)")
+    p_mesh.add_argument("--dt", type=float,
                         help="check this time step in the preview")
-    p_mesh.set_defaults(func=cmd_mesh, out=None)
+    p_mesh.set_defaults(func=cmd_mesh)
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="simulate ground truth and observations")

@@ -210,22 +210,21 @@ class Scenario:
     diffusivity_eff: float
     dt: float
     t0: float
-    _schedules: dict = field(default_factory=dict, init=False, repr=False)
+    _schedule: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
     def state_dim(self) -> int:
         return self.mesh.node_count + 1
 
-    def gain_schedule(self, init_cov: float) -> list[filters.KalmanStep]:
+    def gain_schedule(self) -> list[filters.KalmanStep]:
         """The particle filter's gain schedule over the configured horizon
-        from prior covariance ``init_cov``, built on first use."""
-        key = float(init_cov)
-        if key not in self._schedules:
+        from the configured prior covariance, built on first use."""
+        if self._schedule is None:
             models = [self.provider.model_at(k)
                       for k in range(self.config.steps)]
-            self._schedules[key] = filters.gain_schedule(
-                models, self.network.H_csr, key)
-        return self._schedules[key]
+            self._schedule = filters.gain_schedule(
+                models, self.network.H_csr, self.config.init_cov)
+        return self._schedule
 
 
 class ModelProvider:
@@ -423,14 +422,7 @@ def simulate_trial(
         scenario, _trial_rng(scenario.config, STREAM_TRUTH, trial))
 
 
-def run_rbpf(
-    scenario: Scenario,
-    observations: Sequence,
-    rng,
-    size: Optional[int] = None,
-    init_cov: Optional[float] = None,
-    dump_path=None,
-) -> np.ndarray:
+def run_rbpf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
     """Run the particle filter over an observation log; returns ``(K, C+1)``
     estimates.
 
@@ -443,49 +435,28 @@ def run_rbpf(
             f"observation log has {len(observations)} steps, the scenario "
             f"horizon is {config.steps}"
         )
-    init_cov = config.init_cov if init_cov is None else init_cov
-    schedule = scenario.gain_schedule(init_cov)
+    schedule = scenario.gain_schedule()
     state = filters.rbpf_init(
-        scenario.provider.model_at(0), scenario.network,
-        size or config.size, rng, cov=init_cov,
-    )
+        scenario.provider.model_at(0), scenario.network, config.size, rng)
     estimates = np.empty((len(observations), scenario.state_dim))
-    records = []
     for k, obs in enumerate(observations):
         state, estimates[k] = filters.rbpf_step(
-            state, obs, model=scenario.provider.model_at(k),
-            kalman=schedule[k],
-        )
-        if dump_path is not None:
-            records.append((
-                k, state.last_weights.copy(),
-                state.last_means[:, -1].copy(), state.last_latent.copy(),
-            ))
-    if dump_path is not None:
-        filters.write_particle_dump(dump_path, records)
+            state, obs, scenario.provider.model_at(k), schedule[k])
     return estimates
 
 
-def run_enkf(
-    scenario: Scenario,
-    observations: Sequence,
-    rng,
-    size: Optional[int] = None,
-    init_cov: Optional[float] = None,
-) -> np.ndarray:
+def run_enkf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
     """Run the ensemble baseline over an observation log; returns
     ``(K, C+1)`` estimates."""
     config = scenario.config
     state = filters.enkf_init(
-        scenario.provider.model_at(0), scenario.network,
-        size or config.size, rng,
-        cov=init_cov if init_cov is not None else config.init_cov,
+        scenario.provider.model_at(0), scenario.network, config.size, rng,
+        cov=config.init_cov,
     )
     estimates = np.empty((len(observations), scenario.state_dim))
     for k, obs in enumerate(observations):
         state, estimates[k] = filters.enkf_step(
-            state, obs, model=scenario.provider.model_at(k)
-        )
+            state, obs, scenario.provider.model_at(k))
     return estimates
 
 
@@ -596,7 +567,7 @@ def run_trials(
     results = TrialRun()
     start = time.perf_counter()
     if config.estimator == "rbpf":
-        scenario.gain_schedule(config.init_cov)
+        scenario.gain_schedule()
     results.runtime_schedule = time.perf_counter() - start
     if threads == 1:
         results.extend(run_trial(config, i, scenario, logs[i]) for i in indices)

@@ -52,7 +52,6 @@ __all__ = [
     "kf_predict",
     "kf_update",
     "latent_transition_logpdf",
-    "particle_log_weights",
     "normalise_weights",
     "effective_sample_size",
     "multinomial_resample",
@@ -61,7 +60,6 @@ __all__ = [
     "enkf_init",
     "enkf_update",
     "enkf_step",
-    "write_particle_dump",
 ]
 
 
@@ -269,17 +267,6 @@ def latent_transition_logpdf(z, mean, variance):
     return -0.5 * (np.log(2.0 * np.pi * variance) + (z - mean) ** 2 / variance)
 
 
-def particle_log_weights(log_obs, log_trans, log_proposal) -> np.ndarray:
-    """Sum per-sensor log factors into per-particle log weights.
-
-    All inputs broadcast to ``(particles, sensors)``; the weight of a
-    particle is the product over sensors of observation likelihood times
-    latent predictive density divided by the proposal density.
-    """
-    terms = np.asarray(log_obs) + np.asarray(log_trans) - np.asarray(log_proposal)
-    return terms.sum(axis=-1)
-
-
 def normalise_weights(log_weights) -> np.ndarray:
     """Exponentiate shifted log weights and normalise them to sum to one.
 
@@ -318,31 +305,23 @@ def multinomial_resample(weights, rng, size: Optional[int] = None) -> np.ndarray
 
 @dataclass
 class RbpfState:
-    """Particle population and shared covariance of the filter.
+    """Particle population of the filter.
 
-    ``means`` and ``weights`` are the population carried into the next step
-    (weights are uniform whenever the step resampled).  ``cov`` is the
-    posterior covariance after ``step_index`` steps; before the first step
-    it is the prior, kept as a float for an isotropic one, which only a
-    step without a schedule expands to a matrix.  A step driven by a
-    :func:`gain_schedule` sets it to the step's ``cov``: ``None`` within the
-    schedule and its final covariance after the last step, so it never holds
-    a covariance from an earlier step.  The ``last_*``
-    fields snapshot the step just computed, before resampling: they are what
-    the reported estimate ``sum(last_weights * last_means)`` is built from
-    and what particle dumps record.  ``means`` and ``last_means`` are
-    ``(particles, state)`` transpose views of C-ordered ``(state, particles)``
-    arrays.
+    ``means`` and ``weights`` are the population carried into the next step;
+    every step resamples, so after a step the weights are uniform.  The
+    covariance is shared by all particles and lives in the
+    :func:`gain_schedule`, not here.  The ``last_*`` fields snapshot the
+    step just computed, before resampling: they are what the reported
+    estimate ``sum(last_weights * last_means)`` is built from.  ``means``
+    and ``last_means`` are ``(particles, state)`` transpose views of
+    C-ordered ``(state, particles)`` arrays.
     """
 
-    model: DispersionModel
     network: SensorNetwork
     means: np.ndarray
-    cov: Optional[np.ndarray]
     weights: np.ndarray
     rng: np.random.Generator
     step_index: int = 0
-    resample_threshold: Optional[float] = None
     last_weights: Optional[np.ndarray] = None
     last_means: Optional[np.ndarray] = None
     last_latent: Optional[np.ndarray] = None
@@ -384,51 +363,39 @@ def rbpf_init(
     particle_count: int,
     rng: np.random.Generator,
     mean=None,
-    cov=None,
-    resample_threshold: Optional[float] = None,
 ) -> RbpfState:
-    """Initial particle population: all means at the prior mean.
-
-    ``cov`` may be a scalar (isotropic, kept as a float) or a full matrix;
-    the default prior is zero mean with covariance ``10 I``.
-    ``resample_threshold`` switches resampling from every step (the
-    default) to only when the effective sample size falls below
-    ``threshold * particle_count``.
-    """
+    """Initial particle population: all means at the prior mean (default
+    zero).  The prior covariance is the ``init_cov`` of the
+    :func:`gain_schedule` that drives the steps."""
     particle_count = int(particle_count)
     if particle_count < 1:
         raise ValueError("particle count must be at least 1")
-    mean, cov = _initial_moments(model.state_dim, mean, cov)
+    mean, _ = _initial_moments(model.state_dim, mean, None)
     return RbpfState(
-        model=model,
         network=network,
         means=np.repeat(mean[:, None], particle_count, axis=1).T,
-        cov=cov,
         weights=np.full(particle_count, 1.0 / particle_count),
         rng=rng,
-        resample_threshold=resample_threshold,
     )
 
 
 def rbpf_step(
     state: RbpfState,
     observation: Union[QuantisedObservation, np.ndarray],
-    model: Optional[DispersionModel] = None,
-    kalman: Optional[KalmanStep] = None,
+    model: DispersionModel,
+    kalman: KalmanStep,
 ) -> tuple[RbpfState, np.ndarray]:
     """Advance the filter by one observation; return the new state and the
     weighted posterior-mean estimate.
 
-    ``kalman`` is the step's covariance recursion, usually taken from a
-    :func:`gain_schedule`; when omitted it is computed from ``state.cov`` by
-    a one-step :func:`gain_schedule`.  Per particle the conditional mean is
-    predicted, a latent is drawn uniformly over each sensor's received
-    cell, the weight accumulates the mixture likelihood and predictive
-    density against the proposal, and the mean is updated with the shared
-    gain.  Resampling is multinomial, every step unless an effective-sample-
-    size threshold was configured.
+    ``model`` is the step's dynamics and ``kalman`` the step's covariance
+    recursion, taken from a :func:`gain_schedule` over the same models.
+    Per particle the conditional mean is predicted, a latent is drawn
+    uniformly over each sensor's received cell, the weight takes, per
+    sensor, the mixture likelihood times the latent's predictive density
+    over the proposal density, and the mean is updated with the shared
+    gain.  Every step resamples, multinomially.
     """
-    model = state.model if model is None else model
     net = state.network
     y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
     if y_hat.shape != (net.count,):
@@ -436,11 +403,6 @@ def rbpf_step(
             f"observation must supply {net.count} values, got {y_hat.shape}"
         )
     h = net.H_csr
-    if kalman is None:
-        if state.cov is None:
-            raise ValueError("filter state holds no covariance; pass the "
-                             "step of its gain schedule")
-        kalman = gain_schedule([model], h, state.cov)[0]
 
     # x holds the particle means as columns; means.T is x's C-ordered storage
     x = model.augmented_transition() @ state.means.T
@@ -453,31 +415,18 @@ def rbpf_step(
     log_obs = net.log_likelihood(y_hat, z)
     with np.errstate(divide="ignore"):
         log_prior = np.log(state.weights)
-    log_w = log_prior + particle_log_weights(
-        log_obs, log_trans, net.proposal_log_density
-    )
+    log_w = log_prior + (
+        log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
     weights = normalise_weights(log_w)
 
     x += kalman.gain_t.T @ (z - z_pred).T
     estimate = x @ weights
 
-    if state.resample_threshold is None or (
-        effective_sample_size(weights)
-        < state.resample_threshold * state.particle_count
-    ):
-        ancestors = multinomial_resample(weights, state.rng)
-        next_x = np.take(x, ancestors, axis=1)
-        next_weights = np.full_like(weights, 1.0 / weights.size)
-    else:
-        next_x = x
-        next_weights = weights
-
+    ancestors = multinomial_resample(weights, state.rng)
     new_state = replace(
         state,
-        model=model,
-        means=next_x.T,
-        cov=kalman.cov,
-        weights=next_weights,
+        means=np.take(x, ancestors, axis=1).T,
+        weights=np.full_like(weights, 1.0 / weights.size),
         step_index=state.step_index + 1,
         last_weights=weights,
         last_means=x.T,
@@ -494,7 +443,6 @@ class EnsembleState:
     ``(state, size)`` array.
     """
 
-    model: DispersionModel
     network: SensorNetwork
     members: np.ndarray
     rng: np.random.Generator
@@ -529,7 +477,7 @@ def enkf_init(
             raise ValueError(
                 "initial covariance must be positive definite") from exc
         members = mean + draws @ root.T
-    return EnsembleState(model=model, network=network,
+    return EnsembleState(network=network,
                          members=np.ascontiguousarray(members.T).T, rng=rng)
 
 
@@ -577,7 +525,7 @@ def enkf_update(
 def enkf_step(
     state: EnsembleState,
     observation: Union[QuantisedObservation, np.ndarray],
-    model: Optional[DispersionModel] = None,
+    model: DispersionModel,
 ) -> tuple[EnsembleState, np.ndarray]:
     """Advance the ensemble one step; return the new state and ensemble mean.
 
@@ -587,7 +535,6 @@ def enkf_step(
     contributes additive noise of variance ``(cell half-width)^2 / 3`` on
     top of the sensor noise.
     """
-    model = state.model if model is None else model
     net = state.network
     y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
     if y_hat.shape != (net.count,):
@@ -612,32 +559,6 @@ def enkf_step(
                           _out=noise.reshape(x.shape))
     estimate = members.mean(axis=0)
 
-    new_state = replace(
-        state, model=model, members=members, step_index=state.step_index + 1
-    )
+    new_state = replace(state, members=members,
+                        step_index=state.step_index + 1)
     return new_state, estimate
-
-
-def write_particle_dump(path, records: Sequence[tuple], include_latent: bool = True
-                        ) -> None:
-    """Write per-step particle snapshots as CSV.
-
-    ``records`` holds ``(step, weights, strengths, latent)`` tuples; the
-    latent block is optional.  Columns: step, particle, weight, strength,
-    then one column per sensor when latents are included.
-    """
-    def fmt(x) -> str:
-        return format(float(x), ".17g")
-
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "step,particle,weight,strength"
-        if include_latent and records and records[0][3] is not None:
-            n = np.asarray(records[0][3]).shape[1]
-            header += "," + ",".join(f"z_{j}" for j in range(n))
-        fh.write(header + "\n")
-        for step, weights, strengths, latent in records:
-            for m in range(len(weights)):
-                row = f"{int(step)},{m},{fmt(weights[m])},{fmt(strengths[m])}"
-                if include_latent and latent is not None:
-                    row += "," + ",".join(fmt(v) for v in np.asarray(latent)[m])
-                fh.write(row + "\n")

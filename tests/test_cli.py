@@ -224,6 +224,41 @@ class TestMeshCommand:
     def test_requires_rect_or_infile(self, tmp_path):
         assert main(["mesh", "--out", str(tmp_path / "m.txt")]) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--dt", "18"], "--dt"),
+        (["--flow-u", "0.02"], "--flow-u"),
+        (["--flow-v", "0.02", "--dt", "18"], "--flow-v, --dt"),
+    ])
+    def test_preview_flags_need_diffusivity(self, flags, named, capsys):
+        code = main(["mesh", "--rect", "0", "0", "1000", "1000", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--diffusivity is required by {named}" in captured.err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--rect", "0", "0", "2", "1"], "--rect"),
+        (["--nx", "4"], "--nx"),
+        (["--rect", "0", "0", "2", "1", "--ny", "4"], "--rect, --ny"),
+    ])
+    def test_infile_refuses_mesh_building_flags(self, flags, named,
+                                                tmp_path, capsys):
+        grid = tmp_path / "a.txt"
+        assert main(["mesh", "--rect", "0", "0", "1", "1",
+                     "--out", str(grid)]) == 0
+        capsys.readouterr()
+        assert main(["mesh", "--in", str(grid), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{named} cannot be combined" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--force"],
+                                       ["--config", "x.cfg"]])
+    def test_rejects_scenario_flags_it_never_reads(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh", "--rect", "0", "0", "1", "1", *flags])
+        assert exc.value.code == 2
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["calibrate"])

@@ -26,11 +26,9 @@ from plumetrace.filters import (
     latent_transition_logpdf,
     multinomial_resample,
     normalise_weights,
-    particle_log_weights,
     predict_covariance,
     rbpf_init,
     rbpf_step,
-    write_particle_dump,
 )
 from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
@@ -38,6 +36,7 @@ from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
 from oracles import (
     LinearModel,
     latent_transition_density,
+    observation_likelihood,
     particles,
     propose_latent,
 )
@@ -65,6 +64,11 @@ def _small_setup(seed=0, sensors=3, particles=5):
                               detect_rate=0.9, scale=4.0, levels=50)
     state = rbpf_init(model, net, particles, np.random.default_rng(seed))
     return model, net, state
+
+
+def _first_step(model, net):
+    """Step 0 of the gain schedule from the default prior ``10 I``."""
+    return gain_schedule([model], net.H, 10.0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -177,13 +181,6 @@ class TestLatentDensities:
 
 
 class TestWeights:
-    def test_particle_log_weights_sum_over_sensors(self):
-        log_obs = np.array([[0.1, 0.2], [0.3, 0.4]])
-        log_trans = np.array([[1.0, 2.0], [3.0, 4.0]])
-        log_prop = np.array([0.5, 0.5])
-        out = particle_log_weights(log_obs, log_trans, log_prop)
-        np.testing.assert_allclose(out, [2.3, 6.7])
-
     def test_normalise_weights(self):
         w = normalise_weights(np.array([0.0, np.log(3.0)]))
         np.testing.assert_allclose(w, [0.25, 0.75])
@@ -223,15 +220,12 @@ class TestRbpf:
         assert state.means.shape == (7, model.state_dim)
         np.testing.assert_array_equal(state.means, np.zeros_like(state.means))
         np.testing.assert_allclose(state.weights, 1 / 7)
-        assert state.cov == 10.0          # the isotropic prior stays a float
 
     def test_init_validation(self):
         model, net, _ = _small_setup()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="particle count"):
             rbpf_init(model, net, 0, rng)
-        with pytest.raises(ValueError, match="covariance"):
-            rbpf_init(model, net, 3, rng, cov=-1.0)
         with pytest.raises(ValueError, match="mean"):
             rbpf_init(model, net, 3, rng, mean=np.zeros(2))
 
@@ -239,8 +233,9 @@ class TestRbpf:
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.08, -0.08, 0.24]))
         seed = 42
-        state = rbpf_init(model, net, 1, np.random.default_rng(seed), cov=2.0)
-        new_state, estimate = rbpf_step(state, obs)
+        state = rbpf_init(model, net, 1, np.random.default_rng(seed))
+        kalman = gain_schedule([model], net.H, 2.0)[0]
+        new_state, estimate = rbpf_step(state, obs, model, kalman)
 
         rng = np.random.default_rng(seed)
         a = model.augmented_transition().toarray()
@@ -254,69 +249,94 @@ class TestRbpf:
             net.H, z[0],
         )
         np.testing.assert_allclose(estimate, manual.mean, atol=1e-13)
-        np.testing.assert_allclose(new_state.cov, manual.cov, atol=1e-13)
+        np.testing.assert_allclose(kalman.cov, manual.cov, atol=1e-13)
 
     def test_covariance_recursion_ignores_sampled_latents(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        outs = []
+        kalman = _first_step(model, net)
+        a, h = model.augmented_transition().toarray(), net.H
         for seed in (1, 99):
             st_ = rbpf_init(model, net, 6, np.random.default_rng(seed))
-            st_, _ = rbpf_step(st_, obs)
-            outs.append(st_.cov)
-        np.testing.assert_array_equal(outs[0], outs[1])
+            predicted = st_.means @ a.T
+            st_, _ = rbpf_step(st_, obs, model, kalman)
+            # whatever latents were drawn, every particle takes the one gain
+            innovations = st_.last_latent - predicted @ h.T
+            np.testing.assert_allclose(
+                st_.last_means, predicted + innovations @ kalman.gain_t,
+                atol=1e-12)
+
+    def test_weights_follow_the_scalar_oracles(self):
+        model, net, state = _small_setup(particles=5)
+        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
+        rng = np.random.default_rng(17)
+        # distinct particle means and unequal prior weights
+        means = rng.normal(0.0, 0.05, (5, model.state_dim))
+        prior = rng.uniform(0.5, 1.5, 5)
+        prior /= prior.sum()
+        state = replace(state, means=np.ascontiguousarray(means.T).T,
+                        weights=prior)
+        state, _ = rbpf_step(state, obs, model, _first_step(model, net))
+
+        a = model.augmented_transition().toarray()
+        p_pred = (a @ (10.0 * np.eye(model.state_dim)) @ a.T
+                  + np.diag(model.process_variances()))
+        p_pred = 0.5 * (p_pred + p_pred.T)
+        expected = prior.copy()
+        for m in range(5):
+            predicted = GaussianBelief(mean=a @ means[m], cov=p_pred)
+            for j in range(net.count):
+                q, z = net.quantiser(j), state.last_latent[m, j]
+                expected[m] *= (
+                    observation_likelihood(q, obs[j], z, net.noise_var[j],
+                                           net.detect_rate[j])
+                    * latent_transition_density(predicted, net.H[j], z)
+                    / (q.num_levels / (2.0 * q.scale)))
+        expected /= expected.sum()
+        assert np.ptp(expected) > 0.01     # the weights tell particles apart
+        np.testing.assert_allclose(state.last_weights, expected, rtol=1e-9)
 
     def test_estimate_is_weighted_mean_before_resampling(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         st_ = rbpf_init(model, net, 6, np.random.default_rng(5))
-        st_, estimate = rbpf_step(st_, obs)
+        st_, estimate = rbpf_step(st_, obs, model, _first_step(model, net))
         np.testing.assert_allclose(
             estimate, st_.last_weights @ st_.last_means, atol=1e-14
         )
         # population was resampled to uniform weights afterwards
         np.testing.assert_allclose(st_.weights, 1 / 6)
 
-    def test_resample_threshold_keeps_weights(self):
-        model, net, _ = _small_setup()
-        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        st_ = rbpf_init(model, net, 6, np.random.default_rng(5),
-                        resample_threshold=0.0)
-        st_, _ = rbpf_step(st_, obs)
-        np.testing.assert_array_equal(st_.weights, st_.last_weights)
-        np.testing.assert_array_equal(st_.means, st_.last_means)
-
     def test_population_stays_state_major(self):
         model, net, state = _small_setup(particles=6)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         assert _state_major(state.means)
-        for threshold in (None, 0.0):     # resample every step, then never
-            st_ = replace(state, resample_threshold=threshold)
-            for _ in range(2):
-                st_, _ = rbpf_step(st_, obs)
-                assert _state_major(st_.means)
-                assert _state_major(st_.last_means)
-            resampled = not np.array_equal(st_.weights, st_.last_weights)
-            assert resampled == (threshold is None)
+        for kalman in gain_schedule([model, model], net.H, 10.0):
+            state, _ = rbpf_step(state, obs, model, kalman)
+            assert _state_major(state.means)
+            assert _state_major(state.last_means)
 
     def test_accepts_observation_object_and_array(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         st_a = rbpf_init(model, net, 4, np.random.default_rng(2))
         st_b = rbpf_init(model, net, 4, np.random.default_rng(2))
-        _, est_a = rbpf_step(st_a, QuantisedObservation(values=obs))
-        _, est_b = rbpf_step(st_b, obs)
+        kalman = _first_step(model, net)
+        _, est_a = rbpf_step(st_a, QuantisedObservation(values=obs), model,
+                             kalman)
+        _, est_b = rbpf_step(st_b, obs, model, kalman)
         np.testing.assert_array_equal(est_a, est_b)
 
     def test_wrong_observation_length(self):
         model, net, state = _small_setup()
         with pytest.raises(ValueError, match="observation"):
-            rbpf_step(state, np.zeros(net.count + 1))
+            rbpf_step(state, np.zeros(net.count + 1), model,
+                      _first_step(model, net))
 
     def test_particles_snapshot(self):
         model, net, state = _small_setup(particles=4)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        state, _ = rbpf_step(state, obs)
+        state, _ = rbpf_step(state, obs, model, _first_step(model, net))
         parts = particles(state)
         assert len(parts) == 4
         total = sum(p.weight for p in parts)
@@ -324,22 +344,6 @@ class TestRbpf:
         np.testing.assert_array_equal(parts[0].mean, state.last_means[0])
         assert parts[0].strength == state.last_means[0, -1]
         assert parts[0].latent.shape == (net.count,)
-
-    def test_particle_dump(self, tmp_path):
-        model, net, state = _small_setup(particles=3)
-        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        records = []
-        for k in range(2):
-            state, _ = rbpf_step(state, obs)
-            records.append((k, state.last_weights, state.last_means[:, -1],
-                            state.last_latent))
-        path = tmp_path / "dump.csv"
-        write_particle_dump(path, records)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,particle,weight,strength,z_0,z_1,z_2"
-        assert len(lines) == 1 + 2 * 3
-        weights = [float(l.split(",")[2]) for l in lines[1:4]]
-        assert sum(weights) == pytest.approx(1.0)
 
 
 # A mesh whose state fits in one covariance band, and one whose state spans
@@ -429,7 +433,7 @@ class TestCovarianceStep:
         belief = kf_update(kf_predict(models[0], GaussianBelief(
             mean=np.ones(models[0].state_dim), cov=cov)), net.H, np.zeros(3))
         state = rbpf_init(models[0], net, 4, np.random.default_rng(1))
-        state, estimate = rbpf_step(state, np.zeros(3), kalman=schedule[0])
+        state, estimate = rbpf_step(state, np.zeros(3), models[0], schedule[0])
         arrays = (predict_covariance(models[0], cov), *step,
                   *schedule[0][:2], *schedule[1], belief.mean, belief.cov,
                   estimate, state.means)
@@ -449,58 +453,24 @@ class TestCovarianceStep:
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
+    def test_schedule_rejects_a_non_positive_prior(self):
+        models, net = _time_varying_models(steps=1)
+        with pytest.raises(ValueError, match="covariance must be positive"):
+            gain_schedule(models, net.H, -1.0)
+
 
 class TestGainSchedule:
-    def test_schedule_and_on_the_fly_steps_agree_over_the_desk_horizon(
-        self, desk,
-    ):
-        config, scenario, observations = desk
-        schedule = scenario.gain_schedule(config.init_cov)
-        assert len(schedule) == len(observations) == 48
-        states = [
-            rbpf_init(scenario.provider.model_at(0), scenario.network,
-                      config.size, np.random.default_rng(8),
-                      cov=config.init_cov)
-            for _ in range(2)
-        ]
-        for k, obs in enumerate(observations):
-            model = scenario.provider.model_at(k)
-            states[0], scheduled = rbpf_step(states[0], obs, model=model,
-                                             kalman=schedule[k])
-            states[1], on_the_fly = rbpf_step(states[1], obs, model=model)
-            np.testing.assert_allclose(scheduled, on_the_fly, rtol=1e-13,
-                                       atol=1e-13)
-            if k < 47:
-                assert states[0].cov is None
-        np.testing.assert_allclose(states[0].cov, states[1].cov, rtol=1e-13,
-                                   atol=1e-13)
-
-    def test_schedule_is_built_once_per_initial_covariance(self, desk):
-        config, scenario, _ = desk
-        first = scenario.gain_schedule(config.init_cov)
-        assert scenario.gain_schedule(float(config.init_cov)) is first
-        assert scenario.gain_schedule(2.0 * config.init_cov) is not first
-
     def test_posterior_stays_symmetric_and_semidefinite_over_2000_steps(self):
         config = experiment.ScenarioConfig(nx=10, ny=10, source=(500.0, 500.0),
                                            sensor_count=12, steps=2000)
         scenario = experiment.build_scenario(config)
-        cov = scenario.gain_schedule(config.init_cov)[-1].cov
+        cov = scenario.gain_schedule()[-1].cov
         np.testing.assert_array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9 * np.abs(cov).max()
 
-    def test_state_without_covariance_needs_a_scheduled_step(self, desk):
-        config, scenario, observations = desk
-        schedule = scenario.gain_schedule(config.init_cov)
-        state = rbpf_init(scenario.provider.model_at(0), scenario.network, 3,
-                          np.random.default_rng(0))
-        state, _ = rbpf_step(state, observations[0], kalman=schedule[0])
-        with pytest.raises(ValueError, match="no covariance"):
-            rbpf_step(state, observations[1])
-
     def test_run_rbpf_never_holds_a_dense_prior(self, desk):
         config, scenario, observations = desk
-        scenario.gain_schedule(config.init_cov)
+        scenario.gain_schedule()
         tracemalloc.start()
         try:
             experiment.run_rbpf(scenario, observations,
@@ -517,7 +487,7 @@ class TestGainSchedule:
             "config = experiment.ScenarioConfig()\n"
             "scenario = experiment.build_scenario(config)\n"
             "digest = hashlib.sha256()\n"
-            "for step in scenario.gain_schedule(config.init_cov):\n"
+            "for step in scenario.gain_schedule():\n"
             "    for array in step:\n"
             "        if array is not None:\n"
             "            digest.update(array.tobytes())\n"
@@ -635,7 +605,7 @@ class TestEnkf:
         outs = []
         for _ in range(2):
             state = enkf_init(model, net, 12, np.random.default_rng(21))
-            state, est = enkf_step(state, obs)
+            state, est = enkf_step(state, obs, model)
             outs.append(est)
         np.testing.assert_array_equal(outs[0], outs[1])
         assert outs[0].shape == (model.state_dim,)
@@ -647,16 +617,17 @@ class TestEnkf:
         state = enkf_init(model, net, 12, np.random.default_rng(21))
         assert _state_major(state.members)
         for _ in range(2):
-            state, _ = enkf_step(state, obs)
+            state, _ = enkf_step(state, obs, model)
             assert _state_major(state.members)
 
     def test_step_holds_at_most_three_ensembles(self, desk):
         config, scenario, observations = desk
-        state = enkf_init(scenario.provider.model_at(0), scenario.network,
-                          1000, np.random.default_rng(0), cov=config.init_cov)
+        model = scenario.provider.model_at(0)
+        state = enkf_init(model, scenario.network, 1000,
+                          np.random.default_rng(0), cov=config.init_cov)
         tracemalloc.start()
         try:
-            state, _ = enkf_step(state, observations[0])
+            state, _ = enkf_step(state, observations[0], model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -670,7 +641,7 @@ class TestEnkf:
         members = enkf_init(models[0], net, size, rng).members
         for k, model in enumerate(models):
             obs = net.quantise(np.full(net.count, 0.05 * k))
-            state, estimate = enkf_step(state, obs, model=model)
+            state, estimate = enkf_step(state, obs, model)
             a = model.augmented_transition().toarray()
             root = np.linalg.cholesky(np.diag(model.process_variances()))
             members = (members @ a.T
@@ -687,7 +658,7 @@ class TestEnkf:
         model, net, _ = _small_setup()
         state = enkf_init(model, net, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="observation"):
-            enkf_step(state, np.zeros(net.count + 2))
+            enkf_step(state, np.zeros(net.count + 2), model)
 
     def test_collapse_warning(self):
         mesh = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
@@ -697,4 +668,4 @@ class TestEnkf:
                                   detect_rate=1.0, scale=2.0, levels=16)
         state = enkf_init(model, net, 5, np.random.default_rng(1), cov=1e-300)
         with pytest.warns(RuntimeWarning, match="collapsed"):
-            enkf_step(state, np.array([0.0]))
+            enkf_step(state, np.array([0.0]), model)
