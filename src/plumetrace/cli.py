@@ -231,12 +231,13 @@ def cmd_compare(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario config file")
     common.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--force", action="store_true",
-                        help="run even if the time step is unstable")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[common])
+    scenario.add_argument("--config", help="scenario config file")
+    scenario.add_argument("--force", action="store_true",
+                          help="run even if the time step is unstable")
 
     parser = argparse.ArgumentParser(
         prog="plumetrace",
@@ -269,11 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="check this time step in the preview")
     p_mesh.set_defaults(func=cmd_mesh)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[scenario],
                            help="simulate ground truth and observations")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", parents=[common],
+    p_est = sub.add_parser("estimate", parents=[scenario],
                            help="run an estimator on simulated observations")
     p_est.add_argument("--obs", default=None,
                        help="observation CSV (default: <out>/observations.csv)")

@@ -5,16 +5,24 @@ scalar forms of the particle filter's latent proposal and predictive
 density and linear-domain forms of the quantised likelihoods, checked
 against closed forms; the tail-only form of the quantised log likelihood,
 checked against the sensing kernel; a dense linear model for the Kalman
-functions; and per-particle views of a filter state.
+functions; per-particle views of a filter state; the inverse of
+``AugmentedState.as_vector``; and a runner that compares a script's output
+at one and two BLAS threads.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import log_ndtr
 
+from plumetrace import filters
+from plumetrace.fem import AugmentedState
 from plumetrace.filters import (
     GaussianBelief,
     RbpfState,
@@ -225,3 +233,26 @@ def particles(state: RbpfState) -> list[Particle]:
         )
         for m in range(state.particle_count)
     ]
+
+
+def augmented_state_from_vector(vec) -> AugmentedState:
+    """Inverse of ``AugmentedState.as_vector``: the strength is last."""
+    vec = np.asarray(vec, dtype=float)
+    return AugmentedState(concentrations=vec[:-1].copy(),
+                          strength=float(vec[-1]))
+
+
+def _digests_at_one_and_two_blas_threads(script):
+    """The output of ``script`` run in a subprocess with one BLAS thread and
+    with two."""
+    src = str(Path(filters.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    return digests

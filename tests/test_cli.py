@@ -326,6 +326,23 @@ class TestPipeline:
         assert code == 2
         assert "different scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--config", "nonexistent.cfg"],
+                                       ["--force"]])
+    def test_compare_refuses_scenario_flags(self, flags, tmp_path, capsys):
+        docs = []
+        for estimator in ("rbpf", "enkf"):
+            doc = {"estimator": estimator, "size": 5, "aee": 1.0,
+                   "runtime_total": 0.1, "config_hash": "aaaa"}
+            path = tmp_path / f"summary_{estimator}.json"
+            path.write_text(json.dumps(doc))
+            docs.append(str(path))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", *flags, "--seed", "3", "--out", str(out), *docs])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_is_byte_deterministic(self, tiny_cfg, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:

@@ -13,6 +13,7 @@ from plumetrace.fem import (
     stability_report,
     step,
 )
+from plumetrace.flowfield import RigidRotationFlow, element_velocities
 from plumetrace.mesh import (
     MeshError,
     TriMesh,
@@ -20,7 +21,13 @@ from plumetrace.mesh import (
     element_geometry,
 )
 
-from oracles import element_force, element_mass, element_stiffness
+from oracles import (
+    _digests_at_one_and_two_blas_threads,
+    augmented_state_from_vector,
+    element_force,
+    element_mass,
+    element_stiffness,
+)
 from test_mesh import triangles
 
 
@@ -298,9 +305,15 @@ class TestStep:
 
     def test_vector_round_trip(self):
         s = AugmentedState(np.array([1.0, 2.0]), 3.0)
-        r = AugmentedState.from_vector(s.as_vector())
+        r = augmented_state_from_vector(s.as_vector())
         np.testing.assert_array_equal(r.concentrations, s.concentrations)
         assert r.strength == s.strength
+
+
+def _dense_lambda_max(system):
+    """Largest eigenvalue magnitude of ``M^-1 N`` from a dense eigensolve."""
+    dense = system.stiffness.toarray() / system.mass.diagonal()[:, None]
+    return np.abs(np.linalg.eigvals(dense)).max()
 
 
 class TestStability:
@@ -308,10 +321,39 @@ class TestStability:
         mesh = build_structured_mesh(0, 0, 1, 1, 5, 5)
         system = assemble(mesh, (0.03, 0.01), 1e-3)
         report = stability_report(mesh, (0.03, 0.01), 1e-3, system=system)
-        dense = system.stiffness.toarray() / system.mass.diagonal()[:, None]
-        exact = np.abs(np.linalg.eigvals(dense)).max()
-        assert report.lambda_max == pytest.approx(exact, rel=1e-6)
-        assert report.critical_dt == pytest.approx(2.0 / exact, rel=1e-6)
+        exact = _dense_lambda_max(system)
+        assert report.lambda_max == pytest.approx(exact, rel=1e-10)
+        assert report.critical_dt == pytest.approx(2.0 / exact, rel=1e-10)
+
+    def test_refuses_a_step_just_above_the_dense_critical_step(self):
+        mesh = build_structured_mesh(0, 0, 1000, 1000, 30, 30)
+        system = assemble(mesh, (0.02, 0.0), 25.0)
+        report = stability_report(mesh, (0.02, 0.0), 25.0, system=system)
+        exact = _dense_lambda_max(system)
+        assert not report.approves(1.000005 * 2.0 / exact)
+
+    def test_rotation_lambda_max_matches_dense_eigenvalues(self):
+        # the dominant eigenvalues are a complex-conjugate pair
+        mesh = build_structured_mesh(0, 0, 1000, 1000, 20, 20)
+        velocities = element_velocities(
+            RigidRotationFlow(center=(500.0, 500.0), omega=0.01), mesh, 0.0)
+        system = assemble(mesh, velocities, 1.0)
+        report = stability_report(mesh, velocities, 1.0, system=system)
+        exact = _dense_lambda_max(system)
+        assert report.lambda_max == pytest.approx(exact, rel=1e-10)
+
+    def test_lambda_max_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "from plumetrace import experiment, fem\n"
+            "from plumetrace.mesh import build_structured_mesh\n"
+            "desk = experiment.build_scenario(experiment.ScenarioConfig())\n"
+            "print(desk.report.lambda_max.hex())\n"
+            "mesh = build_structured_mesh(0, 0, 1000, 1000, 50, 50)\n"
+            "report = fem.stability_report(mesh, (0.02, 0.01), 25.0)\n"
+            "print(report.lambda_max.hex())\n"
+        )
+        digests = _digests_at_one_and_two_blas_threads(script)
+        assert digests[0] == digests[1]
 
     def test_classical_bounds(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +31,7 @@ from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
 
 from oracles import (
     LinearModel,
+    _digests_at_one_and_two_blas_threads,
     latent_transition_density,
     observation_likelihood,
     particles,
@@ -84,22 +81,6 @@ def _state_major(population):
     """Whether a (population, state) array views C-ordered (state, population)
     storage."""
     return population.T.flags.c_contiguous
-
-
-def _digests_at_one_and_two_blas_threads(script):
-    """The output of ``script`` run in a subprocess with one BLAS thread and
-    with two."""
-    src = str(Path(filters.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.append(run.stdout)
-    return digests
 
 
 class TestKalman:
