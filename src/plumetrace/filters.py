@@ -17,11 +17,15 @@ drawn latent, and the uniform proposal density, accumulated in log space.
 An ensemble Kalman filter with perturbed observations serves as a baseline;
 quantisation enters it only as extra additive observation noise.
 
-Both filters keep their population state-major: one C-ordered
-``(state, population)`` array for its whole life, so the sparse transition
-and the sparse ``H`` act on it without a transposed copy.  The public
-arrays ``RbpfState.means``, ``RbpfState.last_means`` and
-``EnsembleState.members`` are ``(population, state)`` transpose views of it.
+Both filters keep their population state-major, as C-ordered
+``(state, population)`` arrays, so the sparse transition and the sparse
+``H`` act on them without a transposed copy.  Every RBPF step resamples,
+and most resampled particles are copies: the RBPF keeps only its distinct
+conditional means (``RbpfState.survivors``) and, per particle, the column
+it reads (``RbpfState.lineage``), so each distinct mean is propagated and
+updated once.  ``RbpfState.means`` spells the population out as a
+``(particles, state)`` array; ``EnsembleState.members`` is a
+``(size, state)`` transpose view of the ensemble array.
 """
 
 from __future__ import annotations
@@ -307,28 +311,34 @@ def multinomial_resample(weights, rng, size: Optional[int] = None) -> np.ndarray
 class RbpfState:
     """Particle population of the filter.
 
-    ``means`` and ``weights`` are the population carried into the next step;
-    every step resamples, so after a step the weights are uniform.  The
+    Every step resamples, so many particles share an ancestor and with it
+    their conditional mean.  The population is kept as its distinct means,
+    ``survivors``, a C-ordered ``(state, distinct)`` array, and ``lineage``,
+    which maps each particle to its column; ``means`` is the
+    ``(particles, state)`` array they spell out.  ``weights`` are the
+    weights carried into the next step, uniform after a step.  The
     covariance is shared by all particles and lives in the
-    :func:`gain_schedule`, not here.  The ``last_*`` fields snapshot the
-    step just computed, before resampling: they are what the reported
-    estimate ``sum(last_weights * last_means)`` is built from.  ``means``
-    and ``last_means`` are ``(particles, state)`` transpose views of
-    C-ordered ``(state, particles)`` arrays.
+    :func:`gain_schedule`, not here.  ``last_weights`` and ``last_latent``
+    snapshot the step just computed, before resampling.
     """
 
     network: SensorNetwork
-    means: np.ndarray
+    survivors: np.ndarray
+    lineage: np.ndarray
     weights: np.ndarray
     rng: np.random.Generator
     step_index: int = 0
     last_weights: Optional[np.ndarray] = None
-    last_means: Optional[np.ndarray] = None
     last_latent: Optional[np.ndarray] = None
 
     @property
+    def means(self) -> np.ndarray:
+        """The ``(particles, state)`` conditional means, a fresh array."""
+        return self.survivors[:, self.lineage].T
+
+    @property
     def particle_count(self) -> int:
-        return self.means.shape[0]
+        return self.lineage.size
 
 
 def _initial_moments(dim: int, mean, cov):
@@ -373,7 +383,8 @@ def rbpf_init(
     mean, _ = _initial_moments(model.state_dim, mean, None)
     return RbpfState(
         network=network,
-        means=np.repeat(mean[:, None], particle_count, axis=1).T,
+        survivors=mean[:, None].copy(),
+        lineage=np.zeros(particle_count, dtype=np.intp),
         weights=np.full(particle_count, 1.0 / particle_count),
         rng=rng,
     )
@@ -390,11 +401,13 @@ def rbpf_step(
 
     ``model`` is the step's dynamics and ``kalman`` the step's covariance
     recursion, taken from a :func:`gain_schedule` over the same models.
-    Per particle the conditional mean is predicted, a latent is drawn
-    uniformly over each sensor's received cell, the weight takes, per
-    sensor, the mixture likelihood times the latent's predictive density
-    over the proposal density, and the mean is updated with the shared
-    gain.  Every step resamples, multinomially.
+    Each distinct conditional mean is predicted once.  Per particle a
+    latent is drawn uniformly over each sensor's received cell, and the
+    weight takes, per sensor, the mixture likelihood times the latent's
+    predictive density over the proposal density.  Every step resamples,
+    multinomially, and only the resampled ancestors' means are updated
+    with the shared gain.  The estimate is the weighted mean of the updated
+    means before resampling.
     """
     net = state.network
     y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
@@ -404,9 +417,11 @@ def rbpf_step(
         )
     h = net.H_csr
 
-    # x holds the particle means as columns; means.T is x's C-ordered storage
-    x = model.augmented_transition() @ state.means.T
-    z_pred = (h @ x).T
+    # each distinct mean is propagated once; particle m reads column
+    # lineage[m] of A x and of H A x
+    lineage = state.lineage
+    ax = model.augmented_transition() @ state.survivors
+    z_pred = (h @ ax)[:, lineage].T
     half = net.cell_half_width
     draws = state.rng.random((state.particle_count, net.count))
     z = (y_hat - half) + 2.0 * half * draws
@@ -419,17 +434,32 @@ def rbpf_step(
         log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
     weights = normalise_weights(log_w)
 
-    x += kalman.gain_t.T @ (z - z_pred).T
-    estimate = x @ weights
+    innovations = z - z_pred
+    gain = kalman.gain_t.T
+    estimate = (ax @ np.bincount(lineage, weights, minlength=ax.shape[1])
+                + gain @ (innovations.T @ weights))
 
     ancestors = multinomial_resample(weights, state.rng)
+    # the distinct ancestors in order and each particle's column among them,
+    # as np.unique gives them but with no sort
+    survived = np.bincount(ancestors, minlength=weights.size) > 0
+    keep = np.flatnonzero(survived)
+    new_lineage = (np.cumsum(survived) - 1)[ancestors]
+    # padded to a multiple of 8 columns, every column of the gain product
+    # goes through the same gemm kernel, so a survivor's bits depend neither
+    # on how many survive nor on the BLAS thread count.  The padding never
+    # exceeds the particle count, so each column comes out as it would in
+    # the product over the whole population (a gemv for one particle).
+    padded = np.resize(keep, min(-(-keep.size // 8) * 8, weights.size))
+    survivors = np.take(ax, lineage[keep], axis=1)
+    survivors += (gain @ innovations[padded].T)[:, :keep.size]
     new_state = replace(
         state,
-        means=np.take(x, ancestors, axis=1).T,
+        survivors=survivors,
+        lineage=new_lineage,
         weights=np.full_like(weights, 1.0 / weights.size),
         step_index=state.step_index + 1,
         last_weights=weights,
-        last_means=x.T,
         last_latent=z,
     )
     return new_state, estimate

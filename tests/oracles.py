@@ -5,17 +5,18 @@ scalar forms of the particle filter's latent proposal and predictive
 density and linear-domain forms of the quantised likelihoods, checked
 against closed forms; the tail-only form of the quantised log likelihood,
 checked against the sensing kernel; a dense linear model for the Kalman
-functions; per-particle views of a filter state; the inverse of
-``AugmentedState.as_vector``; and a runner that compares a script's output
-at one and two BLAS threads.
+functions; the particle filter step over every particle copy, checked
+against the step over distinct means; per-particle views of a filter
+state; the inverse of ``AugmentedState.as_vector``; and a runner that
+compares a script's output at one and two BLAS threads.
 """
 
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +29,8 @@ from plumetrace.filters import (
     RbpfState,
     default_jitter,
     latent_transition_logpdf,
+    multinomial_resample,
+    normalise_weights,
 )
 from plumetrace.mesh import ElementGeometry
 from plumetrace.sensing import (
@@ -206,9 +209,8 @@ class LinearModel:
 
 @dataclass
 class Particle:
-    """Snapshot of one particle after a filter step."""
+    """One particle of a filter population."""
 
-    latent: np.ndarray
     mean: np.ndarray
     weight: float
 
@@ -218,21 +220,66 @@ class Particle:
 
 
 def particles(state: RbpfState) -> list[Particle]:
-    """Particle views of a filter state's latest step."""
-    if state.last_weights is None:
-        return [
-            Particle(latent=np.empty(0), mean=state.means[m],
-                     weight=float(state.weights[m]))
-            for m in range(state.particle_count)
-        ]
-    return [
-        Particle(
-            latent=state.last_latent[m],
-            mean=state.last_means[m],
-            weight=float(state.last_weights[m]),
-        )
-        for m in range(state.particle_count)
-    ]
+    """The population a filter state carries into its next step."""
+    means = state.means
+    return [Particle(mean=means[m], weight=float(state.weights[m]))
+            for m in range(state.particle_count)]
+
+
+class ReferenceRbpfStep(NamedTuple):
+    """What :func:`reference_rbpf_step` returns."""
+
+    state: RbpfState
+    estimate: np.ndarray
+    means: np.ndarray
+    ancestors: np.ndarray
+
+
+def reference_rbpf_step(state: RbpfState, observation, model, kalman):
+    """One particle filter step over every particle, copies included.
+
+    Each particle's conditional mean is predicted, a latent is drawn
+    uniformly over each sensor's received cell, the weight takes, per
+    sensor, the mixture likelihood times the latent's predictive density
+    over the proposal density, every mean is updated with the shared gain,
+    and the population is resampled multinomially.  Returns the new state,
+    in which every resampled copy is its own survivor, the weighted
+    estimate, the ``(particles, state)`` means before resampling and the
+    resampled ancestors.
+    """
+    net = state.network
+    y_hat = np.asarray(getattr(observation, "values", observation),
+                       dtype=float)
+    h = net.H_csr
+
+    x = model.augmented_transition() @ state.means.T
+    z_pred = (h @ x).T
+    half = net.cell_half_width
+    draws = state.rng.random((state.particle_count, net.count))
+    z = (y_hat - half) + 2.0 * half * draws
+
+    log_trans = latent_transition_logpdf(z, z_pred, kalman.innovation_var)
+    log_obs = net.log_likelihood(y_hat, z)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(state.weights)
+    log_w = log_prior + (
+        log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
+    weights = normalise_weights(log_w)
+
+    x += kalman.gain_t.T @ (z - z_pred).T
+    estimate = x @ weights
+
+    ancestors = multinomial_resample(weights, state.rng)
+    new_state = replace(
+        state,
+        survivors=np.take(x, ancestors, axis=1),
+        lineage=np.arange(weights.size),
+        weights=np.full_like(weights, 1.0 / weights.size),
+        step_index=state.step_index + 1,
+        last_weights=weights,
+        last_latent=z,
+    )
+    return ReferenceRbpfStep(new_state, estimate, x.T, ancestors)
 
 
 def augmented_state_from_vector(vec) -> AugmentedState:

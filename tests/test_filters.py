@@ -36,6 +36,7 @@ from oracles import (
     observation_likelihood,
     particles,
     propose_latent,
+    reference_rbpf_step,
 )
 
 
@@ -195,6 +196,26 @@ class TestWeights:
         np.testing.assert_array_equal(a, b)
 
 
+def _assert_steps_match_the_reference(models, schedule, net, observations,
+                                      particle_count):
+    """Run the filter and the reference step side by side from one seed:
+    the weights, the ancestry and the means agree bit for bit, and the
+    filter keeps one survivor per distinct ancestor."""
+    state = rbpf_init(models[0], net, particle_count, np.random.default_rng(8))
+    reference = replace(state, rng=np.random.default_rng(8))
+    for model, kalman, obs in zip(models, schedule, observations):
+        state, estimate = rbpf_step(state, obs, model, kalman)
+        expected = reference_rbpf_step(reference, obs, model, kalman)
+        reference = expected.state
+        np.testing.assert_array_equal(state.last_weights,
+                                      reference.last_weights)
+        keep, lineage = np.unique(expected.ancestors, return_inverse=True)
+        np.testing.assert_array_equal(state.lineage, lineage)
+        assert state.survivors.shape == (model.state_dim, keep.size)
+        np.testing.assert_array_equal(state.means, reference.means)
+        assert _relative_gap(estimate, expected.estimate) < 1e-12
+
+
 class TestRbpf:
     def test_init_population(self):
         model, net, state = _small_setup(particles=7)
@@ -240,22 +261,29 @@ class TestRbpf:
         for seed in (1, 99):
             st_ = rbpf_init(model, net, 6, np.random.default_rng(seed))
             predicted = st_.means @ a.T
+            reference = reference_rbpf_step(
+                replace(st_, rng=np.random.default_rng(seed)), obs, model,
+                kalman)
             st_, _ = rbpf_step(st_, obs, model, kalman)
             # whatever latents were drawn, every particle takes the one gain
             innovations = st_.last_latent - predicted @ h.T
+            updated = predicted + innovations @ kalman.gain_t
+            np.testing.assert_allclose(reference.means, updated, atol=1e-12)
             np.testing.assert_allclose(
-                st_.last_means, predicted + innovations @ kalman.gain_t,
-                atol=1e-12)
+                st_.means, updated[reference.ancestors], atol=1e-12)
 
     def test_weights_follow_the_scalar_oracles(self):
         model, net, state = _small_setup(particles=5)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         rng = np.random.default_rng(17)
-        # distinct particle means and unequal prior weights
-        means = rng.normal(0.0, 0.05, (5, model.state_dim))
+        # three distinct means shared by five particles, and unequal prior
+        # weights
+        survivors = rng.normal(0.0, 0.05, (model.state_dim, 3))
+        lineage = np.array([0, 2, 1, 2, 0])
+        means = survivors.T[lineage]
         prior = rng.uniform(0.5, 1.5, 5)
         prior /= prior.sum()
-        state = replace(state, means=np.ascontiguousarray(means.T).T,
+        state = replace(state, survivors=survivors, lineage=lineage,
                         weights=prior)
         state, _ = rbpf_step(state, obs, model, _first_step(model, net))
 
@@ -280,10 +308,13 @@ class TestRbpf:
     def test_estimate_is_weighted_mean_before_resampling(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
+        kalman = _first_step(model, net)
         st_ = rbpf_init(model, net, 6, np.random.default_rng(5))
-        st_, estimate = rbpf_step(st_, obs, model, _first_step(model, net))
+        reference = reference_rbpf_step(
+            replace(st_, rng=np.random.default_rng(5)), obs, model, kalman)
+        st_, estimate = rbpf_step(st_, obs, model, kalman)
         np.testing.assert_allclose(
-            estimate, st_.last_weights @ st_.last_means, atol=1e-14
+            estimate, st_.last_weights @ reference.means, atol=1e-14
         )
         # population was resampled to uniform weights afterwards
         np.testing.assert_allclose(st_.weights, 1 / 6)
@@ -291,11 +322,10 @@ class TestRbpf:
     def test_population_stays_state_major(self):
         model, net, state = _small_setup(particles=6)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        assert _state_major(state.means)
+        assert state.survivors.flags.c_contiguous
         for kalman in gain_schedule([model, model], net.H, 10.0):
             state, _ = rbpf_step(state, obs, model, kalman)
-            assert _state_major(state.means)
-            assert _state_major(state.last_means)
+            assert state.survivors.flags.c_contiguous
 
     def test_accepts_observation_object_and_array(self):
         model, net, _ = _small_setup()
@@ -314,6 +344,26 @@ class TestRbpf:
             rbpf_step(state, np.zeros(net.count + 1), model,
                       _first_step(model, net))
 
+    # one particle takes the matrix-vector gain product, 1000 the full-width
+    # gemm, and 30 leave a partial block of columns
+    @pytest.mark.parametrize("particle_count", [1, 30, 1000])
+    def test_steps_match_the_reference_on_a_desk_trial(self, desk,
+                                                       particle_count):
+        _, scenario, observations = desk
+        models = [scenario.provider.model_at(k)
+                  for k in range(len(observations))]
+        _assert_steps_match_the_reference(
+            models, scenario.gain_schedule(), scenario.network, observations,
+            particle_count)
+
+    def test_steps_match_the_reference_on_a_gridded_flow(self):
+        models, net = _time_varying_models()
+        rng = np.random.default_rng(4)
+        observations = [net.quantise(rng.normal(0.0, 0.1, net.count))
+                        for _ in models]
+        _assert_steps_match_the_reference(
+            models, gain_schedule(models, net.H, 3.0), net, observations, 50)
+
     def test_particles_snapshot(self):
         model, net, state = _small_setup(particles=4)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
@@ -322,9 +372,9 @@ class TestRbpf:
         assert len(parts) == 4
         total = sum(p.weight for p in parts)
         assert total == pytest.approx(1.0)
-        np.testing.assert_array_equal(parts[0].mean, state.last_means[0])
-        assert parts[0].strength == state.last_means[0, -1]
-        assert parts[0].latent.shape == (net.count,)
+        np.testing.assert_array_equal(parts[0].mean, state.means[0])
+        assert parts[0].strength == state.means[0, -1]
+        assert state.last_latent.shape == (4, net.count)
 
 
 # A mesh whose state fits in one covariance band, and one whose state spans
