@@ -593,10 +593,6 @@ def compute_aee(results: Sequence[TrialResult]) -> float:
     return float(np.mean([r.aee_contribution for r in results]))
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_results_csv(results: Sequence[TrialResult], path,
                       config: ScenarioConfig) -> None:
     """Per-step results: one row per (trial, step) with the error norm and
@@ -605,10 +601,11 @@ def write_results_csv(results: Sequence[TrialResult], path,
         fh.write(f"# config {config.scenario_hash()}\n")
         fh.write("trial,step,error,strength\n")
         for r in results:
-            for k in range(r.steps):
-                fh.write(
-                    f"{r.trial},{k + 1},{_fmt(r.errors[k])},{_fmt(r.strengths[k])}\n"
-                )
+            fh.writelines([
+                "%d,%d,%.17g,%.17g\n" % (r.trial, k, error, strength)
+                for k, (error, strength) in enumerate(
+                    zip(r.errors.tolist(), r.strengths.tolist()), 1)
+            ])
 
 
 def write_summary_json(results: Sequence[TrialResult], path,
@@ -651,33 +648,62 @@ def write_summary_json(results: Sequence[TrialResult], path,
 def write_truth_csv(trajectories: dict[int, np.ndarray], path,
                     config: ScenarioConfig) -> None:
     """True trajectories: one row per (trial, step) with nodal values at the
-    configured stride and the strength last."""
-    stride = config.node_stride
+    configured stride and the strength last.
+
+    Every trajectory must be a ``(steps, C + 1)`` array with the same
+    ``C``; otherwise a ``ValueError`` names the trial at fault.
+    """
+    if not trajectories:
+        raise ValueError("no trajectories to write")
+    arrays = {trial: np.asarray(states, dtype=float)
+              for trial, states in sorted(trajectories.items())}
+    first = next(iter(arrays))
+    for trial, states in arrays.items():
+        if states.ndim != 2 or states.shape[1] < 2:
+            raise ValueError(f"trajectory of trial {trial} must be a (steps, "
+                             f"nodes + 1) array, got shape {states.shape}")
+        if states.shape[1] != arrays[first].shape[1]:
+            raise ValueError(
+                f"trajectory of trial {trial} has {states.shape[1]} columns, "
+                f"but trial {first} has {arrays[first].shape[1]}")
+    nodes = range(0, arrays[first].shape[1] - 1, config.node_stride)
+    # one format per row; "%.17g" writes the same 17 significant digits as
+    # format(x, ".17g"), so every value reads back bit for bit
+    row = "%d,%d," + ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config {config.scenario_hash()}\n")
-        first = next(iter(trajectories.values()))
-        n = first.shape[1] - 1
-        cols = ",".join(f"c_{i}" for i in range(0, n, stride))
+        cols = ",".join(f"c_{i}" for i in nodes)
         fh.write(f"trial,step,{cols},strength\n")
-        for trial in sorted(trajectories):
-            states = trajectories[trial]
-            for k in range(states.shape[0]):
-                nodal = ",".join(_fmt(v) for v in states[k, :-1:stride])
-                fh.write(f"{trial},{k},{nodal},{_fmt(states[k, -1])}\n")
+        for trial, states in arrays.items():
+            picked = np.column_stack(
+                [states[:, :-1:config.node_stride], states[:, -1]])
+            for k, values in enumerate(picked):
+                fh.write(row % (trial, k, *values.tolist()))
 
 
 def write_observations_csv(
     logs: dict[int, Sequence[sensing.QuantisedObservation]], path,
     config: ScenarioConfig,
 ) -> None:
-    """Observation log: one row per (trial, step, sensor) quantised value."""
+    """Observation log: one row per (trial, step, sensor) quantised value.
+
+    An empty ``logs``, or a trial whose log has no steps, raises
+    ``ValueError``: :func:`load_observations_csv` could not read the file
+    back.
+    """
+    if not logs:
+        raise ValueError("no observation logs to write")
+    for trial, log in logs.items():
+        if len(log) == 0:
+            raise ValueError(f"observation log of trial {trial} has no steps")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config {config.scenario_hash()}\n")
         fh.write("trial,step,sensor,value\n")
         for trial in sorted(logs):
-            for k, obs in enumerate(logs[trial]):
-                for j, v in enumerate(obs.values):
-                    fh.write(f"{trial},{k + 1},{j},{_fmt(v)}\n")
+            for k, obs in enumerate(logs[trial], 1):
+                fh.writelines([
+                    "%d,%d,%d,%.17g\n" % (trial, k, j, v) for j, v in
+                    enumerate(np.asarray(obs.values, dtype=float).tolist())])
 
 
 def load_observations_csv(path) -> tuple[str, dict[int, np.ndarray]]:

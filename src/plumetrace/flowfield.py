@@ -127,10 +127,6 @@ class GriddedFlow:
     def t_first(self) -> float:
         return float(self.ts[0])
 
-    @property
-    def t_last(self) -> float:
-        return float(self.ts[-1])
-
     def _axis_weights(self, coords: np.ndarray, q: np.ndarray, name: str):
         lo, hi = coords[0], coords[-1]
         if (q < lo).any() or (q > hi).any():

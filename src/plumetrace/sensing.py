@@ -66,11 +66,6 @@ class Quantiser:
     def cell_half_width(self) -> float:
         return self.scale / self.num_levels
 
-    def level_values(self) -> np.ndarray:
-        """All reproduction values in ascending order, shape ``(num_levels,)``."""
-        h = np.arange(self.num_levels)
-        return -self.scale + (2.0 * h + 1.0) * self.scale / self.num_levels
-
     def quantise(self, y):
         """Map measurements to their level values (scalar or array)."""
         return _quantise(np.asarray(y, dtype=float), self.scale, self.num_levels)

@@ -7,8 +7,9 @@ against closed forms; the tail-only form of the quantised log likelihood,
 checked against the sensing kernel; a dense linear model for the Kalman
 functions; the particle filter step over every particle copy, checked
 against the step over distinct means; per-particle views of a filter
-state; the inverse of ``AugmentedState.as_vector``; and a runner that
-compares a script's output at one and two BLAS threads.
+state; the inverse of ``AugmentedState.as_vector``; a quantiser's level
+values and a gridded flow's last sample time; and a runner that compares a
+script's output at one and two BLAS threads.
 """
 
 import os
@@ -137,6 +138,18 @@ def propose_latent(q: Quantiser, y_hat, rng, size=None):
 def velocity_at(flow, point, t: float) -> tuple[float, float]:
     """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair."""
     return flow.velocity(point, t)
+
+
+def t_last(flow) -> float:
+    """The last sample time of a gridded flow."""
+    return float(flow.ts[-1])
+
+
+def level_values(q: Quantiser) -> np.ndarray:
+    """All reproduction values of ``q`` in ascending order, shape
+    ``(num_levels,)``."""
+    h = np.arange(q.num_levels)
+    return -q.scale + (2.0 * h + 1.0) * q.scale / q.num_levels
 
 
 def cell_probability(q: Quantiser, level, mean, var):

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from plumetrace import experiment, fem, filters, flowfield, sensing
 from plumetrace.experiment import (
@@ -13,6 +16,7 @@ from plumetrace.experiment import (
     STREAM_TRUTH,
     ModelProvider,
     ScenarioConfig,
+    TrialResult,
     _trial_rng,
     build_scenario,
     compute_aee,
@@ -449,6 +453,55 @@ class TestOutputs:
         assert all(len(l.split(",")) == kept + 3 for l in lines[1:])
         assert len(lines) == 2 + config.trials * (config.steps + 1)
 
+    # sha256 of each file the tiny run writes: a change to a writer must
+    # reproduce every byte
+    WRITTEN_DIGESTS = {
+        "truth.csv": "0993829092675e79e263a03320bfd7ec"
+                     "f49a56fdb6e304f09317269fd2d3444a",
+        "truth_stride7.csv": "bf39b32086a190db0785b0b39a4bc817"
+                             "9b8df073ff562a78dd1a803a2abf6474",
+        "observations.csv": "b5b3ebdbfb1370517776a5e97b1e8dc9"
+                            "6211697ad15e6ac434e0167282fd7c7b",
+        "estimates_rbpf.csv": "e5613c97d766d817151ab099fe2ce86e"
+                              "2aeba8b3416b0aa0546da7fcbff9dcaf",
+    }
+
+    def test_written_bytes_are_pinned(self, run, tmp_path):
+        config, results = run
+        scen = build_scenario(config)
+        trajectories, logs = {}, {}
+        for trial in range(config.trials):
+            trajectories[trial], logs[trial] = simulate_trial(scen, trial)
+        write_truth_csv(trajectories, tmp_path / "truth.csv", config)
+        write_truth_csv(trajectories, tmp_path / "truth_stride7.csv",
+                        dataclasses.replace(config, node_stride=7))
+        write_observations_csv(logs, tmp_path / "observations.csv", config)
+        write_results_csv(results, tmp_path / "estimates_rbpf.csv", config)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.WRITTEN_DIGESTS}
+        assert digests == self.WRITTEN_DIGESTS
+
+    def test_truth_csv_rejects_bad_trajectories(self, tmp_path):
+        config = tiny_config()
+        path = tmp_path / "truth.csv"
+        with pytest.raises(ValueError, match="no trajectories"):
+            write_truth_csv({}, path, config)
+        with pytest.raises(ValueError, match="trial 1 .* 8 columns.* 5"):
+            write_truth_csv({0: np.zeros((3, 5)), 1: np.zeros((3, 8))},
+                            path, config)
+        with pytest.raises(ValueError,
+                           match=r"trial 0 must be a \(steps, nodes \+ 1\)"):
+            write_truth_csv({0: np.zeros(5)}, path, config)
+
+    def test_observations_csv_rejects_an_empty_log(self, tmp_path):
+        config = tiny_config()
+        path = tmp_path / "observations.csv"
+        with pytest.raises(ValueError, match="no observation logs"):
+            write_observations_csv({}, path, config)
+        with pytest.raises(ValueError, match="trial 1 .* no steps"):
+            write_observations_csv({0: [sensing.QuantisedObservation(
+                np.zeros(2), np.ones(2, dtype=bool))], 1: []}, path, config)
+
     def test_observations_round_trip(self, tmp_path):
         config = tiny_config(trials=2)
         scen = build_scenario(config)
@@ -512,6 +565,45 @@ class TestOutputs:
         path.write_text("# config abc\ntrial,step,sensor,value\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_observations_csv(path)
+
+
+# every float, with the edge cases named so a derandomised run always
+# tries them
+csv_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 2.2250738585072009e-308, 0.1,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+@given(values=st.lists(csv_floats, min_size=2, max_size=6))
+def test_csv_fields_are_17_significant_digits(values, tmp_path_factory):
+    """Each writer's float fields are ``format(x, ".17g")``, which reads back
+    bit for bit for every finite ``x``."""
+    config = tiny_config()
+    out = tmp_path_factory.mktemp("fields")
+    array = np.array(values)
+    write_truth_csv({0: array[None, :]}, out / "truth.csv", config)
+    write_observations_csv({0: [sensing.QuantisedObservation(array)]},
+                           out / "observations.csv", config)
+    estimates = np.column_stack([np.zeros_like(array), array])
+    write_results_csv([TrialResult(0, estimates, estimates, array, 0.0, 0.0)],
+                      out / "results.csv", config)
+    truth_row = (out / "truth.csv").read_text().splitlines()[2]
+    observation_rows = (out / "observations.csv").read_text().splitlines()[2:]
+    result_rows = (out / "results.csv").read_text().splitlines()[2:]
+    written = {
+        "truth": truth_row.split(",")[2:],
+        "observations": [row.split(",")[3] for row in observation_rows],
+        "errors": [row.split(",")[2] for row in result_rows],
+        "strengths": [row.split(",")[3] for row in result_rows],
+    }
+    for name, fields in written.items():
+        assert fields == [format(x, ".17g") for x in values], name
+        for x, text in zip(values, fields):
+            if math.isfinite(x):
+                assert float(text).hex() == x.hex(), (name, text)
 
 
 class TestEndToEnd:

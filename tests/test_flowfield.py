@@ -13,7 +13,7 @@ from plumetrace.flowfield import (
 )
 from plumetrace.mesh import build_structured_mesh
 
-from oracles import velocity_at
+from oracles import t_last, velocity_at
 
 pos = st.floats(-100.0, 100.0)
 
@@ -125,7 +125,7 @@ class TestGriddedFlow:
             flow.velocity((0.5, -0.1), 5.0)
         with pytest.raises(ValueError, match="time query"):
             flow.velocity((0.5, 0.5), 4.0)
-        assert flow.t_first == 5.0 and flow.t_last == 5.0
+        assert flow.t_first == 5.0 and t_last(flow) == 5.0
 
     def test_missing_cells_contribute_zero(self):
         xs = ys = np.array([0.0, 1.0])
