@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtrtri
 
 from plumetrace.fem import DispersionModel
 from plumetrace.sensing import QuantisedObservation, SensorNetwork
@@ -519,14 +520,28 @@ def enkf_update(
     The gain uses the sample covariance of ``members``; each member is
     pulled toward its own perturbed copy of the observation.  Passing zero
     perturbations gives the deterministic shift shared by identical
-    members.  ``h`` is a dense array or a sparse matrix.  Warns when the
-    ensemble spread has collapsed.
+    members.  ``h`` is a dense array or a sparse matrix; ``noise_var`` is
+    a scalar or one variance per sensor, added to the diagonal of the
+    innovation covariance ``S``.  Warns when the ensemble spread has
+    collapsed.
+
+    With the Cholesky factor ``S = L L^T`` the gain ``P H^T S^-1`` is
+    ``(P H^T L^-T) L^-1``, ``L^-1`` being LAPACK ``dtrtri``'s triangular
+    inverse: two small products in place of solving ``S`` against every
+    state row of ``P H^T``.
 
     The work is done state-major, on ``x = members.T``: the anomalies are
     formed once, for the spread and for ``P H^T``, and ``H x`` once, for the
     observed anomalies and the innovations.  ``_out`` is a spent C-ordered
     ``(state, size)`` buffer that takes the anomalies and then the updated
     ensemble; the result is its ``(size, state)`` transpose view.
+
+    Raises
+    ------
+    FilterError
+        If ``S`` is not positive definite: a collapsed spread with zero
+        noise leaves it singular, a negative noise variance can make it
+        indefinite.
     """
     x = np.asarray(members, dtype=float).T
     count = x.shape[1]
@@ -539,12 +554,16 @@ def enkf_update(
         )
     hx = h @ x
     ye = hx - hx.mean(axis=1)[:, None]
-    s = ye @ ye.T / denom + np.diag(np.asarray(noise_var, dtype=float))
+    s = ye @ ye.T / denom
+    s[np.diag_indices_from(s)] += noise_var
     pht = anomalies @ ye.T / denom
     try:
-        gain = np.linalg.solve(s, pht.T).T
+        root = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        raise FilterError("ensemble innovation covariance is singular") from exc
+        raise FilterError("ensemble innovation covariance is singular or "
+                          "indefinite") from exc
+    inv_root, _ = dtrtri(root, lower=1)
+    gain = (pht @ inv_root.T) @ inv_root
     innovations = (y_hat + perturbations).T - hx
     # the anomalies are spent: their buffer takes the update, then x
     update = np.matmul(gain, innovations, out=anomalies)

@@ -617,6 +617,47 @@ class TestEnkf:
             enkf_update(members, h, np.array([0.0]), np.array([1.0]),
                         np.zeros((10, 1)))
 
+    def test_update_takes_a_scalar_noise_variance(self):
+        rng = np.random.default_rng(16)
+        members = rng.normal(0.0, 1.0, (20, 4))
+        h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        y, pert = np.array([0.5, -0.25]), rng.normal(0.0, 0.1, (20, 2))
+        np.testing.assert_array_equal(
+            enkf_update(members, h, 0.2, y, pert),
+            enkf_update(members, h, np.full(2, 0.2), y, pert))
+
+    def test_update_indefinite_covariance_raises(self):
+        rng = np.random.default_rng(17)
+        members = rng.normal(0.0, 1.0, (50, 4))
+        h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        with pytest.raises(FilterError, match="indefinite"):
+            enkf_update(members, h, np.array([0.2, -5.0]),
+                        np.array([0.5, -0.25]), np.zeros((50, 2)))
+
+    @pytest.mark.parametrize("size", [30, 1000])
+    def test_update_matches_the_solve_reference_at_desk_size(self, desk,
+                                                              size):
+        config, scenario, observations = desk
+        net, model = scenario.network, scenario.provider.model_at(0)
+        state = enkf_init(model, net, size, np.random.default_rng(6),
+                          cov=config.init_cov)
+        state, _ = enkf_step(state, observations[0], model)
+        members = state.members
+        r_eff = net.noise_var + net.cell_half_width ** 2 / 3.0
+        y = observations[1].values
+        pert = np.random.default_rng(7).standard_normal(
+            (size, net.count)) * np.sqrt(r_eff)
+        out = enkf_update(members, net.H_csr, r_eff, y, pert)
+        # reference gain: an LU solve of S against every row of P H^T
+        anomalies = members - members.mean(axis=0)
+        ye = anomalies @ net.H.T
+        s = ye.T @ ye / (size - 1) + np.diag(r_eff)
+        gain = np.linalg.solve(s, (anomalies.T @ ye / (size - 1)).T).T
+        shift = (y + pert - members @ net.H.T) @ gain.T
+        assert members.shape[1] == 442 and net.count == 40
+        np.testing.assert_allclose(out - members, shift, rtol=0.0,
+                                   atol=1e-12 * np.abs(shift).max())
+
     def test_large_ensemble_approaches_kalman_update(self):
         rng = np.random.default_rng(15)
         mean = np.array([1.0, -0.5])
@@ -684,6 +725,22 @@ class TestEnkf:
                                        atol=1e-12)
             np.testing.assert_allclose(estimate, members.mean(axis=0),
                                        rtol=0.0, atol=1e-12)
+
+    def test_enkf_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from plumetrace import experiment\n"
+            "config = experiment.ScenarioConfig(size=30)\n"
+            "scenario = experiment.build_scenario(config)\n"
+            "_, observations = experiment.simulate_ground_truth(\n"
+            "    scenario, np.random.default_rng(5))\n"
+            "estimates = experiment.run_enkf(scenario, observations,\n"
+            "                                np.random.default_rng(0))\n"
+            "print(hashlib.sha256(estimates.tobytes()).hexdigest())\n"
+        )
+        digests = _digests_at_one_and_two_blas_threads(script)
+        assert digests[0] == digests[1]
 
     def test_step_wrong_observation_length(self):
         model, net, _ = _small_setup()
