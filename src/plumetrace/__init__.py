@@ -8,19 +8,14 @@ filter.  An ensemble Kalman filter is included as a baseline estimator.
 """
 
 from plumetrace.mesh import (
-    BarycentricEval,
-    ElementGeometry,
     MeshError,
     TriMesh,
     build_structured_mesh,
-    element_geometry,
     load_mesh,
     locate_point,
     save_mesh,
-    shape_functions_at,
 )
 from plumetrace.fem import (
-    AugmentedState,
     DispersionModel,
     GlobalSystem,
     StabilityReport,

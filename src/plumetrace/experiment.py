@@ -390,18 +390,15 @@ def simulate_ground_truth(
     """
     config = scenario.config
     n = scenario.mesh.node_count
-    state = fem.AugmentedState(
-        concentrations=np.zeros(n), strength=config.strength
-    )
-    states = np.empty((config.steps + 1, n + 1))
-    states[0] = state.as_vector()
+    states = np.zeros((config.steps + 1, n + 1))
+    states[0, -1] = config.strength
     observations: list[sensing.QuantisedObservation] = []
     field_sd = np.sqrt(config.field_noise)
+    noise = np.zeros(n + 1)            # the strength increment stays zero
     for k in range(config.steps):
         model = scenario.provider.model_at(k)
-        noise = np.append(rng.normal(0.0, field_sd, n), 0.0)
-        state = fem.step(model, state, noise)
-        states[k + 1] = state.as_vector()
+        noise[:-1] = rng.normal(0.0, field_sd, n)
+        states[k + 1] = fem.step(model, states[k], noise)
         observations.append(draw_observation(scenario.network, states[k + 1], rng))
     return states, observations
 

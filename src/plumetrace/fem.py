@@ -29,7 +29,6 @@ from plumetrace.mesh import MeshError, TriMesh, locate_point
 __all__ = [
     "GlobalSystem",
     "DispersionModel",
-    "AugmentedState",
     "StabilityReport",
     "assemble",
     "build_model",
@@ -158,18 +157,6 @@ def assemble(
 
 
 @dataclass
-class AugmentedState:
-    """Concentration field plus source strength at one time step."""
-
-    concentrations: np.ndarray
-    strength: float
-
-    def as_vector(self) -> np.ndarray:
-        """Flatten to ``(C + 1,)`` with the strength last."""
-        return np.append(self.concentrations, self.strength)
-
-
-@dataclass
 class DispersionModel:
     """Discrete-time linear model of dispersion with unknown source strength.
 
@@ -268,31 +255,31 @@ def build_model(
     )
 
 
-def step(
-    model: DispersionModel, state: AugmentedState, noise=None
-) -> AugmentedState:
-    """Advance the augmented state one time step.
+def step(model: DispersionModel, x, noise=None) -> np.ndarray:
+    """Advance the augmented state ``x`` one time step.
 
-    ``noise`` is an optional ``(C + 1,)`` additive disturbance (field noise
-    followed by the strength increment); omit it for the noise-free map.
+    ``x`` is the ``(C + 1,)`` state, the concentrations with the source
+    strength last.  The field moves as ``A c + B u`` (through the
+    transition, not the augmented matrix, whose sums round differently)
+    and the strength is held.  ``noise`` is an optional ``(C + 1,)``
+    additive disturbance (field noise followed by the strength increment);
+    omit it for the noise-free map.  Returns a new ``(C + 1,)`` array.
     """
-    c = np.asarray(state.concentrations, dtype=float)
-    if c.shape != (model.node_count,):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.state_dim,):
         raise ValueError(
-            f"state has {c.shape[0]} concentrations, model expects "
-            f"{model.node_count}"
+            f"state must have shape ({model.state_dim},), got {x.shape}"
         )
-    c_next = model.transition @ c + model.injection * state.strength
-    u_next = state.strength
+    out = x.copy()
+    out[:-1] = model.transition @ x[:-1] + model.injection * x[-1]
     if noise is not None:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != (model.state_dim,):
             raise ValueError(
                 f"noise must have shape ({model.state_dim},), got {noise.shape}"
             )
-        c_next = c_next + noise[:-1]
-        u_next = u_next + float(noise[-1])
-    return AugmentedState(concentrations=c_next, strength=u_next)
+        out += noise
+    return out
 
 
 @dataclass(frozen=True)

@@ -209,12 +209,13 @@ def condition_covariance(
 
 
 def gain_schedule(
-    models: Sequence, h: np.ndarray, init_cov
+    models: Sequence, h: np.ndarray, init_cov: float
 ) -> list[KalmanStep]:
-    """Run the covariance recursion from prior covariance ``init_cov``
-    (scalar or matrix) through the per-step ``models``: each step predicts
-    with :func:`predict_covariance` and conditions on ``z = H x`` with
-    :func:`condition_covariance` and the default jitter.
+    """Run the covariance recursion from the prior covariance
+    ``init_cov I``, ``init_cov`` a positive scalar, through the per-step
+    ``models``: each step predicts with :func:`predict_covariance` and
+    conditions on ``z = H x`` with :func:`condition_covariance` and the
+    default jitter.
 
     ``h`` is dense or sparse; it is converted to CSR once, and each run of
     steps that share a model slices its transition into row blocks once;
@@ -225,8 +226,7 @@ def gain_schedule(
     """
     h = sp.csr_matrix(
         h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
-    _, cov = _initial_moments(h.shape[1], None, init_cov)
-    cov = _dense_cov(h.shape[1], cov)
+    cov = np.diag(np.full(h.shape[1], _prior_variance(init_cov)))
     schedule = []
     sliced = blocks = None
     for model in models:
@@ -342,30 +342,18 @@ class RbpfState:
         return self.lineage.size
 
 
-def _initial_moments(dim: int, mean, cov):
-    """Validated prior mean and covariance; a scalar covariance stays a
-    float, so no isotropic ``dim x dim`` matrix is built until one is read."""
-    mean = np.zeros(dim) if mean is None else np.asarray(mean, dtype=float).copy()
-    if mean.shape != (dim,):
-        raise ValueError(f"initial mean must have shape ({dim},), got {mean.shape}")
+def _prior_variance(cov) -> float:
+    """The variance ``c`` of the isotropic prior covariance ``c I``, a
+    positive scalar; ``10.0`` when omitted."""
     if cov is None:
-        cov = 10.0
-    if np.ndim(cov) == 0:
-        if float(cov) <= 0.0:
-            raise ValueError("initial covariance must be positive")
-        cov = float(cov)
-    else:
-        cov = np.asarray(cov, dtype=float).copy()
-        if cov.shape != (dim, dim):
-            raise ValueError(
-                f"initial covariance must have shape ({dim}, {dim}), got {cov.shape}"
-            )
-    return mean, cov
-
-
-def _dense_cov(dim: int, cov) -> np.ndarray:
-    """The prior covariance as a matrix: ``cov I`` for a scalar ``cov``."""
-    return np.diag(np.full(dim, cov)) if np.ndim(cov) == 0 else cov
+        return 10.0
+    if np.ndim(cov) != 0:
+        raise ValueError("initial covariance must be a scalar variance, got "
+                         f"shape {np.shape(cov)}")
+    cov = float(cov)
+    if not cov > 0.0:
+        raise ValueError(f"initial covariance must be positive, got {cov}")
+    return cov
 
 
 def rbpf_init(
@@ -373,18 +361,16 @@ def rbpf_init(
     network: SensorNetwork,
     particle_count: int,
     rng: np.random.Generator,
-    mean=None,
 ) -> RbpfState:
-    """Initial particle population: all means at the prior mean (default
-    zero).  The prior covariance is the ``init_cov`` of the
-    :func:`gain_schedule` that drives the steps."""
+    """Initial particle population: all means at the zero prior mean.  The
+    prior covariance is the ``init_cov`` of the :func:`gain_schedule` that
+    drives the steps."""
     particle_count = int(particle_count)
     if particle_count < 1:
         raise ValueError("particle count must be at least 1")
-    mean, _ = _initial_moments(model.state_dim, mean, None)
     return RbpfState(
         network=network,
-        survivors=mean[:, None].copy(),
+        survivors=np.zeros((model.state_dim, 1)),
         lineage=np.zeros(particle_count, dtype=np.intp),
         weights=np.full(particle_count, 1.0 / particle_count),
         rng=rng,
@@ -489,25 +475,17 @@ def enkf_init(
     network: SensorNetwork,
     size: int,
     rng: np.random.Generator,
-    mean=None,
     cov=None,
 ) -> EnsembleState:
-    """Draw the initial ensemble from the Gaussian prior."""
+    """Draw the initial ensemble from the Gaussian prior ``N(0, cov I)``,
+    ``cov`` a positive scalar (default ``10.0``).  The root of ``cov I`` is
+    ``sqrt(cov) I``, so each member is its draws scaled by ``sqrt(cov)``
+    and no ``(n+1)^2`` matrix is formed."""
     size = int(size)
     if size < 2:
         raise ValueError("ensemble size must be at least 2")
-    mean, cov = _initial_moments(model.state_dim, mean, cov)
-    draws = rng.standard_normal((size, model.state_dim))
-    if np.ndim(cov) == 0:
-        # the root of c I is sqrt(c) I: the same members, no (n+1)^2 matrix
-        members = mean + draws * np.sqrt(cov)
-    else:
-        try:
-            root = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "initial covariance must be positive definite") from exc
-        members = mean + draws @ root.T
+    cov = _prior_variance(cov)
+    members = rng.standard_normal((size, model.state_dim)) * np.sqrt(cov)
     return EnsembleState(network=network,
                          members=np.ascontiguousarray(members.T).T, rng=rng)
 

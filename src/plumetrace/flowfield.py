@@ -236,20 +236,15 @@ def load_gridded_flow(path) -> GriddedFlow:
     return GriddedFlow(axes["xs"], axes["ys"], axes["ts"], u, v)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_gridded_flow(flow: GriddedFlow, path) -> None:
-    """Write a gridded flow in the format accepted by :func:`load_gridded_flow`."""
+    """Write a gridded flow in the format accepted by :func:`load_gridded_flow`,
+    each value to 17 significant digits."""
     u = np.where(flow.mask, np.nan, flow.u)
     v = np.where(flow.mask, np.nan, flow.v)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"grid {flow.xs.size} {flow.ys.size} {flow.ts.size}\n")
-        fh.write("xs: " + " ".join(_fmt(x) for x in flow.xs) + "\n")
-        fh.write("ys: " + " ".join(_fmt(y) for y in flow.ys) + "\n")
-        fh.write("ts: " + " ".join(_fmt(t) for t in flow.ts) + "\n")
-        for k in range(flow.ts.size):
-            for j in range(flow.ys.size):
-                for i in range(flow.xs.size):
-                    fh.write(f"{_fmt(u[k, j, i])} {_fmt(v[k, j, i])}\n")
+        for name, axis in (("xs", flow.xs), ("ys", flow.ys), ("ts", flow.ts)):
+            fh.write((name + ": " + " ".join(["%.17g"] * axis.size) + "\n")
+                     % tuple(axis.tolist()))
+        fh.writelines("%.17g %.17g\n" % uv
+                      for uv in zip(u.ravel().tolist(), v.ravel().tolist()))

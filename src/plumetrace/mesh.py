@@ -8,19 +8,14 @@ written directly in those terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
 
 __all__ = [
     "MeshError",
-    "ElementGeometry",
-    "BarycentricEval",
     "TriMesh",
     "build_structured_mesh",
-    "element_geometry",
-    "shape_functions_at",
     "locate_point",
     "load_mesh",
     "save_mesh",
@@ -29,57 +24,6 @@ __all__ = [
 
 class MeshError(ValueError):
     """Raised when mesh data violates a structural invariant."""
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of one triangular element.
-
-    Coordinate differences follow the convention ``x_ij = x_i - x_j`` for the
-    element's nodes numbered 1..3 in counter-clockwise order, and ``area`` is
-    the (positive) triangle area.
-
-    Attributes
-    ----------
-    coords : numpy.ndarray
-        Node coordinates, shape ``(3, 2)``.
-    x21, x31, x32, y21, y31, y32 : float
-        Signed coordinate differences between node pairs.
-    area : float
-        Triangle area.
-    """
-
-    coords: np.ndarray
-    x21: float
-    x31: float
-    x32: float
-    y21: float
-    y31: float
-    y32: float
-    area: float
-
-    @property
-    def diameter(self) -> float:
-        """Length of the longest edge."""
-        d = self.coords[[1, 2, 2]] - self.coords[[0, 0, 1]]
-        return float(np.sqrt((d * d).sum(axis=1).max()))
-
-
-@dataclass(frozen=True)
-class BarycentricEval:
-    """Shape-function values of one element at one point.
-
-    ``values[i]`` is the i-th linear shape function evaluated at the query
-    point.  Inside the element all three values lie in ``[0, 1]`` and sum
-    to one.
-    """
-
-    element: int
-    values: np.ndarray
-
-    @property
-    def inside(self) -> bool:
-        return bool((self.values >= 0.0).all())
 
 
 class TriMesh:
@@ -194,7 +138,10 @@ class TriMesh:
 
         Returns an ``(E, 3)`` array; row ``e`` contains the barycentric
         (linear shape function) values of element ``e`` extended to the whole
-        plane.  Used for point location and sensor placement.
+        plane.  They form a partition of unity everywhere and reproduce
+        linear functions exactly; inside element ``e`` row ``e`` lies in
+        ``[0, 1]``.  Used for point location and the sensor measurement
+        operator.
         """
         x, y = float(point[0]), float(point[1])
         two_s = 2.0 * self._areas
@@ -261,49 +208,6 @@ def build_structured_mesh(
     return TriMesh(nodes, elements)
 
 
-def element_geometry(mesh: TriMesh, element: int) -> ElementGeometry:
-    """Return coordinate differences and area for one element."""
-    e = int(element)
-    if not 0 <= e < mesh.element_count:
-        raise MeshError(f"element index {e} out of range")
-    coords = mesh._corners[e].copy()
-    coords.setflags(write=False)
-    return ElementGeometry(
-        coords=coords,
-        x21=float(mesh._x21[e]),
-        x31=float(mesh._x31[e]),
-        x32=float(mesh._x32[e]),
-        y21=float(mesh._y21[e]),
-        y31=float(mesh._y31[e]),
-        y32=float(mesh._y32[e]),
-        area=float(mesh._areas[e]),
-    )
-
-
-def shape_functions_at(mesh: TriMesh, element: int, point) -> BarycentricEval:
-    """Evaluate the linear shape functions of ``element`` at ``point``.
-
-    The values form a partition of unity everywhere in the plane and
-    reproduce linear functions exactly; inside the element they are the
-    barycentric coordinates of ``point``.
-    """
-    e = int(element)
-    if not 0 <= e < mesh.element_count:
-        raise MeshError(f"element index {e} out of range")
-    x, y = float(point[0]), float(point[1])
-    g = element_geometry(mesh, e)
-    two_s = 2.0 * g.area
-    (x1, y1), (x2, y2), (x3, y3) = g.coords
-    values = np.array(
-        [
-            (-g.y32 * (x - x2) + g.x32 * (y - y2)) / two_s,
-            (g.y31 * (x - x3) - g.x31 * (y - y3)) / two_s,
-            (-g.y21 * (x - x1) + g.x21 * (y - y1)) / two_s,
-        ]
-    )
-    return BarycentricEval(element=e, values=values)
-
-
 def locate_point(mesh: TriMesh, point, tol: float = 1e-10) -> Optional[int]:
     """Find the element containing ``point``.
 
@@ -312,11 +216,17 @@ def locate_point(mesh: TriMesh, point, tol: float = 1e-10) -> Optional[int]:
     element; the lowest element index wins.  Returns ``None`` when the point
     lies outside the mesh.
     """
+    return _locate(mesh, point, tol)[0]
+
+
+def _locate(mesh: TriMesh, point, tol: float = 1e-10):
+    """:func:`locate_point`'s element and the ``(E, 3)``
+    :meth:`TriMesh.shape_values` it was found from."""
     vals = mesh.shape_values(point)
     inside = (vals >= -tol).all(axis=1)
     if not inside.any():
-        return None
-    return int(np.argmax(inside))
+        return None, vals
+    return int(np.argmax(inside)), vals
 
 
 def _data_lines(stream: TextIO):

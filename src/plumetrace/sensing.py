@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import erf, log_ndtr
 
-from plumetrace.mesh import TriMesh, locate_point, shape_functions_at
+from plumetrace.mesh import TriMesh, _locate, locate_point
 
 __all__ = [
     "Quantiser",
@@ -240,7 +240,8 @@ def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
     """Measurement operator of a static sensor set, shape ``(N, C + 1)``.
 
     Row j holds the shape-function values of the element containing sensor
-    j at that element's node columns; the final (strength) column is zero.
+    j (the row of :meth:`TriMesh.shape_values` that located it) at that
+    element's node columns; the final (strength) column is zero.
     Rows therefore have at most three nonzeros summing to one.
 
     Raises
@@ -253,13 +254,12 @@ def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
         raise ValueError(f"positions must have shape (N, 2), got {positions.shape}")
     h = np.zeros((positions.shape[0], mesh.node_count + 1))
     for j, p in enumerate(positions):
-        element = locate_point(mesh, p)
+        element, values = _locate(mesh, p)
         if element is None:
             raise ValueError(
                 f"sensor {j} at ({p[0]:g}, {p[1]:g}) lies outside the mesh"
             )
-        values = shape_functions_at(mesh, element, p).values
-        h[j, mesh.elements[element]] = values
+        h[j, mesh.elements[element]] = values[element]
     return h
 
 
@@ -397,7 +397,11 @@ class SensorNetwork:
         Probability that the signal term is present in each reading (misses
         occur with the complementary probability), in ``[0, 1]``.
     scale, levels : numpy.ndarray
-        Per-sensor quantiser range bound and level count.
+        Per-sensor quantiser range bound and level count; the counts must
+        be whole numbers and are stored as integers.
+
+    Every per-sensor value must be finite; a bad one raises ``ValueError``
+    naming its field or its rule.
     """
 
     positions: np.ndarray
@@ -411,14 +415,21 @@ class SensorNetwork:
         n = self.positions.shape[0]
         if self.H.shape[0] != n:
             raise ValueError("measurement matrix row count must match positions")
+        for name in ("noise_var", "detect_rate", "scale", "levels"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if (self.noise_var <= 0.0).any():
             raise ValueError("noise variances must be positive")
         if ((self.detect_rate < 0.0) | (self.detect_rate > 1.0)).any():
             raise ValueError("detection rates must lie in [0, 1]")
         if (self.scale <= 0.0).any():
             raise ValueError("quantiser scales must be positive")
-        if (self.levels < 1).any():
-            raise ValueError("quantiser level counts must be positive")
+        lv = self.levels
+        bad = lv[(lv < 1) | (lv > 2.0 ** 53) | (lv != np.floor(lv))]
+        if bad.size:
+            raise ValueError(
+                f"levels must be whole numbers in [1, 2**53], got {bad[0]:g}")
+        object.__setattr__(self, "levels", np.asarray(lv, dtype=np.int64))
         if self.H.size and np.abs(self.H[:, -1]).max() != 0.0:
             raise ValueError("strength column of the measurement matrix must be zero")
         for arr in (self.positions, self.H, self.noise_var, self.detect_rate,
@@ -434,18 +445,13 @@ class SensorNetwork:
         """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         n = positions.shape[0]
-        h = build_measurement_matrix(mesh, positions)
-        lv = np.asarray(levels)
-        if np.ndim(lv) == 0:
-            lv = np.full(n, int(lv))
-        lv = lv.astype(np.int64)
         return cls(
             positions=positions.copy(),
-            H=h,
+            H=build_measurement_matrix(mesh, positions),
             noise_var=_per_sensor(noise_var, n, "noise_var"),
             detect_rate=_per_sensor(detect_rate, n, "detect_rate"),
             scale=_per_sensor(scale, n, "scale"),
-            levels=lv,
+            levels=_per_sensor(levels, n, "levels"),
         )
 
     @property
@@ -498,18 +504,14 @@ class SensorNetwork:
 
 def save_sensor_layout(network: SensorNetwork, path) -> None:
     """Write the layout as one ``x y scale levels noise_var detect_rate`` line
-    per sensor."""
-    def fmt(x: float) -> str:
-        return format(float(x), ".17g")
-
+    per sensor, each float to 17 significant digits."""
+    columns = (network.positions[:, 0], network.positions[:, 1],
+               network.scale, network.levels, network.noise_var,
+               network.detect_rate)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# x y scale levels noise_var detect_rate\n")
-        for j in range(network.count):
-            fh.write(
-                f"{fmt(network.positions[j, 0])} {fmt(network.positions[j, 1])} "
-                f"{fmt(network.scale[j])} {int(network.levels[j])} "
-                f"{fmt(network.noise_var[j])} {fmt(network.detect_rate[j])}\n"
-            )
+        fh.writelines("%.17g %.17g %.17g %d %.17g %.17g\n" % row
+                      for row in zip(*(c.tolist() for c in columns)))
 
 
 def load_sensor_layout(path, mesh: TriMesh) -> SensorNetwork:
@@ -536,5 +538,5 @@ def load_sensor_layout(path, mesh: TriMesh) -> SensorNetwork:
         noise_var=data[:, 4],
         detect_rate=data[:, 5],
         scale=data[:, 2],
-        levels=data[:, 3].astype(np.int64),
+        levels=data[:, 3],
     )

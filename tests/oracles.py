@@ -1,15 +1,15 @@
 """Reference implementations and helpers that only the tests use.
 
-Per-element FEM matrices, checked against the vectorised ``fem.assemble``;
-scalar forms of the particle filter's latent proposal and predictive
-density and linear-domain forms of the quantised likelihoods, checked
-against closed forms; the tail-only form of the quantised log likelihood,
-checked against the sensing kernel; a dense linear model for the Kalman
-functions; the particle filter step over every particle copy, checked
-against the step over distinct means; per-particle views of a filter
-state; the inverse of ``AugmentedState.as_vector``; a quantiser's level
-values and a gridded flow's last sample time; and a runner that compares a
-script's output at one and two BLAS threads.
+One element's geometry and its FEM matrices, checked against the
+vectorised ``fem.assemble``; scalar forms of the particle filter's latent
+proposal and predictive density and linear-domain forms of the quantised
+likelihoods, checked against closed forms; the tail-only form of the
+quantised log likelihood, checked against the sensing kernel; a dense
+linear model for the Kalman functions; the particle filter step over every
+particle copy, checked against the step over distinct means; per-particle
+views of a filter state; a quantiser's level values and a gridded flow's
+last sample time; and a runner that compares a script's output at one and
+two BLAS threads.
 """
 
 import os
@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from scipy.special import log_ndtr
 
 from plumetrace import filters
-from plumetrace.fem import AugmentedState
 from plumetrace.filters import (
     GaussianBelief,
     RbpfState,
@@ -33,12 +32,57 @@ from plumetrace.filters import (
     multinomial_resample,
     normalise_weights,
 )
-from plumetrace.mesh import ElementGeometry
+from plumetrace.mesh import TriMesh
 from plumetrace.sensing import (
     Quantiser,
     log_cell_probability,
     log_observation_likelihood,
 )
+
+
+@dataclass(frozen=True)
+class ElementGeometry:
+    """Geometry of one triangular element.
+
+    Coordinate differences follow the convention ``x_ij = x_i - x_j`` for the
+    element's nodes numbered 1..3 in counter-clockwise order, and ``area`` is
+    the (positive) triangle area.
+
+    Attributes
+    ----------
+    coords : numpy.ndarray
+        Node coordinates, shape ``(3, 2)``.
+    x21, x31, x32, y21, y31, y32 : float
+        Signed coordinate differences between node pairs.
+    area : float
+        Triangle area.
+    """
+
+    coords: np.ndarray
+    x21: float
+    x31: float
+    x32: float
+    y21: float
+    y31: float
+    y32: float
+    area: float
+
+
+def element_geometry(mesh: TriMesh, element: int) -> ElementGeometry:
+    """Coordinate differences and area of one element, read from the
+    arrays ``fem.assemble`` works from."""
+    e = int(element)
+    return ElementGeometry(
+        coords=mesh._corners[e].copy(),
+        x21=float(mesh._x21[e]),
+        x31=float(mesh._x31[e]),
+        x32=float(mesh._x32[e]),
+        y21=float(mesh._y21[e]),
+        y31=float(mesh._y31[e]),
+        y32=float(mesh._y32[e]),
+        area=float(mesh._areas[e]),
+    )
+
 
 _MASS_TEMPLATE = np.array(
     [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
@@ -293,13 +337,6 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
         last_latent=z,
     )
     return ReferenceRbpfStep(new_state, estimate, x.T, ancestors)
-
-
-def augmented_state_from_vector(vec) -> AugmentedState:
-    """Inverse of ``AugmentedState.as_vector``: the strength is last."""
-    vec = np.asarray(vec, dtype=float)
-    return AugmentedState(concentrations=vec[:-1].copy(),
-                          strength=float(vec[-1]))
 
 
 def _digests_at_one_and_two_blas_threads(script):

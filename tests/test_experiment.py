@@ -453,7 +453,8 @@ class TestOutputs:
         assert all(len(l.split(",")) == kept + 3 for l in lines[1:])
         assert len(lines) == 2 + config.trials * (config.steps + 1)
 
-    # sha256 of each file the tiny run writes: a change to a writer must
+    # sha256 of each file the tiny run writes, its sensor layout and a
+    # small gridded flow with one land cell: a change to a writer must
     # reproduce every byte
     WRITTEN_DIGESTS = {
         "truth.csv": "0993829092675e79e263a03320bfd7ec"
@@ -464,6 +465,12 @@ class TestOutputs:
                             "6211697ad15e6ac434e0167282fd7c7b",
         "estimates_rbpf.csv": "e5613c97d766d817151ab099fe2ce86e"
                               "2aeba8b3416b0aa0546da7fcbff9dcaf",
+        "estimates_enkf.csv": "b68d3cc9e900fe5643c5def840328e3d"
+                              "2f8393259ed510162d34f1554774af45",
+        "sensors.txt": "99a6e54d470f2aa191f733846de8966a"
+                       "887dcdce62b59f65f937b531c6fded5e",
+        "flow.txt": "407f36aabcc53e7ca25998ee4a759520"
+                    "9a787c25167ca3f41e723fd98e8b0ed5",
     }
 
     def test_written_bytes_are_pinned(self, run, tmp_path):
@@ -477,6 +484,16 @@ class TestOutputs:
                         dataclasses.replace(config, node_stride=7))
         write_observations_csv(logs, tmp_path / "observations.csv", config)
         write_results_csv(results, tmp_path / "estimates_rbpf.csv", config)
+        enkf = dataclasses.replace(config, estimator="enkf")
+        write_results_csv(run_trials(enkf), tmp_path / "estimates_enkf.csv",
+                          enkf)
+        sensing.save_sensor_layout(scen.network, tmp_path / "sensors.txt")
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(0.0, 0.1, (2, 2, 3, 4))
+        u[1, 2, 0] = np.nan                  # one land cell
+        flowfield.save_gridded_flow(flowfield.GriddedFlow(
+            np.array([-1.0, 2.9, 7.1, 11.0]), np.array([-1.0, 4.5, 11.0]),
+            np.array([0.0, 7.3]), u, v), tmp_path / "flow.txt")
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in self.WRITTEN_DIGESTS}
         assert digests == self.WRITTEN_DIGESTS

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from plumetrace.fem import (
-    AugmentedState,
     GlobalSystem,
     apply_artificial_diffusivity,
     assemble,
@@ -18,13 +17,12 @@ from plumetrace.mesh import (
     MeshError,
     TriMesh,
     build_structured_mesh,
-    element_geometry,
 )
 
 from oracles import (
     _digests_at_one_and_two_blas_threads,
-    augmented_state_from_vector,
     element_force,
+    element_geometry,
     element_mass,
     element_stiffness,
 )
@@ -275,39 +273,36 @@ class TestStep:
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
         system = assemble(mesh, (0.2, -0.1), 0.05)
         model = build_model(system, 0.01, 1e-4, 1e-6)
-        state = AugmentedState(np.ones(mesh.node_count), 0.0)
+        state = np.append(np.ones(mesh.node_count), 0.0)
         out = step(model, state)
-        np.testing.assert_allclose(out.concentrations, 1.0, atol=1e-12)
-        assert out.strength == 0.0
+        assert out.shape == (model.state_dim,)
+        np.testing.assert_allclose(out[:-1], 1.0, atol=1e-12)
+        assert out[-1] == 0.0
 
     def test_source_injection_and_noise(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 3, 3)
         system = assemble(mesh, (0, 0), 0.01, source=(0.4, 0.6))
         model = build_model(system, 0.1, 1e-4, 1e-6)
-        state = AugmentedState(np.zeros(mesh.node_count), 2.0)
+        state = np.append(np.zeros(mesh.node_count), 2.0)
         clean = step(model, state)
-        np.testing.assert_allclose(clean.concentrations, 2.0 * model.injection)
+        np.testing.assert_allclose(clean[:-1], 2.0 * model.injection)
+        assert clean[-1] == 2.0
         noise = np.arange(model.state_dim, dtype=float)
         noisy = step(model, state, noise)
-        np.testing.assert_allclose(
-            noisy.concentrations, clean.concentrations + noise[:-1]
-        )
-        assert noisy.strength == 2.0 + noise[-1]
+        np.testing.assert_array_equal(noisy, clean + noise)
+        # the step returns a new array and leaves its input alone
+        np.testing.assert_array_equal(
+            state, np.append(np.zeros(mesh.node_count), 2.0))
 
     def test_shape_errors(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 2, 2)
         model = build_model(assemble(mesh, (0, 0), 0.01), 0.1, 1e-4, 1e-6)
-        with pytest.raises(ValueError, match="concentrations"):
-            step(model, AugmentedState(np.zeros(3), 1.0))
+        with pytest.raises(ValueError, match="state must have shape"):
+            step(model, np.zeros(3))
+        with pytest.raises(ValueError, match="state must have shape"):
+            step(model, np.zeros(model.node_count))
         with pytest.raises(ValueError, match="noise"):
-            step(model, AugmentedState(np.zeros(model.node_count), 1.0),
-                 noise=np.zeros(2))
-
-    def test_vector_round_trip(self):
-        s = AugmentedState(np.array([1.0, 2.0]), 3.0)
-        r = augmented_state_from_vector(s.as_vector())
-        np.testing.assert_array_equal(r.concentrations, s.concentrations)
-        assert r.strength == s.strength
+            step(model, np.zeros(model.state_dim), noise=np.zeros(2))
 
 
 def _dense_lambda_max(system):

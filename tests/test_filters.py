@@ -228,8 +228,6 @@ class TestRbpf:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="particle count"):
             rbpf_init(model, net, 0, rng)
-        with pytest.raises(ValueError, match="mean"):
-            rbpf_init(model, net, 3, rng, mean=np.zeros(2))
 
     def test_single_particle_replicates_shared_kalman_update(self):
         model, net, _ = _small_setup()
@@ -486,8 +484,11 @@ class TestCovarianceStep:
 
     def test_schedule_rejects_a_non_positive_prior(self):
         models, net = _time_varying_models(steps=1)
-        with pytest.raises(ValueError, match="covariance must be positive"):
-            gain_schedule(models, net.H, -1.0)
+        for bad in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError, match="covariance must be positive"):
+                gain_schedule(models, net.H, bad)
+        with pytest.raises(ValueError, match="scalar variance"):
+            gain_schedule(models, net.H, np.eye(models[0].state_dim))
 
 
 class TestGainSchedule:
@@ -558,21 +559,22 @@ class TestEnkf:
         model, net, _ = _small_setup()
         with pytest.raises(ValueError, match="ensemble size"):
             enkf_init(model, net, 1, np.random.default_rng(0))
-        bad = -np.eye(model.state_dim)
-        with pytest.raises(ValueError, match="positive definite"):
-            enkf_init(model, net, 5, np.random.default_rng(0), cov=bad)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="covariance must be positive"):
+                enkf_init(model, net, 5, np.random.default_rng(0), cov=bad)
+        with pytest.raises(ValueError, match="scalar variance"):
+            enkf_init(model, net, 5, np.random.default_rng(0),
+                      cov=np.eye(model.state_dim))
 
     def test_isotropic_prior_members_equal_the_dense_root_draws(self, desk):
         _, scenario, _ = desk
         model, dim = scenario.provider.model_at(0), scenario.state_dim
-        mean = np.random.default_rng(2).normal(0.0, 1.0, dim)
         for c in (10.0, 0.3, 7.77):
             state = enkf_init(model, scenario.network, 200,
-                              np.random.default_rng(4), mean=mean, cov=c)
+                              np.random.default_rng(4), cov=c)
             root = np.linalg.cholesky(c * np.eye(dim))
             draws = np.random.default_rng(4).standard_normal((200, dim))
-            np.testing.assert_array_equal(state.members,
-                                          mean + draws @ root.T)
+            np.testing.assert_array_equal(state.members, draws @ root.T)
 
     def test_init_never_holds_a_dense_prior(self, desk):
         config, scenario, _ = desk

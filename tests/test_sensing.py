@@ -390,6 +390,23 @@ class TestSensorNetwork:
         with pytest.raises(ValueError, match="6 fields"):
             load_sensor_layout(path, self.mesh)
 
+    @pytest.mark.parametrize("line,field", [
+        ("0.5 0.5 2.0 2.5 1e-3 0.9", "levels"),
+        ("0.5 0.5 2.0 inf 1e-3 0.9", "levels"),
+        ("0.5 0.5 2.0 1e30 1e-3 0.9", "levels"),
+        ("0.5 0.5 2.0 0 1e-3 0.9", "levels"),
+        ("0.5 0.5 2.0 100 nan 0.9", "noise_var"),
+        ("0.5 0.5 nan 100 1e-3 0.9", "scale"),
+        ("0.5 0.5 inf 100 1e-3 0.9", "scale"),
+        ("0.5 0.5 2.0 100 1e-3 nan", "detect_rate"),
+    ])
+    def test_layout_file_rejects_non_finite_and_fractional_values(
+            self, tmp_path, line, field):
+        path = tmp_path / "sensors.txt"
+        path.write_text(f"0.2 0.2 2.0 100 1e-3 0.9\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            load_sensor_layout(path, self.mesh)
+
     def test_observation_container_defaults(self):
         obs = QuantisedObservation(values=np.zeros(3))
         assert obs.detections is None and obs.raw is None
