@@ -13,13 +13,13 @@ from plumetrace.mesh import (
     build_structured_mesh,
     load_mesh,
     locate_point,
+    locate_points,
     save_mesh,
 )
 from plumetrace.fem import (
     DispersionModel,
     GlobalSystem,
     StabilityReport,
-    apply_artificial_diffusivity,
     assemble,
     build_model,
     default_time_step,

@@ -29,6 +29,7 @@ __all__ = [
     "ScenarioConfig",
     "Scenario",
     "ModelProvider",
+    "sample_velocities",
     "TrialResult",
     "TrialRun",
     "build_scenario",
@@ -232,13 +233,13 @@ class ModelProvider:
 
     For analytic flows a single model serves every step; for gridded flows
     the transition matrix is reassembled at each flow sample interval and
-    cached by interval index.
+    cached by interval index.  ``velocities`` holds the element velocities
+    of each flow sample, as :func:`sample_velocities` evaluates them.
     """
 
-    def __init__(self, mesh, flow, diffusivity, dt, field_noise, strength_walk,
-                 source, t0: float = 0.0):
+    def __init__(self, mesh, flow, velocities, diffusivity, dt, field_noise,
+                 strength_walk, source, t0: float = 0.0):
         self._mesh = mesh
-        self._flow = flow
         self._diffusivity = diffusivity
         self._dt = dt
         self._field_noise = field_noise
@@ -249,6 +250,7 @@ class ModelProvider:
             np.asarray(flow.ts) if isinstance(flow, flowfield.GriddedFlow)
             else None
         )
+        self._velocities = velocities
         self._cache: dict[int, fem.DispersionModel] = {}
 
     def interval_index(self, step: int) -> int:
@@ -261,15 +263,23 @@ class ModelProvider:
     def model_at(self, step: int) -> fem.DispersionModel:
         idx = self.interval_index(step)
         if idx not in self._cache:
-            t = self._t0 if self._times is None else float(self._times[idx])
-            velocities = flowfield.element_velocities(self._flow, self._mesh, t)
             system = fem.assemble(
-                self._mesh, velocities, self._diffusivity, source=self._source,
+                self._mesh, self._velocities[idx], self._diffusivity,
+                source=self._source,
             )
             self._cache[idx] = fem.build_model(
                 system, self._dt, self._field_noise, self._strength_walk,
             )
         return self._cache[idx]
+
+
+def sample_velocities(flow, mesh, t0: float = 0.0) -> list[np.ndarray]:
+    """Element velocities of each flow sample, one ``(E, 2)`` array per
+    sample time of a gridded flow, or the single one at ``t0`` of an
+    analytic flow; index ``i`` serves flow interval ``i``."""
+    times = (flow.ts.tolist() if isinstance(flow, flowfield.GriddedFlow)
+             else [t0])
+    return [flowfield.element_velocities(flow, mesh, t) for t in times]
 
 
 def _build_flow(config: ScenarioConfig):
@@ -286,9 +296,11 @@ def _build_flow(config: ScenarioConfig):
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Resolve a config into mesh, flow, sensors and a model provider.
 
-    Chooses the artificial diffusivity from the worst flow sample, resolves
-    the automatic time step, and refuses an explicitly configured unstable
-    step unless ``force_dt`` is set.
+    Evaluates each flow sample's element velocities once, for the stability
+    checks and the provider's models alike.  Chooses the artificial
+    diffusivity from the worst flow sample, resolves the automatic time
+    step, and refuses an explicitly configured unstable step unless
+    ``force_dt`` is set.
     """
     config.validate()
     if config.mesh_file:
@@ -298,24 +310,17 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         grid = meshmod.build_structured_mesh(x0, y0, x1, y1, config.nx, config.ny)
     flow = _build_flow(config)
     t0 = flow.t_first if isinstance(flow, flowfield.GriddedFlow) else 0.0
+    velocities = sample_velocities(flow, grid, t0)
 
-    sample_times = (
-        [float(t) for t in flow.ts] if isinstance(flow, flowfield.GriddedFlow)
-        else [t0]
-    )
     lam_eff = config.diffusivity
     if config.auto_stabilise:
-        lam_star = 0.0
-        for t in sample_times:
-            vel = flowfield.element_velocities(flow, grid, t)
-            quality = fem.stability_report(
-                grid, vel, config.diffusivity, compute_lambda_max=False
-            )
-            lam_star = max(lam_star, quality.artificial_diffusivity)
+        lam_star = max(
+            fem.stability_report(grid, vel, config.diffusivity,
+                                 compute_lambda_max=False).artificial_diffusivity
+            for vel in velocities)
         lam_eff = config.diffusivity + lam_star
 
-    vel0 = flowfield.element_velocities(flow, grid, t0)
-    report = fem.stability_report(grid, vel0, lam_eff)
+    report = fem.stability_report(grid, velocities[0], lam_eff)
     if config.dt is None:
         dt = fem.default_time_step(report)
     else:
@@ -349,8 +354,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         )
 
     provider = ModelProvider(
-        grid, flow, lam_eff, dt, config.field_noise, config.strength_walk,
-        source=config.source, t0=t0,
+        grid, flow, velocities, lam_eff, dt, config.field_noise,
+        config.strength_walk, source=config.source, t0=t0,
     )
     return Scenario(
         config=config, mesh=grid, flow=flow, network=network,

@@ -34,7 +34,6 @@ __all__ = [
     "build_model",
     "step",
     "stability_report",
-    "apply_artificial_diffusivity",
     "default_time_step",
 ]
 
@@ -386,19 +385,6 @@ def stability_report(
         peclet=peclet,
         artificial_diffusivity=lam_star,
     )
-
-
-def apply_artificial_diffusivity(
-    diffusivity: float, report: StabilityReport
-) -> float:
-    """Diffusivity augmented so that every element reaches Pe <= 1.
-
-    Adds the report's artificial diffusivity, the streamline upwind value
-    ``alpha |v| h / 2`` with ``alpha = max(0, 1 - 1/Pe)`` taken over the
-    worst element.  With the increased diffusivity the binding element sits
-    exactly at Pe = 1; all others fall below.
-    """
-    return float(diffusivity) + report.artificial_diffusivity
 
 
 def default_time_step(report: StabilityReport, safety: float = 0.5) -> float:

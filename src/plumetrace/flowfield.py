@@ -14,7 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from plumetrace.mesh import TriMesh
+from plumetrace.mesh import TriMesh, _data_lines, _table
 
 __all__ = [
     "FlowField",
@@ -196,24 +196,25 @@ def load_gridded_flow(path) -> GriddedFlow:
     The format is a ``grid <nx> <ny> <nt>`` header, then ``xs:``, ``ys:``
     and ``ts:`` lines listing the grid coordinates, then ``nt`` blocks of
     ``ny * nx`` lines of ``u v`` samples ordered row-major with y outermost.
-    Missing (land) cells are written as ``nan nan``.
+    Missing (land) cells are written as ``nan nan``.  ``#`` starts a
+    comment and blank lines are ignored, inside the sample block too.
+
+    The sample block is converted in one ``numpy.loadtxt`` pass.  A wrong
+    line count, a sample line without exactly two values (even when the
+    values total two per line), a value that is not a number or a grid
+    :class:`GriddedFlow` refuses raises ``ValueError`` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line)
-    if not tokens or not tokens[0].startswith("grid"):
+    lines = _data_lines(path)
+    if not lines or not lines[0].startswith("grid"):
         raise ValueError(f"flow file {path} must start with a 'grid' header")
     try:
-        _, nx, ny, nt = tokens[0].split()
+        _, nx, ny, nt = lines[0].split()
         nx, ny, nt = int(nx), int(ny), int(nt)
         axes = {}
         for i, name in enumerate(("xs", "ys", "ts")):
-            label, _, rest = tokens[1 + i].partition(":")
+            label, _, rest = lines[1 + i].partition(":")
             if label.strip() != name:
-                raise ValueError(f"expected '{name}:' line, got {tokens[1 + i]!r}")
+                raise ValueError(f"expected '{name}:' line, got {lines[1 + i]!r}")
             values = np.array([float(v) for v in rest.split()])
             expected = {"xs": nx, "ys": ny, "ts": nt}[name]
             if values.size != expected:
@@ -221,19 +222,18 @@ def load_gridded_flow(path) -> GriddedFlow:
                     f"'{name}:' line has {values.size} values, expected {expected}"
                 )
             axes[name] = values
-        samples = tokens[4:]
+        samples = lines[4:]
         if len(samples) != nt * ny * nx:
             raise ValueError(
                 f"expected {nt * ny * nx} sample lines, found {len(samples)}"
             )
-        uv = np.array([[float(v) for v in line.split()] for line in samples])
-        if uv.ndim != 2 or uv.shape[1] != 2:
-            raise ValueError("sample lines must contain exactly 'u v'")
+        uv = _table(samples, 2, float,
+                    "sample lines must contain exactly 'u v'")
+        return GriddedFlow(axes["xs"], axes["ys"], axes["ts"],
+                           uv[:, 0].reshape(nt, ny, nx),
+                           uv[:, 1].reshape(nt, ny, nx))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed flow file {path}: {exc}") from exc
-    u = uv[:, 0].reshape(nt, ny, nx)
-    v = uv[:, 1].reshape(nt, ny, nx)
-    return GriddedFlow(axes["xs"], axes["ys"], axes["ts"], u, v)
 
 
 def save_gridded_flow(flow: GriddedFlow, path) -> None:

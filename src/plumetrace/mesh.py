@@ -8,7 +8,7 @@ written directly in those terms.
 
 from __future__ import annotations
 
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "TriMesh",
     "build_structured_mesh",
     "locate_point",
+    "locate_points",
     "load_mesh",
     "save_mesh",
 ]
@@ -92,6 +93,8 @@ class TriMesh:
             raise MeshError(f"element {bad} is {kind} (signed area {signed[bad]:g})")
         self._areas = signed
         self._corners = np.stack([p1, p2, p3], axis=1)  # (E, 3, 2)
+        self._centroids = self._corners.mean(axis=1)
+        self._centroids.setflags(write=False)
         self._check_overlap()
 
     def _check_overlap(self) -> None:
@@ -124,8 +127,8 @@ class TriMesh:
 
     @property
     def centroids(self) -> np.ndarray:
-        """Element centroids, shape ``(E, 2)``."""
-        return self._corners.mean(axis=1)
+        """Element centroids, shape ``(E, 2)``, computed once."""
+        return self._centroids
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """Return ``(xmin, ymin, xmax, ymax)`` over all nodes."""
@@ -140,15 +143,20 @@ class TriMesh:
         (linear shape function) values of element ``e`` extended to the whole
         plane.  They form a partition of unity everywhere and reproduce
         linear functions exactly; inside element ``e`` row ``e`` lies in
-        ``[0, 1]``.  Used for point location and the sensor measurement
-        operator.
+        ``[0, 1]``.
         """
-        x, y = float(point[0]), float(point[1])
-        two_s = 2.0 * self._areas
-        c = self._corners
-        b1 = (-self._y32 * (x - c[:, 1, 0]) + self._x32 * (y - c[:, 1, 1])) / two_s
-        b2 = (self._y31 * (x - c[:, 2, 0]) - self._x31 * (y - c[:, 2, 1])) / two_s
-        b3 = (-self._y21 * (x - c[:, 0, 0]) + self._x21 * (y - c[:, 0, 1])) / two_s
+        return self._barycentric(slice(None), float(point[0]), float(point[1]))
+
+    def _barycentric(self, e, x, y) -> np.ndarray:
+        """Shape-function values of elements ``e`` (an index array or a
+        slice) at points ``(x, y)`` that broadcast against them, ``(K, 3)``;
+        the one barycentric formula behind :meth:`shape_values` and
+        :func:`locate_points`."""
+        two_s = 2.0 * self._areas[e]
+        c = self._corners[e]
+        b1 = (-self._y32[e] * (x - c[:, 1, 0]) + self._x32[e] * (y - c[:, 1, 1])) / two_s
+        b2 = (self._y31[e] * (x - c[:, 2, 0]) - self._x31[e] * (y - c[:, 2, 1])) / two_s
+        b3 = (-self._y21[e] * (x - c[:, 0, 0]) + self._x21[e] * (y - c[:, 0, 1])) / two_s
         return np.stack([b1, b2, b3], axis=1)
 
     def __eq__(self, other) -> bool:
@@ -194,46 +202,107 @@ def build_structured_mesh(
     gx, gy = np.meshgrid(xs, ys)  # row-major over y, x fastest within a row
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = b + (nx + 1)
-            d = a + (nx + 1)
-            elements[k] = (a, b, c)
-            elements[k + 1] = (a, c, d)
-            k += 2
+    # lower-left node of every cell, cells row by row; each cell gives its
+    # lower-right triangle (a, b, c), then its upper-left one (a, c, d)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b = a + 1
+    c = b + (nx + 1)
+    d = a + (nx + 1)
+    elements = np.stack([np.stack([a, b, c], axis=1),
+                         np.stack([a, c, d], axis=1)], axis=1).reshape(-1, 3)
     return TriMesh(nodes, elements)
 
 
 def locate_point(mesh: TriMesh, point, tol: float = 1e-10) -> Optional[int]:
-    """Find the element containing ``point``.
+    """Find the element containing one point ``(x, y)``.
 
-    A point is accepted when all three shape-function values are at least
-    ``-tol``, so points on shared edges or nodes belong to every adjacent
-    element; the lowest element index wins.  Returns ``None`` when the point
-    lies outside the mesh.
+    The single-point form of :func:`locate_points`, with the same
+    acceptance rule (every shape-function value at least ``-tol``, lowest
+    element index wins).  Returns ``None`` when the point lies outside the
+    mesh.
     """
-    return _locate(mesh, point, tol)[0]
+    element = int(locate_points(mesh, np.reshape(point, (1, 2)), tol)[0][0])
+    return None if element < 0 else element
 
 
-def _locate(mesh: TriMesh, point, tol: float = 1e-10):
-    """:func:`locate_point`'s element and the ``(E, 3)``
-    :meth:`TriMesh.shape_values` it was found from."""
-    vals = mesh.shape_values(point)
-    inside = (vals >= -tol).all(axis=1)
-    if not inside.any():
-        return None, vals
-    return int(np.argmax(inside)), vals
+# Points located per pass: bounds the (points, elements) candidate mask
+_LOCATE_CHUNK = 1 << 20
 
 
-def _data_lines(stream: TextIO):
-    for raw in stream:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+def locate_points(mesh: TriMesh, points, tol: float = 1e-10):
+    """Find the element containing each of the ``(P, 2)`` points.
+
+    A point is accepted by an element when all three shape-function values
+    are at least ``-tol``, so points on shared edges or nodes belong to
+    every adjacent element; the lowest element index wins.  The formula
+    runs only on (point, element) pairs whose element bounding box, padded
+    so that no pair the test accepts is dropped, holds the point.
+
+    Returns the ``(P,)`` element indices, ``-1`` for a point outside the
+    mesh, and the ``(P, 3)`` shape values there, bit for bit the element's
+    row of :meth:`TriMesh.shape_values` (``NaN`` for a point outside).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (P, 2), got {points.shape}")
+    c = mesh._corners
+    lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]).T    # (2, E)
+    hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]).T
+    side = np.maximum(hi[0] - lo[0], hi[1] - lo[1])
+    # An accepted point has exact barycentrics >= -(tol + err), with
+    # err <= 16 eps side**2 / area bounding the formula's rounding, so it
+    # lies within 2 (tol + err) side of the element's box; 4 eps |corner|
+    # more covers rounding the padded bounds themselves.
+    eps = np.finfo(float).eps
+    pad = 2.0 * side * (tol + 16.0 * eps * side * side / mesh.areas)
+    pad = pad + 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+    (x_lo, y_lo), (x_hi, y_hi) = (np.ascontiguousarray(bound)
+                                  for bound in (lo - pad, hi + pad))
+
+    count = points.shape[0]
+    elements = np.full(count, -1, dtype=np.int64)
+    values = np.full((count, 3), np.nan)
+    rows = max(1, _LOCATE_CHUNK // mesh.element_count)
+    for start in range(0, count, rows):
+        x = points[start:start + rows, :1]
+        y = points[start:start + rows, 1:]
+        near = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
+        # candidate pairs ordered by point, then by element index
+        pi, ei = np.divmod(np.flatnonzero(near), mesh.element_count)
+        vals = mesh._barycentric(ei, x[pi, 0], y[pi, 0])
+        hits = np.flatnonzero((vals >= -tol).all(axis=1))
+        found, first = np.unique(pi[hits], return_index=True)
+        elements[start + found] = ei[hits[first]]
+        values[start + found] = vals[hits[first]]
+    return elements, values
+
+
+def _data_lines(path) -> list[str]:
+    """The lines of a text file with ``#`` comments, surrounding whitespace
+    and blank lines removed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [line for line in map(str.strip, lines) if line]
+
+
+def _table(lines: list[str], width: int, dtype, message: str) -> np.ndarray:
+    """Data lines of ``width`` values each as one array, parsed in one
+    ``numpy.loadtxt`` pass; any other count on a line, even one that keeps
+    the total right, raises ``ValueError(message)``."""
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
+    try:
+        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        if any(len(line.split()) != width for line in lines):
+            raise ValueError(message) from None
+        raise
+    if table.shape[1] != width:
+        raise ValueError(message)
+    return table
 
 
 def load_mesh(path) -> TriMesh:
@@ -242,35 +311,29 @@ def load_mesh(path) -> TriMesh:
     The format is a ``nodes <C>`` header followed by ``C`` lines of ``x y``
     coordinates, then an ``elements <E>`` header followed by ``E`` lines of
     three whitespace-separated node indices.  ``#`` starts a comment and
-    blank lines are ignored.
+    blank lines are ignored.  Each block is converted in one pass.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh)
-        try:
-            header = next(lines).split()
-            if len(header) != 2 or header[0] != "nodes":
-                raise MeshError(f"expected 'nodes <count>' header, got {header!r}")
-            n_nodes = int(header[1])
-            nodes = np.array(
-                [[float(v) for v in next(lines).split()] for _ in range(n_nodes)]
-            )
-            header = next(lines).split()
-            if len(header) != 2 or header[0] != "elements":
-                raise MeshError(f"expected 'elements <count>' header, got {header!r}")
-            n_elems = int(header[1])
-            elements = np.array(
-                [[int(v) for v in next(lines).split()] for _ in range(n_elems)],
-                dtype=np.int64,
-            )
-        except StopIteration:
-            raise MeshError(f"mesh file {path} ended before all records were read")
-        except ValueError as exc:
-            raise MeshError(f"malformed mesh file {path}: {exc}") from exc
-    if nodes.size and nodes.shape[1] != 2:
-        raise MeshError("node lines must contain exactly two coordinates")
-    if elements.size and elements.shape[1] != 3:
-        raise MeshError("element lines must contain exactly three indices")
-    return TriMesh(nodes, elements)
+    lines = _data_lines(path)
+    tables = []
+    at = 0
+    try:
+        for name, width, dtype, message in (
+                ("nodes", 2, float, "exactly two coordinates"),
+                ("elements", 3, np.int64, "exactly three indices")):
+            header = lines[at].split()
+            if len(header) != 2 or header[0] != name:
+                raise MeshError(f"expected '{name} <count>' header, got {header!r}")
+            count = max(int(header[1]), 0)
+            if at + 1 + count > len(lines):
+                raise IndexError(name)
+            tables.append(_table(lines[at + 1:at + 1 + count], width, dtype,
+                                 f"{name[:-1]} lines must contain {message}"))
+            at += 1 + count
+    except IndexError:
+        raise MeshError(f"mesh file {path} ended before all records were read")
+    except ValueError as exc:
+        raise MeshError(f"malformed mesh file {path}: {exc}") from exc
+    return TriMesh(*tables)
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

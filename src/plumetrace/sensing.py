@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import erf, log_ndtr
 
-from plumetrace.mesh import TriMesh, _locate, locate_point
+from plumetrace.mesh import TriMesh, locate_points
 
 __all__ = [
     "Quantiser",
@@ -240,42 +240,46 @@ def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
     """Measurement operator of a static sensor set, shape ``(N, C + 1)``.
 
     Row j holds the shape-function values of the element containing sensor
-    j (the row of :meth:`TriMesh.shape_values` that located it) at that
-    element's node columns; the final (strength) column is zero.
-    Rows therefore have at most three nonzeros summing to one.
+    j, as :func:`~plumetrace.mesh.locate_points` finds them for all sensors
+    in one pass, at that element's node columns; the final (strength)
+    column is zero.  Rows therefore have at most three nonzeros summing to
+    one.
 
     Raises
     ------
     ValueError
-        If a sensor position lies outside the mesh.
+        If a sensor position lies outside the mesh; the first such sensor
+        is named.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (N, 2), got {positions.shape}")
+    elements, values = locate_points(mesh, positions)
+    if (elements < 0).any():
+        j = int(np.argmax(elements < 0))
+        p = positions[j]
+        raise ValueError(
+            f"sensor {j} at ({p[0]:g}, {p[1]:g}) lies outside the mesh"
+        )
     h = np.zeros((positions.shape[0], mesh.node_count + 1))
-    for j, p in enumerate(positions):
-        element, values = _locate(mesh, p)
-        if element is None:
-            raise ValueError(
-                f"sensor {j} at ({p[0]:g}, {p[1]:g}) lies outside the mesh"
-            )
-        h[j, mesh.elements[element]] = values[element]
+    h[np.arange(positions.shape[0])[:, None], mesh.elements[elements]] = values
     return h
 
 
 def generate_positions(mesh: TriMesh, count: int, rng) -> np.ndarray:
     """Sample ``count`` positions uniformly over the mesh.
 
-    Draws uniformly over the bounding box and rejects points outside the
-    mesh, so the accepted points are uniform over the meshed region.
+    Draws uniformly over the bounding box, a batch at a time, and rejects
+    points outside the mesh, so the accepted points are uniform over the
+    meshed region.
     """
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     xmin, ymin, xmax, ymax = mesh.bounding_box()
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((0, 2))
     attempts = 0
-    while len(accepted) < count:
+    while accepted.shape[0] < count:
         attempts += 1
         if attempts > 1000:
             raise RuntimeError(
@@ -285,12 +289,10 @@ def generate_positions(mesh: TriMesh, count: int, rng) -> np.ndarray:
         batch = rng.random((max(count, 64), 2))
         batch[:, 0] = xmin + batch[:, 0] * (xmax - xmin)
         batch[:, 1] = ymin + batch[:, 1] * (ymax - ymin)
-        for p in batch:
-            if locate_point(mesh, p) is not None:
-                accepted.append(p)
-                if len(accepted) == count:
-                    break
-    return np.array(accepted).reshape(count, 2)
+        inside = batch[locate_points(mesh, batch)[0] >= 0]
+        accepted = np.concatenate(
+            [accepted, inside[:count - accepted.shape[0]]])
+    return accepted
 
 
 def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
@@ -304,8 +306,9 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
     structured mesh whose node spacing matches the element diameter and
     with ``center`` on a node, every ring sensor lands exactly on a node.
 
-    Positions falling outside the mesh raise, as the measurement operator
-    cannot interpolate there; keep the fence clear of the boundary.
+    All positions are located in one :func:`~plumetrace.mesh.locate_points`
+    pass; any outside the mesh raise, naming the first, as the measurement
+    operator cannot interpolate there; keep the fence clear of the boundary.
     """
     count = int(count)
     if count < 4:
@@ -346,12 +349,13 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
         bg = np.column_stack([gx.ravel(), gy.ravel()])[:remaining]
         parts.append(bg)
     positions = np.vstack(parts)[:count]
-    for p in positions:
-        if locate_point(mesh, p) is None:
-            raise ValueError(
-                f"fence sensor at ({p[0]:g}, {p[1]:g}) falls outside the "
-                "mesh; move the fence away from the boundary"
-            )
+    outside = locate_points(mesh, positions)[0] < 0
+    if outside.any():
+        p = positions[np.argmax(outside)]
+        raise ValueError(
+            f"fence sensor at ({p[0]:g}, {p[1]:g}) falls outside the "
+            "mesh; move the fence away from the boundary"
+        )
     return positions
 
 

@@ -1,15 +1,16 @@
 """Reference implementations and helpers that only the tests use.
 
 One element's geometry and its FEM matrices, checked against the
-vectorised ``fem.assemble``; scalar forms of the particle filter's latent
-proposal and predictive density and linear-domain forms of the quantised
-likelihoods, checked against closed forms; the tail-only form of the
-quantised log likelihood, checked against the sensing kernel; a dense
-linear model for the Kalman functions; the particle filter step over every
-particle copy, checked against the step over distinct means; per-particle
-views of a filter state; a quantiser's level values and a gridded flow's
-last sample time; and a runner that compares a script's output at one and
-two BLAS threads.
+vectorised ``fem.assemble``; a point locator that tries every element for
+one point at a time, checked against ``mesh.locate_points``; scalar forms
+of the particle filter's latent proposal and predictive density and
+linear-domain forms of the quantised likelihoods, checked against closed
+forms; the tail-only form of the quantised log likelihood, checked against
+the sensing kernel; a dense linear model for the Kalman functions; the
+particle filter step over every particle copy, checked against the step
+over distinct means; per-particle views of a filter state; a quantiser's
+level values and a gridded flow's last sample time; and a runner that
+compares a script's output at one and two BLAS threads.
 """
 
 import os
@@ -177,6 +178,19 @@ def propose_latent(q: Quantiser, y_hat, rng, size=None):
     if np.ndim(out) == 0 and size is None:
         return float(out)
     return out
+
+
+def locate_point_brute_force(mesh: TriMesh, point, tol: float = 1e-10):
+    """The containing element of ``point`` and its shape values there, found
+    one point at a time over every element: the first element whose
+    :meth:`TriMesh.shape_values` row is at least ``-tol`` throughout, or
+    ``(None, None)`` when there is none."""
+    vals = mesh.shape_values(point)
+    inside = (vals >= -tol).all(axis=1)
+    if not inside.any():
+        return None, None
+    element = int(np.argmax(inside))
+    return element, vals[element]
 
 
 def velocity_at(flow, point, t: float) -> tuple[float, float]:

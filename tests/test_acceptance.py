@@ -102,7 +102,7 @@ def test_criterion_02_advection_transports_at_flow_speed():
     mesh = build_structured_mesh(0.0, 0.0, 2.0, 1.0, 80, 40)
     vel = (0.05, 0.0)
     quality = fem.stability_report(mesh, vel, 1e-6, compute_lambda_max=False)
-    lam_eff = fem.apply_artificial_diffusivity(1e-6, quality)
+    lam_eff = 1e-6 + quality.artificial_diffusivity
     system = fem.assemble(mesh, vel, lam_eff)
     report = fem.stability_report(mesh, vel, lam_eff, system=system)
     dt = fem.default_time_step(report)
@@ -166,7 +166,7 @@ def test_criterion_04_artificial_diffusivity_restores_unit_peclet():
     vel = (0.04, 0.0)
     lam = 1e-3
     before = fem.stability_report(mesh, vel, lam, compute_lambda_max=False)
-    repaired = fem.apply_artificial_diffusivity(lam, before)
+    repaired = lam + before.artificial_diffusivity
     after = fem.stability_report(mesh, vel, repaired, compute_lambda_max=False)
     _report(
         4, "artificial diffusivity pulls the worst cell to unit Peclet",

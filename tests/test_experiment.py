@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from plumetrace import experiment, fem, filters, flowfield, sensing
+from plumetrace.cli import load_config
 from plumetrace.experiment import (
     STREAM_ENKF,
     STREAM_RBPF,
@@ -206,6 +208,37 @@ class TestBuildScenario:
         assert scen.t0 == 0.0
 
 
+class TestFenceLayout:
+    # sha256 of the written layout and of H's bytes for the desk fence (40
+    # sensors on 20 x 20) and for the same fence on 30 x 30 around
+    # (300, 400): a change to point location must reproduce every byte
+    FENCE_DIGESTS = {
+        "desk": ("bca32672f95d596aa8e4afcda8fe3356"
+                 "49e62eacc18deaf81b68746004be74f1",
+                 "377c5f64e13faf1cffa4152a0462cd13"
+                 "8923bae370422211cd7404b3dc559d1c"),
+        "30x30": ("e4f22e281694168880fa3b8f9d3ef5b5"
+                  "d8b77da0c80aadf456027063427e1925",
+                  "ffea12e21ca8ae68b1c1ea61d2b1f164"
+                  "34883924e46c2cca9da09c287208ea3a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FENCE_DIGESTS))
+    def test_fence_layout_is_pinned(self, name, tmp_path):
+        config = load_config(
+            Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+        if name == "30x30":
+            config = dataclasses.replace(config, nx=30, ny=30,
+                                         source=(300.0, 400.0), dt=None)
+        network = build_scenario(config).network
+        sensing.save_sensor_layout(network, tmp_path / "sensors.txt")
+        digests = (
+            hashlib.sha256((tmp_path / "sensors.txt").read_bytes()).hexdigest(),
+            hashlib.sha256(network.H.tobytes()).hexdigest(),
+        )
+        assert digests == self.FENCE_DIGESTS[name]
+
+
 class TestSeeding:
     def test_trial_rng_reproducible_and_separated(self):
         config = tiny_config()
@@ -280,6 +313,21 @@ class TestModelProvider:
         assert late is not early
         diff = early.transition - late.transition
         assert abs(diff).max() > 0.0
+
+
+    def test_each_flow_sample_is_evaluated_once(self, tmp_path, monkeypatch):
+        times = []
+        evaluate = flowfield.element_velocities
+
+        def counted(flow, mesh, t):
+            times.append(t)
+            return evaluate(flow, mesh, t)
+
+        monkeypatch.setattr(flowfield, "element_velocities", counted)
+        scen = build_scenario(gridded_config(tmp_path))
+        for k in range(scen.config.steps):
+            scen.provider.model_at(k)
+        assert times == [0.0, 2.0, 1e6]
 
 
 class TestTrials:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from plumetrace.fem import (
     GlobalSystem,
-    apply_artificial_diffusivity,
     assemble,
     build_model,
     default_time_step,
@@ -378,7 +377,7 @@ class TestStability:
         report = stability_report(mesh, (0.04, 0.0), 1e-3,
                                   compute_lambda_max=False)
         assert report.max_peclet == pytest.approx(2.0)
-        repaired = apply_artificial_diffusivity(1e-3, report)
+        repaired = 1e-3 + report.artificial_diffusivity
         after = stability_report(mesh, (0.04, 0.0), repaired,
                                  compute_lambda_max=False)
         assert abs(after.max_peclet - 1.0) < 1e-12
@@ -388,7 +387,7 @@ class TestStability:
         report = stability_report(mesh, (0.01, 0.0), 1e-3,
                                   compute_lambda_max=False)
         assert report.max_peclet < 1.0
-        assert apply_artificial_diffusivity(1e-3, report) == 1e-3
+        assert 1e-3 + report.artificial_diffusivity == 1e-3
 
     def test_approves(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)

@@ -167,3 +167,38 @@ class TestGriddedFlow:
         path.write_text("grid 2 1 1\nxs: 0 1 2\nys: 0\nts: 0\n0 0\n0 0\n")
         with pytest.raises(ValueError, match="'xs:' line"):
             load_gridded_flow(path)
+
+    def test_ragged_sample_lines_rejected(self, tmp_path):
+        path = tmp_path / "flow.txt"
+        # four values over two lines: the total is right, the lines are not
+        path.write_text("grid 2 1 1\nxs: 0 1\nys: 0\nts: 0\n1 2 3\n4\n")
+        with pytest.raises(ValueError, match="sample lines") as err:
+            load_gridded_flow(path)
+        assert "exactly 'u v'" in str(err.value)
+        assert str(path) in str(err.value)
+        path.write_text("grid 2 1 1\nxs: 0 1\nys: 0\nts: 0\n1 2\n3 four\n")
+        with pytest.raises(ValueError, match="malformed flow file") as err:
+            load_gridded_flow(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text,message", [
+        ("grid 0 1 1\nxs:\nys: 0\nts: 0\n", "non-empty"),
+        ("grid 2 1 1\nxs: 1 0\nys: 0\nts: 0\n0 0\n0 0\n", "increasing"),
+    ])
+    def test_refused_grids_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "flow.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as err:
+            load_gridded_flow(path)
+        assert str(path) in str(err.value)
+
+    def test_comments_inside_the_sample_block_ignored(self, tmp_path):
+        path = tmp_path / "flow.txt"
+        path.write_text("grid 2 1 2\nxs: 0 1\nys: 0\nts: 0 5\n"
+                        "0.5 -1  # first sample\n# a whole-line comment\n"
+                        "\n1.5 nan\n2 3\n  # indented comment\n4e-2 5\n")
+        flow = load_gridded_flow(path)
+        np.testing.assert_array_equal(flow.u, [[[0.5, 0.0]], [[2.0, 0.04]]])
+        np.testing.assert_array_equal(flow.v, [[[-1.0, 0.0]], [[3.0, 5.0]]])
+        np.testing.assert_array_equal(flow.mask, [[[False, True]],
+                                                  [[False, False]]])

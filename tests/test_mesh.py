@@ -8,10 +8,12 @@ from plumetrace.mesh import (
     build_structured_mesh,
     load_mesh,
     locate_point,
+    locate_points,
     save_mesh,
 )
+from plumetrace import mesh as meshmod
 
-from oracles import element_geometry
+from oracles import element_geometry, locate_point_brute_force
 
 
 def _signed_area(a, b, c):
@@ -58,6 +60,18 @@ class TestStructuredMesh:
     def test_bounding_box(self):
         m = build_structured_mesh(-2.0, 1.0, 3.0, 6.0, 2, 2)
         assert m.bounding_box() == (-2.0, 1.0, 3.0, 6.0)
+
+    def test_element_table_cell_by_cell(self):
+        nx, ny = 4, 3
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
+        expected = []
+        for j in range(ny):
+            for i in range(nx):
+                a = j * (nx + 1) + i
+                b, d = a + 1, a + nx + 1
+                expected += [(a, b, d + 1), (a, d + 1, d)]
+        np.testing.assert_array_equal(m.elements, expected)
+        assert m.elements.dtype == np.int64
 
     def test_bad_resolution_and_extent(self):
         with pytest.raises(MeshError):
@@ -192,6 +206,117 @@ class TestLocatePoint:
         assert locate_point(self.m, (0.0, 0.0)) is not None
 
 
+def _jittered_mesh(tmp_path):
+    """A 6 x 5 grid with its interior nodes moved, its elements shuffled and
+    each element's nodes rotated, written with :func:`save_mesh` and read
+    back."""
+    base = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 6, 5)
+    rng = np.random.default_rng(12)
+    nodes = base.nodes.copy()
+    interior = ~((nodes == 0.0) | (nodes == 1.0)).any(axis=1)
+    nodes[interior] += (rng.uniform(-0.15, 0.15, (interior.sum(), 2))
+                        * [1.0 / 6.0, 1.0 / 5.0])
+    order = rng.permutation(base.element_count)
+    shifts = rng.integers(0, 3, base.element_count)
+    elements = [np.roll(base.elements[e], k) for e, k in zip(order, shifts)]
+    path = tmp_path / "jittered.txt"
+    save_mesh(TriMesh(nodes, elements), path)
+    return load_mesh(path)
+
+
+def _probe_points(m, rng, outside=1e-12):
+    """Nodes, edge midpoints, centroids, the bounding-box corners, points
+    ``outside`` beyond each side of the bounding box, and random points over
+    a box a little larger than the mesh's."""
+    xmin, ymin, xmax, ymax = m.bounding_box()
+    xmid, ymid = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    corners = m.nodes[m.elements]
+    edges = 0.5 * (corners + np.roll(corners, 1, axis=1))
+    span = max(xmax - xmin, ymax - ymin)
+    beyond = [(xmin - outside, ymid), (xmax + outside, ymid),
+              (xmid, ymin - outside), (xmid, ymax + outside),
+              (xmin - outside, ymin - outside), (xmax + outside, ymax + outside)]
+    return np.vstack([
+        m.nodes, edges.reshape(-1, 2), m.centroids,
+        [(xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)], beyond,
+        rng.uniform([xmin - 0.05 * span, ymin - 0.05 * span],
+                    [xmax + 0.05 * span, ymax + 0.05 * span], (400, 2)),
+    ])
+
+
+def _assert_matches_brute_force(m, points, tol=1e-10):
+    elements, values = locate_points(m, points, tol)
+    assert elements.shape == (len(points),) and values.shape == (len(points), 3)
+    for j, p in enumerate(points):
+        element, row = locate_point_brute_force(m, p, tol)
+        assert locate_point(m, p, tol) == element
+        if element is None:
+            assert elements[j] == -1 and np.isnan(values[j]).all()
+        else:
+            assert elements[j] == element
+            assert values[j].tobytes() == row.tobytes()
+
+
+class TestLocatePoints:
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_structured_mesh_matches_brute_force(self, tol):
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 4, 3)
+        _assert_matches_brute_force(m, _probe_points(m, np.random.default_rng(1)), tol)
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_jittered_mesh_matches_brute_force(self, tmp_path, tol):
+        m = _jittered_mesh(tmp_path)
+        _assert_matches_brute_force(m, _probe_points(m, np.random.default_rng(2)), tol)
+
+    def test_far_from_the_origin_matches_brute_force(self):
+        # box bounds near 1e6 round at about 1e-10, the scale of tol * h
+        m = build_structured_mesh(1e6, -2e6, 1e6 + 1.0, -2e6 + 1.0, 5, 4)
+        _assert_matches_brute_force(m, _probe_points(m, np.random.default_rng(3)))
+
+    def test_tolerance_band_edge_matches_brute_force(self):
+        # the right-hand column has h = 0.5: x - 1 <= tol / 2 is accepted
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
+        offsets = np.arange(0, 21) * 5e-12
+        points = np.column_stack([1.0 + offsets, np.full(offsets.size, 0.3)])
+        _assert_matches_brute_force(m, points)
+        found = locate_points(m, points)[0] >= 0
+        assert found[0] and not found[-1]
+
+    def test_shared_node_takes_lowest_incident_element(self):
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
+        centre = 4                                 # node (0.5, 0.5)
+        incident = [e for e in range(m.element_count) if centre in m.elements[e]]
+        elements, values = locate_points(m, m.nodes[[centre]])
+        assert elements[0] == min(incident)
+        local = list(m.elements[elements[0]]).index(centre)
+        np.testing.assert_array_equal(values[0], np.eye(3)[local])
+
+    def test_just_outside_found_only_within_the_tolerance(self):
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
+        points = [(1.0 + 1e-12, 0.5), (0.5, -1e-12), (-1e-12, -1e-12)]
+        assert (locate_points(m, points)[0] >= 0).all()
+        assert (locate_points(m, points, tol=0.0)[0] == -1).all()
+        assert (locate_points(m, [(1.0 + 1e-6, 0.5)])[0] == -1).all()
+
+    def test_chunked_passes_agree(self, tmp_path, monkeypatch):
+        m = _jittered_mesh(tmp_path)
+        points = _probe_points(m, np.random.default_rng(4))
+        whole = locate_points(m, points)
+        monkeypatch.setattr(meshmod, "_LOCATE_CHUNK", 7 * m.element_count)
+        chunked = locate_points(m, points)
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        assert chunked[1].tobytes() == whole[1].tobytes()
+
+    def test_empty_and_misshapen_input(self):
+        m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
+        elements, values = locate_points(m, np.empty((0, 2)))
+        assert elements.shape == (0,) and values.shape == (0, 3)
+        with pytest.raises(ValueError, match="shape"):
+            locate_points(m, [0.5, 0.5])
+        with pytest.raises(ValueError):
+            locate_point(m, (0.5, 0.5, 0.5))
+
+
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
         m = build_structured_mesh(-1.0, 0.5, 2.5, 3.0, 3, 4)
@@ -224,6 +349,19 @@ class TestMeshIO:
         path = tmp_path / "m.txt"
         path.write_text("nodes 3\n0 0\n1 0\n")
         with pytest.raises(MeshError, match="ended"):
+            load_mesh(path)
+
+    def test_ragged_lines_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        # three values, then one: two per line in total
+        path.write_text("nodes 3\n0 0 1\n0\n0 1\nelements 1\n0 1 2\n")
+        with pytest.raises(MeshError, match="exactly two coordinates"):
+            load_mesh(path)
+        path.write_text("nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1\n2 0 1 2\n")
+        with pytest.raises(MeshError, match="exactly three indices"):
+            load_mesh(path)
+        path.write_text("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1.0 2\n")
+        with pytest.raises(MeshError, match="malformed"):
             load_mesh(path)
 
     def test_malformed_number(self, tmp_path):
