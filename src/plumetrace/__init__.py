@@ -36,13 +36,9 @@ from plumetrace.flowfield import (
 )
 from plumetrace.sensing import (
     QuantisedObservation,
-    Quantiser,
     SensorNetwork,
     build_measurement_matrix,
     generate_positions,
-    log_cell_probability,
-    log_observation_likelihood,
-    simulate_measurement,
 )
 from plumetrace.filters import (
     EnsembleState,

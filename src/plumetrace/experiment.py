@@ -369,12 +369,13 @@ def draw_observation(
 ) -> sensing.QuantisedObservation:
     """One network reading of ``state_vector`` with fresh draws from ``rng``.
 
-    Draw order is fixed: detection indicators first, then measurement
-    noise.
+    The pre-quantisation reading is ``y = alpha * (H x) + noise``; the noise
+    is added whether or not the signal was detected.  Draw order is fixed:
+    detection indicators first, then measurement noise.
     """
     alpha = (rng.random(network.count) < network.detect_rate).astype(float)
     noise = rng.normal(0.0, np.sqrt(network.noise_var))
-    y = sensing.simulate_measurement(network.H, state_vector, alpha, noise)
+    y = alpha * (network.H @ state_vector) + noise
     return sensing.QuantisedObservation(
         values=network.quantise(y), detections=alpha, raw=y,
     )

@@ -387,12 +387,12 @@ def stability_report(
     )
 
 
-def default_time_step(report: StabilityReport, safety: float = 0.5) -> float:
-    """Conservative explicit step: ``safety * min(critical_dt, courant_dt)``."""
+def default_time_step(report: StabilityReport) -> float:
+    """Conservative explicit step: ``0.5 * min(critical_dt, courant_dt)``."""
     bound = min(report.critical_dt, report.courant_dt)
     if not np.isfinite(bound):
         raise ValueError(
             "no finite stability bound; the model has neither flow nor "
             "diffusion"
         )
-    return safety * bound
+    return 0.5 * bound

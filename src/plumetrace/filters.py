@@ -137,12 +137,11 @@ def predict_covariance(model, cov: np.ndarray, *, _blocks=None) -> np.ndarray:
 
     ``A`` is the model's sparse augmented transition.  Only the lower block
     triangle of ``A P A^T`` is formed, a band of columns at a time, each
-    diagonal block averaged with its transpose; ``W`` is added to the lower
-    triangle, which is then copied onto the upper one.  ``W`` is the
-    model's ``process_variances()``: a vector is the diagonal of ``W``, so
-    no dense ``A`` or ``W`` is formed; a matrix is a full ``W``, of which
-    only the lower triangle is read.  ``_blocks`` is ``_row_blocks`` of the
-    transition, which :func:`gain_schedule` slices once per model.
+    diagonal block averaged with its transpose; ``W``, the diagonal given
+    by the model's ``process_variances()``, is added to the diagonal, and
+    the lower triangle is then copied onto the upper one.  No dense ``A``
+    or ``W`` is formed.  ``_blocks`` is ``_row_blocks`` of the transition,
+    which :func:`gain_schedule` slices once per model.
     """
     if _blocks is None:
         _blocks = _row_blocks(model.augmented_transition())
@@ -152,12 +151,7 @@ def predict_covariance(model, cov: np.ndarray, *, _blocks=None) -> np.ndarray:
         # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T
         p[i:, i:j] = tail @ (band @ cov).T
         p[i:j, i:j] = 0.5 * (p[i:j, i:j] + p[i:j, i:j].T)
-    w = model.process_variances()
-    if w.ndim == 2:
-        lower = np.tril_indices_from(p)
-        p[lower] += w[lower]
-    else:
-        p[np.diag_indices_from(p)] += w
+    p[np.diag_indices_from(p)] += model.process_variances()
     return _mirror_lower(p)
 
 

@@ -1,23 +1,21 @@
 """Time-varying 2-D velocity fields for the transport model.
 
 Provides analytic flows for synthetic studies and gridded flows read from
-text files, both queried through the same interface: a velocity at an
-arbitrary point and time.  Gridded data is interpolated bilinearly in space
-and linearly in time; grid cells marked as missing (land) contribute zero
-velocity.
+text files, both queried through the same method: ``velocity_many(points,
+t)`` gives the ``(P, 2)`` velocities at many points at one time.  Gridded
+data is interpolated bilinearly in space and linearly in time; grid cells
+marked as missing (land) contribute zero velocity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from plumetrace.mesh import TriMesh, _data_lines, _table
 
 __all__ = [
-    "FlowField",
     "UniformFlow",
     "RigidRotationFlow",
     "GriddedFlow",
@@ -27,24 +25,12 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class FlowField(Protocol):
-    """Anything that can report a velocity at a point and time."""
-
-    def velocity(self, point, t: float) -> tuple[float, float]: ...
-
-    def velocity_many(self, points, t: float) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
 class UniformFlow:
     """Spatially and temporally constant flow; ``UniformFlow(0, 0)`` is rest."""
 
     u: float = 0.0
     v: float = 0.0
-
-    def velocity(self, point, t: float) -> tuple[float, float]:
-        return self.u, self.v
 
     def velocity_many(self, points, t: float) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -64,11 +50,6 @@ class RigidRotationFlow:
 
     center: tuple[float, float] = (0.0, 0.0)
     omega: float = 0.0
-
-    def velocity(self, point, t: float) -> tuple[float, float]:
-        dx = float(point[0]) - self.center[0]
-        dy = float(point[1]) - self.center[1]
-        return -self.omega * dy, self.omega * dx
 
     def velocity_many(self, points, t: float) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -174,10 +155,6 @@ class GriddedFlow:
                 out[:, comp] = lo
         return out
 
-    def velocity(self, point, t: float) -> tuple[float, float]:
-        uv = self.velocity_many(np.asarray(point, dtype=float)[None, :], t)
-        return float(uv[0, 0]), float(uv[0, 1])
-
     def __repr__(self) -> str:
         return (
             f"GriddedFlow(nx={self.xs.size}, ny={self.ys.size}, "
@@ -185,8 +162,8 @@ class GriddedFlow:
         )
 
 
-def element_velocities(flow: FlowField, mesh: TriMesh, t: float) -> np.ndarray:
-    """Flow sampled at every element centroid, shape ``(E, 2)``."""
+def element_velocities(flow, mesh: TriMesh, t: float) -> np.ndarray:
+    """``flow.velocity_many`` at every element centroid, shape ``(E, 2)``."""
     return flow.velocity_many(mesh.centroids, t)
 
 

@@ -5,9 +5,10 @@ shape functions, so the network is a linear operator H on the augmented
 state whose strength column is zero.  A reading is ``y = alpha * Hx + v``
 where ``alpha`` is a Bernoulli detection indicator and ``v`` Gaussian noise;
 the transmitted value is ``y`` pushed through a uniform quantiser.  The
-module also provides the probability kernels of the quantised reading used
-for filter weighting, with log-space variants that stay finite far into the
-Gaussian tails.
+network quantises its readings (:meth:`SensorNetwork.quantise`) and gives
+the log likelihood of a received level that the particle filter weights
+with (:meth:`SensorNetwork.log_likelihood`), which stays finite far into
+the Gaussian tails.
 """
 
 from __future__ import annotations
@@ -23,61 +24,15 @@ from scipy.special import erf, log_ndtr
 from plumetrace.mesh import TriMesh, locate_points
 
 __all__ = [
-    "Quantiser",
     "SensorNetwork",
     "QuantisedObservation",
     "build_measurement_matrix",
     "generate_positions",
-    "simulate_measurement",
-    "log_cell_probability",
-    "log_observation_likelihood",
     "load_sensor_layout",
     "save_sensor_layout",
 ]
 
 _SQRT_HALF = np.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class Quantiser:
-    """Uniform quantiser over ``[-scale, scale]`` with ``num_levels`` cells.
-
-    Level h (0-based) has the reproduction value
-    ``-scale + (2h + 1) * scale / num_levels``; the levels are equally
-    spaced, symmetric about zero, and each owns a cell of half-width
-    ``scale / num_levels``.  Inputs outside the range saturate to the
-    nearest extreme level, and the upper boundary ``y = scale`` maps to the
-    top level.
-    """
-
-    scale: float
-    num_levels: int
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError(f"quantiser scale must be positive, got {self.scale}")
-        if int(self.num_levels) != self.num_levels or self.num_levels < 1:
-            raise ValueError(
-                f"level count must be a positive integer, got {self.num_levels}"
-            )
-        object.__setattr__(self, "num_levels", int(self.num_levels))
-
-    @property
-    def cell_half_width(self) -> float:
-        return self.scale / self.num_levels
-
-    def quantise(self, y):
-        """Map measurements to their level values (scalar or array)."""
-        return _quantise(np.asarray(y, dtype=float), self.scale, self.num_levels)
-
-
-def _quantise(y: np.ndarray, scale, num_levels):
-    h = np.floor((y + scale) * num_levels / (2.0 * scale))
-    h = np.clip(h, 0, np.asarray(num_levels) - 1)
-    out = -scale + (2.0 * h + 1.0) * scale / num_levels
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def _log_gauss_cell_mass(lo, hi, mean, var) -> np.ndarray:
@@ -146,60 +101,6 @@ def _log_tail_mass(a, b):
     return np.where(diff < 0.0, out, -np.inf)
 
 
-def _positive_variance(var) -> np.ndarray:
-    var = np.asarray(var, dtype=float)
-    if (var <= 0.0).any():
-        raise ValueError("variance must be positive")
-    return var
-
-
-def log_cell_probability(q: Quantiser, level, mean, var):
-    """Log Gaussian mass of a level's quantisation cell.
-
-    The cell is ``[level - w, level + w)`` with ``w`` the cell half-width.
-    """
-    w = q.cell_half_width
-    level = np.asarray(level, dtype=float)
-    out = _log_gauss_cell_mass(level - w, level + w,
-                               np.asarray(mean, dtype=float),
-                               _positive_variance(var))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def _log_mixture(log_detect, log_miss, detect_rate):
-    detect_rate = np.asarray(detect_rate, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.logaddexp(
-            np.log(detect_rate) + log_detect,
-            np.log1p(-detect_rate) + log_miss,
-        )
-    return out
-
-
-def _log_quantised_likelihood(lo, hi, z, var, detect_rate):
-    """Log mixture likelihood of the received cell ``[lo, hi)`` given the
-    latent signal ``z``; the one kernel behind the likelihood functions.
-
-    Where the detection cell straddles ``z`` and the detection rate ``p`` is
-    positive, the mixture is formed in linear space,
-    ``log(p m + (1 - p) exp(log_miss))``.  The cell mass ``m`` is then at
-    least about ``min(1/2, 0.4 (hi - lo) / sd)``, so a miss term that
-    underflows in ``exp`` is negligible against ``p m``.  Every other cell,
-    each cell of a sensor with ``p = 0`` included, goes through
-    ``logaddexp``, which gives exactly ``log_miss`` when ``p = 0``.
-    """
-    detect_rate = np.asarray(detect_rate, dtype=float)
-    log_miss = _log_gauss_cell_mass(lo, hi, 0.0, var)
-    miss = (1.0 - detect_rate) * np.exp(log_miss)    # per sensor, unbroadcast
-    a, b = _reflected_bounds(lo, hi, z, var)
-    arrays = np.broadcast_arrays(a, b, miss, log_miss, detect_rate)
-    straddles = (arrays[1] > 0.0) & (arrays[4] > 0.0)
-    return _by_cell_kind(straddles, _straddling_mixture, _tail_mixture,
-                         *arrays)
-
-
 def _straddling_mixture(a, b, miss, log_miss, detect_rate):
     mixed = detect_rate * _straddling_mass(a, b) + miss
     with np.errstate(divide="ignore"):
@@ -207,24 +108,10 @@ def _straddling_mixture(a, b, miss, log_miss, detect_rate):
 
 
 def _tail_mixture(a, b, miss, log_miss, detect_rate):
-    return _log_mixture(_log_cell_mass(a, b), log_miss, detect_rate)
-
-
-def log_observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
-    """Log probability of receiving level ``y_hat`` given latent signal ``z``.
-
-    Mixture of the detection branch (reading centred at ``z``) and the miss
-    branch (centred at zero, the noise alone), weighted by the detection
-    probability.
-    """
-    w = q.cell_half_width
-    y_hat = np.asarray(y_hat, dtype=float)
-    out = _log_quantised_likelihood(y_hat - w, y_hat + w,
-                                    np.asarray(z, dtype=float),
-                                    _positive_variance(noise_var), detect_rate)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    log_detect = _log_cell_mass(a, b)
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(np.log(detect_rate) + log_detect,
+                            np.log1p(-detect_rate) + log_miss)
 
 
 @dataclass(frozen=True)
@@ -359,22 +246,6 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
     return positions
 
 
-def simulate_measurement(h, state_vector, alpha, noise):
-    """Pre-quantisation reading ``y = alpha * (h @ x) + noise``.
-
-    ``h`` may be a single measurement row or the full matrix with matching
-    vector draws.  The noise is added whether or not the signal was
-    detected.
-    """
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(state_vector, dtype=float)
-    signal = h @ x
-    out = np.asarray(alpha, dtype=float) * signal + np.asarray(noise, dtype=float)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def _per_sensor(values, count: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
@@ -477,33 +348,51 @@ class SensorNetwork:
         """Log density of a uniform draw over one quantisation cell."""
         return np.log(self.levels / (2.0 * self.scale))
 
-    def quantiser(self, j: int) -> Quantiser:
-        return Quantiser(scale=float(self.scale[j]), num_levels=int(self.levels[j]))
-
     def quantise(self, y) -> np.ndarray:
-        """Quantise readings; the last axis indexes sensors."""
+        """Quantise readings; the last axis indexes sensors.
+
+        Sensor j quantises uniformly over ``[-scale_j, scale_j]`` with
+        ``levels_j`` cells of half-width ``w_j = scale_j / levels_j``; level h
+        (0-based) has the value ``-scale_j + (2h + 1) w_j``.  Readings outside
+        the range saturate to the nearest extreme level, and the upper
+        boundary ``y = scale_j`` maps to the top level.
+        """
         y = np.asarray(y, dtype=float)
-        return _quantise(y, self.scale, self.levels)
+        h = np.floor((y + self.scale) * self.levels / (2.0 * self.scale))
+        h = np.clip(h, 0, self.levels - 1)
+        return -self.scale + (2.0 * h + 1.0) * self.scale / self.levels
 
     def log_likelihood(self, y_hat, z) -> np.ndarray:
         """Log mixture likelihood of received levels, vectorised.
 
         ``y_hat`` has shape ``(N,)`` and ``z`` any shape broadcastable with
         it (e.g. ``(M, N)`` for a particle population); the result follows
-        the broadcast shape.
+        the broadcast shape.  A level's cell is ``[y_hat - w, y_hat + w)``;
+        the detection branch centres the reading at ``z`` and the miss
+        branch at zero, weighted by the detection rate ``p``.
 
         A particle filter draws each latent inside its received cell, so its
-        detection cells straddle their means.  Such a cell's mass is the sum
-        of two non-negative ``erf`` terms, exact without a tail form, and is
-        mixed with the sensor's miss term in linear space; cells with both
-        bounds in one tail keep the ``log_ndtr`` form and ``logaddexp``.
-        :func:`log_observation_likelihood` shares the kernel.
+        detection cells straddle their means.  Where the detection cell
+        straddles ``z`` and ``p`` is positive, the cell mass ``m`` is the sum
+        of two non-negative ``erf`` terms, exact without a tail form, and the
+        mixture is formed in linear space, ``log(p m + (1 - p) exp(log_miss))``.
+        ``m`` is then at least about ``min(1/2, 0.4 (hi - lo) / sd)``, so a
+        miss term that underflows in ``exp`` is negligible against ``p m``.
+        Every other cell, each cell of a sensor with ``p = 0`` included,
+        keeps the ``log_ndtr`` form and goes through ``logaddexp``, which
+        gives exactly ``log_miss`` when ``p = 0``.
         """
         y_hat = np.asarray(y_hat, dtype=float)
-        z = np.asarray(z, dtype=float)
         w = self.cell_half_width
-        return _log_quantised_likelihood(y_hat - w, y_hat + w, z,
-                                         self.noise_var, self.detect_rate)
+        lo, hi = y_hat - w, y_hat + w
+        log_miss = _log_gauss_cell_mass(lo, hi, 0.0, self.noise_var)
+        miss = (1.0 - self.detect_rate) * np.exp(log_miss)   # unbroadcast
+        a, b = _reflected_bounds(lo, hi, np.asarray(z, dtype=float),
+                                 self.noise_var)
+        arrays = np.broadcast_arrays(a, b, miss, log_miss, self.detect_rate)
+        straddles = (arrays[1] > 0.0) & (arrays[4] > 0.0)
+        return _by_cell_kind(straddles, _straddling_mixture, _tail_mixture,
+                             *arrays)
 
 
 def save_sensor_layout(network: SensorNetwork, path) -> None:

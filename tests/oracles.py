@@ -3,13 +3,15 @@
 One element's geometry and its FEM matrices, checked against the
 vectorised ``fem.assemble``; a point locator that tries every element for
 one point at a time, checked against ``mesh.locate_points``; scalar forms
-of the particle filter's latent proposal and predictive density and
-linear-domain forms of the quantised likelihoods, checked against closed
-forms; the tail-only form of the quantised log likelihood, checked against
-the sensing kernel; a dense linear model for the Kalman functions; the
-particle filter step over every particle copy, checked against the step
-over distinct means; per-particle views of a filter state; a quantiser's
-level values and a gridded flow's last sample time; and a runner that
+of the particle filter's latent proposal and predictive density, checked
+against closed forms; a one-sensor network through which the tests reach
+the quantiser and the likelihood kernel of ``SensorNetwork``, and the
+linear-domain cell mass taken through it; the tail-only form of the
+quantised log likelihood, checked against that kernel; a dense linear
+model for the Kalman functions; the particle filter step over every
+particle copy, checked against the step over distinct means; per-particle
+views of a filter state; a quantiser's level values, a flow's velocity at
+one point and a gridded flow's last sample time; and a runner that
 compares a script's output at one and two BLAS threads.
 """
 
@@ -34,11 +36,7 @@ from plumetrace.filters import (
     normalise_weights,
 )
 from plumetrace.mesh import TriMesh
-from plumetrace.sensing import (
-    Quantiser,
-    log_cell_probability,
-    log_observation_likelihood,
-)
+from plumetrace.sensing import SensorNetwork
 
 
 @dataclass(frozen=True)
@@ -167,12 +165,12 @@ def latent_transition_density(
     return float(np.exp(latent_transition_logpdf(z, mean, var)))
 
 
-def propose_latent(q: Quantiser, y_hat, rng, size=None):
-    """Draw latent measurements uniformly over a received cell.
+def propose_latent(w, y_hat, rng, size=None):
+    """Draw latent measurements uniformly over a received cell of
+    half-width ``w``.
 
-    The proposal density is the constant ``num_levels / (2 * scale)``.
+    The proposal density is the constant ``1 / (2 * w)``.
     """
-    w = q.cell_half_width
     y_hat = np.asarray(y_hat, dtype=float)
     out = rng.uniform(y_hat - w, y_hat + w, size=size)
     if np.ndim(out) == 0 and size is None:
@@ -194,8 +192,10 @@ def locate_point_brute_force(mesh: TriMesh, point, tol: float = 1e-10):
 
 
 def velocity_at(flow, point, t: float) -> tuple[float, float]:
-    """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair."""
-    return flow.velocity(point, t)
+    """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair:
+    its ``velocity_many`` of that one point."""
+    u, v = flow.velocity_many(np.asarray(point, dtype=float)[None, :], t)[0]
+    return float(u), float(v)
 
 
 def t_last(flow) -> float:
@@ -203,27 +203,35 @@ def t_last(flow) -> float:
     return float(flow.ts[-1])
 
 
-def level_values(q: Quantiser) -> np.ndarray:
-    """All reproduction values of ``q`` in ascending order, shape
-    ``(num_levels,)``."""
-    h = np.arange(q.num_levels)
-    return -q.scale + (2.0 * h + 1.0) * q.scale / q.num_levels
+def one_sensor(scale, levels, noise_var=1.0, detect_rate=1.0) -> SensorNetwork:
+    """A network of one sensor, with a zero ``H`` row, quantising over
+    ``[-scale, scale]`` with ``levels`` cells.
+
+    Its ``quantise`` and ``log_likelihood`` broadcast a ``(K,)`` input
+    against the one sensor.  At ``detect_rate = 1`` its likelihood is the
+    Gaussian mass of the received cell around the latent.
+    """
+    return SensorNetwork(
+        positions=np.zeros((1, 2)), H=np.zeros((1, 1)),
+        noise_var=np.array([noise_var], dtype=float),
+        detect_rate=np.array([detect_rate], dtype=float),
+        scale=np.array([scale], dtype=float),
+        levels=np.array([levels], dtype=float))
 
 
-def cell_probability(q: Quantiser, level, mean, var):
-    """Gaussian probability mass of a level's quantisation cell."""
-    out = np.exp(log_cell_probability(q, level, mean, var))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+def level_values(scale, levels) -> np.ndarray:
+    """All reproduction values of a quantiser over ``[-scale, scale]`` with
+    ``levels`` cells in ascending order, shape ``(levels,)``."""
+    h = np.arange(levels)
+    return -scale + (2.0 * h + 1.0) * scale / levels
 
 
-def observation_likelihood(q: Quantiser, y_hat, z, noise_var, detect_rate):
-    """Probability of receiving level ``y_hat`` given latent signal ``z``."""
-    out = np.exp(log_observation_likelihood(q, y_hat, z, noise_var, detect_rate))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+def cell_probability(scale, levels, level, mean, var) -> np.ndarray:
+    """Gaussian probability mass of a level's quantisation cell: the
+    likelihood of a one-sensor network that always detects, with noise
+    variance ``var``, at the latent ``mean``."""
+    cells = one_sensor(scale, levels, noise_var=var)
+    return np.exp(cells.log_likelihood(level, mean))
 
 
 def reference_log_cell_mass(lo, hi, mean, var):
@@ -260,7 +268,8 @@ def reference_log_likelihood(lo, hi, z, var, detect_rate):
 
 @dataclass
 class LinearModel:
-    """Dense linear-Gaussian model: a transition matrix and process noise.
+    """Dense linear-Gaussian model: a transition matrix and the variances
+    of its diagonal process noise.
 
     Stands in for :class:`~plumetrace.fem.DispersionModel` in the Kalman
     functions.
@@ -273,8 +282,7 @@ class LinearModel:
         return sp.csr_matrix(self.a)
 
     def process_variances(self) -> np.ndarray:
-        """The full process covariance, which the Kalman functions add as
-        a matrix."""
+        """The process variances, the diagonal of ``W``."""
         return self.w
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from plumetrace import fem, filters, sensing
+from plumetrace import fem, filters
 from plumetrace.experiment import (
     STREAM_RBPF,
     STREAM_TRUTH,
@@ -33,9 +33,8 @@ from plumetrace.experiment import (
 )
 from plumetrace.filters import GaussianBelief, kf_predict, kf_update
 from plumetrace.mesh import build_structured_mesh
-from plumetrace.sensing import Quantiser
 
-from oracles import LinearModel, level_values
+from oracles import LinearModel, level_values, one_sensor
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -178,18 +177,19 @@ def test_criterion_04_artificial_diffusivity_restores_unit_peclet():
 
 
 def test_criterion_05_quantiser_error_never_exceeds_half_cell():
-    q = Quantiser(scale=2000.0, num_levels=10_000)
-    w = q.cell_half_width
+    scale, levels = 2000.0, 10_000
+    q = one_sensor(scale, levels)
+    w = scale / levels
     rng = np.random.default_rng(7)
-    y = rng.uniform(-q.scale, q.scale, 1_000_000)
+    y = rng.uniform(-scale, scale, 1_000_000)
     quantised = q.quantise(y)
     violations = int((np.abs(quantised - y) > w * (1.0 + 1e-12)).sum())
     idempotent = np.array_equal(q.quantise(quantised), quantised)
     ordered = bool((np.diff(q.quantise(np.sort(y))) >= 0.0).all())
-    small = Quantiser(scale=3.0, num_levels=11)
+    small = one_sensor(3.0, 11)
     ys = np.linspace(-3.0, 3.0, 10_001)
     small_ok = (np.abs(small.quantise(ys) - ys)
-                <= small.cell_half_width * (1.0 + 1e-12)).all()
+                <= 3.0 / 11 * (1.0 + 1e-12)).all()
     _report(
         5, "quantisation error stays within half a cell",
         violations == 0 and idempotent and ordered and bool(small_ok),
@@ -201,15 +201,18 @@ def test_criterion_05_quantiser_error_never_exceeds_half_cell():
 def test_criterion_06_cell_probabilities_form_a_partition():
     rng = np.random.default_rng(17)
     worst = 0.0
+    scale = 5.0
     for levels in (3, 100, 11_000):
-        q = Quantiser(scale=5.0, num_levels=levels)
-        values = level_values(q)
+        values = level_values(scale, levels)
         for _ in range(20):
             z = rng.uniform(-6.0, 6.0)
             var = rng.uniform(1e-4, 4.0)
             sd = np.sqrt(var)
-            total = np.exp(sensing.log_cell_probability(q, values, z, var)).sum()
-            total += norm.cdf((-q.scale - z) / sd) + norm.sf((q.scale - z) / sd)
+            # the filter's likelihood of an always-detecting sensor: the
+            # Gaussian mass of each received cell
+            cells = one_sensor(scale, levels, noise_var=var)
+            total = np.exp(cells.log_likelihood(values, z)).sum()
+            total += norm.cdf((-scale - z) / sd) + norm.sf((scale - z) / sd)
             worst = max(worst, abs(total - 1.0))
     _report(
         6, "quantiser cell probabilities sum to one",
@@ -231,7 +234,7 @@ def test_criterion_07_kalman_update_matches_closed_form():
         h = rng.normal(0.0, 1.0, (2, 5))
         belief = GaussianBelief(mean=rng.normal(0.0, 2.0, 5), cov=p)
         z = rng.normal(0.0, 2.0, 2)
-        pred = kf_predict(LinearModel(a=a, w=w), belief)
+        pred = kf_predict(LinearModel(a=a, w=np.diag(w)), belief)
         post = kf_update(pred, h, z, jitter=0.0)
         gain = pred.cov @ h.T @ np.linalg.inv(h @ pred.cov @ h.T)
         mean = pred.mean + gain @ (z - h @ pred.mean)
@@ -263,7 +266,7 @@ def test_criterion_08_particle_filter_collapses_to_kalman_without_noise(
     )
     model = scenario.provider.model_at(0)
     linear = LinearModel(a=model.augmented_transition().toarray(),
-                         w=np.diag(model.process_variances()))
+                         w=model.process_variances())
     belief = GaussianBelief(
         mean=np.zeros(scenario.state_dim),
         cov=config.init_cov * np.eye(scenario.state_dim),

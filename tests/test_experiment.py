@@ -546,6 +546,45 @@ class TestOutputs:
                    .hexdigest() for name in self.WRITTEN_DIGESTS}
         assert digests == self.WRITTEN_DIGESTS
 
+    # sha256 of each file a 2-trial tiny run writes under a seeded
+    # time-varying gridded flow with one land cell, artificial diffusivity
+    # on and an explicit stable step: the flow reader, the per-sample
+    # element velocities and the per-interval models, end to end
+    GRIDDED_DIGESTS = {
+        "truth.csv": "c12be9596be87bb56893da64bda382ac"
+                     "3fbf4635f59109d10cfae2e5dacb58d9",
+        "observations.csv": "0324b8dbd214dcb11d0a048ecce26a27"
+                            "4ca9af669bb66495d04a565bc08a9e31",
+        "estimates_rbpf.csv": "ac76bd96379a77f08613ec780e7c3155"
+                              "668524ba259b773bb7fa5f413fcdad50",
+        "estimates_enkf.csv": "b1cdc6109abf62433a52d5b49680c2d7"
+                              "a19531a8e4defcce5652ada05217246f",
+    }
+
+    def test_gridded_flow_run_bytes_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)      # the config names the flow file
+        rng = np.random.default_rng(21)
+        u, v = rng.normal(0.02, 0.05, (2, 3, 3, 4))
+        u[1, 1, 2] = v[1, 1, 2] = np.nan     # one land cell
+        flowfield.save_gridded_flow(flowfield.GriddedFlow(
+            np.array([-1.0, 3.0, 7.5, 11.0]), np.array([-1.0, 5.0, 11.0]),
+            np.array([0.0, 2.5, 7.0]), u, v), "flow.txt")
+        config = tiny_config(flow_kind="file", flow_file="flow.txt",
+                             auto_stabilise=True, dt=1.5, steps=4, trials=2)
+        scen = build_scenario(config)
+        trajectories, logs = {}, {}
+        for trial in range(config.trials):
+            trajectories[trial], logs[trial] = simulate_trial(scen, trial)
+        write_truth_csv(trajectories, "truth.csv", config)
+        write_observations_csv(logs, "observations.csv", config)
+        for estimator in ("rbpf", "enkf"):
+            cfg = dataclasses.replace(config, estimator=estimator)
+            write_results_csv(run_trials(cfg), f"estimates_{estimator}.csv",
+                              cfg)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.GRIDDED_DIGESTS}
+        assert digests == self.GRIDDED_DIGESTS
+
     def test_truth_csv_rejects_bad_trajectories(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "truth.csv"

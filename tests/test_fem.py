@@ -403,7 +403,6 @@ class TestStability:
         report = stability_report(mesh, (0.05, 0.0), 1e-3)
         expected = 0.5 * min(report.critical_dt, report.courant_dt)
         assert default_time_step(report) == pytest.approx(expected)
-        assert default_time_step(report, safety=0.9) == pytest.approx(1.8 * expected)
 
     def test_default_time_step_requires_dynamics(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)

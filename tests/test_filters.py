@@ -27,15 +27,16 @@ from plumetrace.filters import (
     rbpf_step,
 )
 from plumetrace.mesh import build_structured_mesh
-from plumetrace.sensing import Quantiser, QuantisedObservation, SensorNetwork
+from plumetrace.sensing import QuantisedObservation, SensorNetwork
 
 from oracles import (
     LinearModel,
     _digests_at_one_and_two_blas_threads,
     latent_transition_density,
-    observation_likelihood,
+    one_sensor,
     particles,
     propose_latent,
+    reference_log_likelihood,
     reference_rbpf_step,
 )
 
@@ -49,7 +50,8 @@ def _random_system(rng, dim=5, obs=2):
     h = rng.normal(0.0, 1.0, (obs, dim))
     mean = rng.normal(0.0, 2.0, dim)
     z = rng.normal(0.0, 2.0, obs)
-    return LinearModel(a=a, w=w), GaussianBelief(mean=mean, cov=p), h, z
+    return (LinearModel(a=a, w=np.diag(w)), GaussianBelief(mean=mean, cov=p),
+            h, z)
 
 
 def _small_setup(seed=0, sensors=3, particles=5):
@@ -91,7 +93,7 @@ class TestKalman:
             model, belief, h, z = _random_system(rng)
             pred = kf_predict(model, belief)
             exp_mean = model.a @ belief.mean
-            exp_cov = model.a @ belief.cov @ model.a.T + model.w
+            exp_cov = model.a @ belief.cov @ model.a.T + np.diag(model.w)
             np.testing.assert_allclose(pred.mean, exp_mean, atol=1e-10)
             np.testing.assert_allclose(pred.cov, 0.5 * (exp_cov + exp_cov.T),
                                        atol=1e-10)
@@ -148,17 +150,15 @@ class TestLatentDensities:
         assert out.shape == (2, 2)
 
     def test_propose_latent_stays_in_cell(self):
-        q = Quantiser(scale=2.0, num_levels=8)
         rng = np.random.default_rng(4)
-        y_hat = q.quantise(np.array([0.3, -1.7, 1.2]))
-        draws = propose_latent(q, y_hat, rng, size=(1000, 3))
-        w = q.cell_half_width
+        y_hat = one_sensor(2.0, 8).quantise(np.array([0.3, -1.7, 1.2]))
+        w = 2.0 / 8
+        draws = propose_latent(w, y_hat, rng, size=(1000, 3))
         assert (np.abs(draws - y_hat) <= w).all()
 
     def test_propose_latent_reproducible(self):
-        q = Quantiser(scale=2.0, num_levels=8)
-        a = propose_latent(q, 0.25, np.random.default_rng(9))
-        b = propose_latent(q, 0.25, np.random.default_rng(9))
+        a = propose_latent(2.0 / 8, 0.25, np.random.default_rng(9))
+        b = propose_latent(2.0 / 8, 0.25, np.random.default_rng(9))
         assert a == b and isinstance(a, float)
 
 
@@ -293,12 +293,14 @@ class TestRbpf:
         for m in range(5):
             predicted = GaussianBelief(mean=a @ means[m], cov=p_pred)
             for j in range(net.count):
-                q, z = net.quantiser(j), state.last_latent[m, j]
+                z, w = state.last_latent[m, j], net.cell_half_width[j]
+                log_obs = reference_log_likelihood(
+                    obs[j] - w, obs[j] + w, z, net.noise_var[j],
+                    net.detect_rate[j])
                 expected[m] *= (
-                    observation_likelihood(q, obs[j], z, net.noise_var[j],
-                                           net.detect_rate[j])
+                    np.exp(log_obs)
                     * latent_transition_density(predicted, net.H[j], z)
-                    / (q.num_levels / (2.0 * q.scale)))
+                    / (net.levels[j] / (2.0 * net.scale[j])))
         expected /= expected.sum()
         assert np.ptp(expected) > 0.01     # the weights tell particles apart
         np.testing.assert_allclose(state.last_weights, expected, rtol=1e-9)

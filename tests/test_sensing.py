@@ -4,34 +4,28 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from plumetrace import experiment
+from plumetrace.experiment import draw_observation
 from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import (
     QuantisedObservation,
-    Quantiser,
     SensorNetwork,
     build_measurement_matrix,
     fence_positions,
     generate_positions,
     load_sensor_layout,
-    log_cell_probability,
-    log_observation_likelihood,
     save_sensor_layout,
-    simulate_measurement,
 )
 
 from oracles import (
     cell_probability,
     level_values,
-    observation_likelihood,
+    one_sensor,
     reference_log_cell_mass,
     reference_log_likelihood,
 )
 
-quantisers = st.builds(
-    Quantiser,
-    scale=st.floats(0.5, 2000.0),
-    num_levels=st.integers(1, 11000),
-)
+scales = st.floats(0.5, 2000.0)
+level_counts = st.integers(1, 11000)
 
 
 def assert_log_close(actual, expected):
@@ -44,13 +38,14 @@ def assert_log_close(actual, expected):
 
 @st.composite
 def placed_cells(draw):
-    """A quantiser, one of its levels, a mean placed against that level's
-    cell and a variance: the mean inside the cell, on an edge, within a few
-    standard deviations of an edge (or a hair from it), or 50-60 standard
-    deviations out.  The cell is 0.01 to 10 standard deviations wide."""
-    q = Quantiser(scale=2.0, num_levels=draw(st.sampled_from([25, 100, 400])))
-    level = float(level_values(q)[draw(st.integers(0, q.num_levels - 1))])
-    w = q.cell_half_width
+    """A level count over ``[-2, 2]``, one of its levels, a mean placed
+    against that level's cell and a variance: the mean inside the cell, on
+    an edge, within a few standard deviations of an edge (or a hair from
+    it), or 50-60 standard deviations out.  The cell is 0.01 to 10 standard
+    deviations wide."""
+    levels = draw(st.sampled_from([25, 100, 400]))
+    level = float(level_values(2.0, levels)[draw(st.integers(0, levels - 1))])
+    w = 2.0 / levels
     sd = 2.0 * w / draw(st.floats(0.01, 10.0))
     place = draw(st.sampled_from(["inside", "edge", "near", "far"]))
     if place == "inside":
@@ -64,133 +59,117 @@ def placed_cells(draw):
         else:
             offset = draw(st.floats(50.0, 60.0)) * draw(st.sampled_from([-1, 1]))
         mean = edge + offset * sd
-    return q, level, mean, sd * sd
+    return levels, level, mean, sd * sd
 
 
 class TestQuantiser:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="scale"):
-            Quantiser(scale=0.0, num_levels=10)
-        with pytest.raises(ValueError, match="level count"):
-            Quantiser(scale=1.0, num_levels=0)
-        with pytest.raises(ValueError, match="level count"):
-            Quantiser(scale=1.0, num_levels=2.5)
-
-    @given(quantisers)
-    def test_level_values(self, q):
-        levels = level_values(q)
-        assert levels.shape == (q.num_levels,)
-        assert levels[0] == pytest.approx(-q.scale + q.cell_half_width)
-        assert levels[-1] == pytest.approx(q.scale - q.cell_half_width)
-        if q.num_levels > 1:
-            np.testing.assert_allclose(
-                np.diff(levels), 2.0 * q.cell_half_width, rtol=1e-9
-            )
-        assert abs(levels.mean()) < 1e-9 * q.scale  # symmetric about zero
+    @given(scales, level_counts)
+    def test_level_values(self, scale, count):
+        q, w = one_sensor(scale, count), scale / count
+        levels = level_values(scale, count)
+        assert levels.shape == (count,)
+        assert levels[0] == pytest.approx(-scale + w)
+        assert levels[-1] == pytest.approx(scale - w)
+        if count > 1:
+            np.testing.assert_allclose(np.diff(levels), 2.0 * w, rtol=1e-9)
+        assert abs(levels.mean()) < 1e-9 * scale  # symmetric about zero
         np.testing.assert_array_equal(q.quantise(levels), levels)
 
-    @given(quantisers, st.floats(-1.0, 1.0))
-    def test_error_bounded_by_half_cell(self, q, frac):
-        y = frac * q.scale
-        assert abs(q.quantise(y) - y) <= q.cell_half_width * (1.0 + 1e-12)
+    @given(scales, level_counts, st.floats(-1.0, 1.0))
+    def test_error_bounded_by_half_cell(self, scale, count, frac):
+        y = frac * scale
+        error = abs(one_sensor(scale, count).quantise(y) - y)
+        assert error <= scale / count * (1.0 + 1e-12)
 
-    @given(quantisers, st.floats(-1.0, 1.0))
-    def test_idempotent(self, q, frac):
-        v = q.quantise(frac * q.scale)
-        assert q.quantise(v) == v
+    @given(scales, level_counts, st.floats(-1.0, 1.0))
+    def test_idempotent(self, scale, count, frac):
+        q = one_sensor(scale, count)
+        v = q.quantise(frac * scale)
+        np.testing.assert_array_equal(q.quantise(v), v)
 
-    @given(quantisers)
-    def test_monotone(self, q):
-        y = np.linspace(-1.5 * q.scale, 1.5 * q.scale, 501)
-        assert (np.diff(q.quantise(y)) >= 0.0).all()
+    @given(scales, level_counts)
+    def test_monotone(self, scale, count):
+        y = np.linspace(-1.5 * scale, 1.5 * scale, 501)
+        assert (np.diff(one_sensor(scale, count).quantise(y)) >= 0.0).all()
 
     def test_saturation(self):
-        q = Quantiser(scale=2.0, num_levels=4)
-        np.testing.assert_allclose(level_values(q), [-1.5, -0.5, 0.5, 1.5])
-        assert q.quantise(10.0) == 1.5
-        assert q.quantise(-10.0) == -1.5
-        assert q.quantise(2.0) == 1.5  # upper boundary maps to the top level
-
-    def test_scalar_and_array_forms(self):
-        q = Quantiser(scale=1.0, num_levels=10)
-        out = q.quantise(0.3)
-        assert isinstance(out, float)
-        arr = q.quantise(np.array([[0.3, -0.3], [0.9, 0.0]]))
-        assert arr.shape == (2, 2)
+        q = one_sensor(2.0, 4)
+        np.testing.assert_allclose(level_values(2.0, 4), [-1.5, -0.5, 0.5, 1.5])
+        # the upper boundary maps to the top level
+        np.testing.assert_array_equal(q.quantise([10.0, -10.0, 2.0]),
+                                      [1.5, -1.5, 1.5])
 
 
 class TestCellProbability:
     @given(st.floats(-5.0, 5.0), st.floats(0.01, 4.0))
     def test_matches_gaussian_cdf_difference(self, mean, var):
-        q = Quantiser(scale=3.0, num_levels=7)
-        level = float(level_values(q)[2])
-        w = q.cell_half_width
+        level = float(level_values(3.0, 7)[2])
+        w = 3.0 / 7
         sd = np.sqrt(var)
         expected = norm.cdf(level + w, mean, sd) - norm.cdf(level - w, mean, sd)
-        assert cell_probability(q, level, mean, var) == pytest.approx(
+        assert cell_probability(3.0, 7, level, mean, var) == pytest.approx(
             expected, abs=1e-13
         )
 
     def test_far_tail_log_mass_stays_finite(self):
-        q = Quantiser(scale=2000.0, num_levels=10_000)
+        cells = one_sensor(2000.0, 10_000, noise_var=5e-3)
         # a cell 50+ standard deviations from the mean
-        lp = log_cell_probability(q, 1000.0, 0.0, 5e-3)
-        assert np.isfinite(lp) and lp < -1e5
+        lp = cells.log_likelihood(1000.0, 0.0)
+        assert np.isfinite(lp).all() and (lp < -1e5).all()
 
     def test_log_is_monotone_in_distance(self):
-        q = Quantiser(scale=100.0, num_levels=1000)
-        levels = level_values(q)[500:]
-        lp = log_cell_probability(q, levels, 0.0, 1.0)
+        levels = level_values(100.0, 1000)[500:]
+        lp = one_sensor(100.0, 1000).log_likelihood(levels, 0.0)
         assert (np.diff(lp) < 0.0).all()
 
     def test_partition_sums_to_one(self):
         rng = np.random.default_rng(7)
         for levels in (3, 100, 2000):
-            q = Quantiser(scale=5.0, num_levels=levels)
+            values = level_values(5.0, levels)
             for _ in range(5):
                 z = rng.normal(0.0, 3.0)
                 var = rng.uniform(0.001, 4.0)
                 sd = np.sqrt(var)
-                total = cell_probability(q, level_values(q), z, var).sum()
+                total = cell_probability(5.0, levels, values, z, var).sum()
                 total += norm.cdf((-5.0 - z) / sd) + norm.sf((5.0 - z) / sd)
                 assert abs(total - 1.0) < 1e-10
 
     def test_variance_must_be_positive(self):
-        q = Quantiser(scale=1.0, num_levels=4)
         with pytest.raises(ValueError, match="variance"):
-            log_cell_probability(q, 0.0, 0.0, 0.0)
+            one_sensor(1.0, 4, noise_var=0.0)
 
 
 class TestObservationLikelihood:
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 1.0),
            st.floats(0.0, 1.0))
     def test_mixture_composition(self, y_frac, z, var, rate):
-        q = Quantiser(scale=3.0, num_levels=25)
-        y_hat = q.quantise(y_frac)
-        detect = cell_probability(q, y_hat, z, var)
-        miss = cell_probability(q, y_hat, 0.0, var)
+        y_hat = one_sensor(3.0, 25).quantise(y_frac)
+        detect = cell_probability(3.0, 25, y_hat, z, var)
+        miss = cell_probability(3.0, 25, y_hat, 0.0, var)
         expected = rate * detect + (1.0 - rate) * miss
-        assert observation_likelihood(q, y_hat, z, var, rate) == pytest.approx(
+        mixed = one_sensor(3.0, 25, noise_var=var, detect_rate=rate)
+        assert np.exp(mixed.log_likelihood(y_hat, z)) == pytest.approx(
             expected, abs=1e-13
         )
 
     @given(placed_cells(), st.sampled_from([0.0, 0.85, 1.0]))
     def test_kernels_match_the_tail_form_reference(self, cell, rate):
-        q, level, mean, var = cell
-        lo, hi = level - q.cell_half_width, level + q.cell_half_width
-        assert_log_close(log_cell_probability(q, level, mean, var),
+        levels, level, mean, var = cell
+        lo, hi = level - 2.0 / levels, level + 2.0 / levels
+        detect = one_sensor(2.0, levels, noise_var=var)
+        assert_log_close(detect.log_likelihood(level, mean),
                          reference_log_cell_mass(lo, hi, mean, var))
-        assert_log_close(
-            log_observation_likelihood(q, level, mean, var, rate),
-            reference_log_likelihood(lo, hi, mean, var, rate))
+        mixed = one_sensor(2.0, levels, noise_var=var, detect_rate=rate)
+        assert_log_close(mixed.log_likelihood(level, mean),
+                         reference_log_likelihood(lo, hi, mean, var, rate))
 
     def test_degenerate_rates(self):
-        q = Quantiser(scale=3.0, num_levels=25)
-        y_hat = q.quantise(1.0)
-        full = log_observation_likelihood(q, y_hat, 0.7, 0.1, 1.0)
-        assert full == pytest.approx(log_cell_probability(q, y_hat, 0.7, 0.1))
-        none = log_observation_likelihood(q, y_hat, 0.7, 0.1, 0.0)
-        assert none == pytest.approx(log_cell_probability(q, y_hat, 0.0, 0.1))
+        y_hat = one_sensor(3.0, 25).quantise(1.0)
+        lo, hi = y_hat - 3.0 / 25, y_hat + 3.0 / 25
+        full = one_sensor(3.0, 25, 0.1, 1.0).log_likelihood(y_hat, 0.7)
+        assert full == pytest.approx(reference_log_cell_mass(lo, hi, 0.7, 0.1))
+        none = one_sensor(3.0, 25, 0.1, 0.0).log_likelihood(y_hat, 0.7)
+        assert none == pytest.approx(reference_log_cell_mass(lo, hi, 0.0, 0.1))
 
 
 class TestMeasurementMatrix:
@@ -275,17 +254,18 @@ class TestSimulateMeasurement:
     def test_formula(self):
         h = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         x = np.array([3.0, 4.0, 9.0])
-        alpha = np.array([1.0, 0.0])
-        noise = np.array([0.1, -0.2])
-        np.testing.assert_allclose(
-            simulate_measurement(h, x, alpha, noise), [3.1, -0.2]
-        )
-
-    def test_scalar_row(self):
-        out = simulate_measurement(np.array([0.5, 0.5]), np.array([2.0, 4.0]),
-                                   1.0, 0.25)
-        assert out == pytest.approx(3.25)
-        assert isinstance(out, float)
+        net = SensorNetwork(positions=np.zeros((2, 2)), H=h,
+                            noise_var=np.array([1e-2, 4e-2]),
+                            detect_rate=np.array([1.0, 0.0]),
+                            scale=np.full(2, 8.0), levels=np.full(2, 64))
+        obs = draw_observation(net, x, np.random.default_rng(3))
+        # detection indicators first, then the noise
+        rng = np.random.default_rng(3)
+        alpha = (rng.random(2) < net.detect_rate).astype(float)
+        noise = rng.normal(0.0, np.sqrt(net.noise_var))
+        np.testing.assert_array_equal(alpha, [1.0, 0.0])
+        np.testing.assert_allclose(obs.raw, [3.0, 0.0] + noise)
+        np.testing.assert_array_equal(obs.detections, alpha)
 
 
 class TestSensorNetwork:
@@ -309,7 +289,8 @@ class TestSensorNetwork:
 
     def test_quantise_matches_per_sensor_quantisers(self):
         y = np.array([0.513, -1.99, 3.7])
-        expected = [self.net.quantiser(j).quantise(y[j]) for j in range(3)]
+        expected = [one_sensor(self.net.scale[j], self.net.levels[j])
+                    .quantise(y[j])[0] for j in range(3)]
         np.testing.assert_allclose(self.net.quantise(y), expected)
 
     def test_log_likelihood_matches_scalar_form(self):
@@ -320,9 +301,9 @@ class TestSensorNetwork:
         assert out.shape == (4, 3)
         for m in range(4):
             for j in range(3):
-                expected = log_observation_likelihood(
-                    self.net.quantiser(j), y_hat[j], z[m, j], 5e-3, 0.85
-                )
+                sensor = one_sensor(self.net.scale[j], self.net.levels[j],
+                                    5e-3, 0.85)
+                expected = sensor.log_likelihood(y_hat[j], z[m, j])[0]
                 assert out[m, j] == pytest.approx(expected, abs=1e-12)
 
     def test_log_likelihood_on_particle_draws_matches_the_reference(self):
@@ -349,6 +330,11 @@ class TestSensorNetwork:
         with pytest.raises(ValueError, match="detection"):
             SensorNetwork.build(self.mesh, self.positions, noise_var=1e-3,
                                 detect_rate=1.5, scale=2.0, levels=100)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match="quantiser scales must be positive"):
+                SensorNetwork.build(self.mesh, self.positions, noise_var=1e-3,
+                                    detect_rate=0.85, scale=scale, levels=100)
         with pytest.raises(ValueError, match="scalar or shape"):
             SensorNetwork.build(self.mesh, self.positions, noise_var=[1e-3, 1e-3],
                                 detect_rate=0.85, scale=2.0, levels=100)
