@@ -8,9 +8,13 @@ conditional mean.  The covariance recursion depends neither on the sampled
 values nor on the data, so it is shared by all particles and all trials:
 :func:`gain_schedule` runs it once per scenario and stores each step's gain
 and innovation variances, leaving only particle work to :func:`rbpf_step`.
-The same two functions, :func:`predict_covariance` and
-:func:`condition_covariance`, serve the plain Kalman filter
-(:func:`kf_predict`, :func:`kf_update`).  Particle weights combine the
+Each step works on the lower triangle of the covariance: the prediction
+forms it a band of columns at a time, each from a band of transition rows
+that reads only the part of ``P`` those rows reach, and the conditioning
+updates it in place and copies it onto the upper triangle once.  :func:`predict_covariance`
+and :func:`condition_covariance` are thin wrappers over the same two
+kernels; they serve the plain Kalman filter (:func:`kf_predict`,
+:func:`kf_update`).  Particle weights combine the
 quantised-measurement likelihood, the Gaussian predictive density of the
 drawn latent, and the uniform proposal density, accumulated in log space.
 
@@ -109,9 +113,40 @@ def default_jitter(cov: np.ndarray) -> float:
 _BAND = 64
 
 
+def _remap(m, columns, count: int):
+    """The CSR ``m`` with its column indices replaced by ``columns``, of
+    width ``count``; each row keeps its stored order, so a product sums
+    in the same order as ``m``'s."""
+    return sp.csr_matrix((m.data, columns, m.indptr),
+                         shape=(m.shape[0], count))
+
+
 def _row_blocks(a) -> list:
-    """``(i, A[i:i+_BAND], A[i:])`` for each band of rows of the CSR ``a``."""
-    return [(i, a[i:i + _BAND], a[i:]) for i in range(0, a.shape[0], _BAND)]
+    """``(i, band, rows, tail, lo)`` for each band ``A[i:i+_BAND]`` of rows
+    of the square CSR ``a``.
+
+    The band's product ``A[band] P`` reads only the rows ``rows`` of ``P``
+    that its nonzeros touch, and only the columns from ``lo`` on, the first
+    column that any row of ``A[i:]`` touches; ``band`` then indexes into
+    ``rows`` and ``tail``, ``A[i:]``, into the columns from ``lo`` on.
+    Gathering ``P[rows, lo:]`` moves ``rows.size (n - lo)`` values to save
+    ``band.nnz lo`` multiply-adds, so a band where that does not pay, as on
+    a mesh with scattered node numbers, keeps ``A[band]`` and ``A[i:]``
+    whole, with ``rows`` None and ``lo`` 0.
+    """
+    n = a.shape[1]
+    blocks = []
+    for i in range(0, a.shape[0], _BAND):
+        band, tail = a[i:i + _BAND], a[i:]
+        rows = np.unique(band.indices)
+        lo = int(tail.indices.min(initial=n))
+        if rows.size * (n - lo) < band.nnz * lo:
+            band = _remap(band, np.searchsorted(rows, band.indices), rows.size)
+            tail = _remap(tail, tail.indices - lo, n - lo)
+        else:
+            rows, lo = None, 0
+        blocks.append((i, band, rows, tail, lo))
+    return blocks
 
 
 @lru_cache(maxsize=None)
@@ -132,55 +167,43 @@ def _mirror_lower(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def predict_covariance(model, cov: np.ndarray, *, _blocks=None) -> np.ndarray:
-    """Predicted covariance ``A P A^T + W``, exactly symmetric.
+def _predict_lower(model, cov: np.ndarray, blocks, p: np.ndarray):
+    """``A P A^T + W`` of the symmetric ``cov``, written into the lower
+    triangle of ``p``, which is returned; ``blocks`` is :func:`_row_blocks`
+    of ``A``.
 
-    ``A`` is the model's sparse augmented transition.  Only the lower block
-    triangle of ``A P A^T`` is formed, a band of columns at a time, each
-    diagonal block averaged with its transpose; ``W``, the diagonal given
-    by the model's ``process_variances()``, is added to the diagonal, and
-    the lower triangle is then copied onto the upper one.  No dense ``A``
-    or ``W`` is formed.  ``_blocks`` is ``_row_blocks`` of the transition,
-    which :func:`gain_schedule` slices once per model.
+    Only the lower block triangle is formed, a band of columns at a time,
+    each diagonal block averaged with its transpose; ``W``, the diagonal
+    given by the model's ``process_variances()``, is added to the
+    diagonal.
     """
-    if _blocks is None:
-        _blocks = _row_blocks(model.augmented_transition())
-    p = np.empty_like(cov)
-    for i, band, tail in _blocks:
+    for i, band, rows, tail, lo in blocks:
         j = i + band.shape[0]
         # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T
-        p[i:, i:j] = tail @ (band @ cov).T
+        x = band @ (cov if rows is None else cov[rows, lo:])
+        p[i:, i:j] = tail @ x.T
         p[i:j, i:j] = 0.5 * (p[i:j, i:j] + p[i:j, i:j].T)
     p[np.diag_indices_from(p)] += model.process_variances()
-    return _mirror_lower(p)
+    return p
 
 
-def condition_covariance(
-    cov: np.ndarray, h, jitter: Optional[float] = None
-) -> KalmanStep:
-    """Gain, innovation variances and posterior covariance of conditioning
-    the symmetric covariance ``cov`` on the noise-free observation ``z = H x``.
+def _condition_lower(p: np.ndarray, h, jitter: Optional[float]) -> KalmanStep:
+    """:func:`condition_covariance` of the covariance whose lower triangle
+    ``p`` holds; ``h`` is CSR.  ``p`` is overwritten by the posterior.
 
-    ``h`` is a dense array or a sparse matrix.  ``jitter`` is added to the
-    diagonal of the innovation covariance ``S``; when omitted it defaults to
-    :func:`default_jitter` of ``cov``.  With the Cholesky factor
-    ``S = L L^T`` and ``V = L^-1 H P`` the gain is ``K^T = L^-T V`` and the
-    posterior ``P - K H P = P - V^T V``.  The posterior reads only the lower
-    triangle of ``cov``: a symmetric rank-k update (BLAS ``dsyrk``) forms
-    its lower triangle, which is then copied onto the upper one, so it is
-    exactly symmetric.  ``H P`` reads whole rows of ``cov``, so ``cov``
-    must still be symmetric.
-
-    Raises
-    ------
-    FilterError
-        If the innovation covariance is singular even with the jitter,
-        which signals an ill-posed observation configuration.
+    ``H P`` reads only the rows of ``P`` that ``H`` touches, each gathered
+    from the lower triangle; the rank-k update (BLAS ``dsyrk``) works in
+    place on the lower triangle, which is then copied onto the upper one.
     """
     if jitter is None:
-        jitter = default_jitter(cov)
-    h = sp.csr_matrix(h)             # H has a few nonzeros per row
-    hp = h @ cov
+        jitter = default_jitter(p)
+    rows = np.unique(h.indices)
+    # row r of P is P[r, :r] then the column P[r:, r]
+    touched = np.empty((rows.size, p.shape[1]))
+    for k, r in enumerate(rows.tolist()):
+        touched[k, :r] = p[r, :r]
+        touched[k, r:] = p[r:, r]
+    hp = _remap(h, np.searchsorted(rows, h.indices), rows.size) @ touched
     s = hp @ h.T
     s[np.diag_indices_from(s)] += jitter
     try:
@@ -196,10 +219,48 @@ def condition_covariance(
     if not np.isfinite(gain_t).all():
         raise FilterError("Kalman gain overflowed; observation configuration "
                           "is ill posed")
-    # BLAS sees cov^T: its upper triangle is the lower one of cov, and the
-    # copy dsyrk makes of it is the posterior's storage
-    post = dsyrk(-1.0, v, beta=1.0, c=cov.T, trans=1, lower=0).T
+    # BLAS sees p^T, whose upper triangle is the lower one of p
+    post = dsyrk(-1.0, v, beta=1.0, c=p.T, trans=1, lower=0,
+                 overwrite_c=1).T
     return KalmanStep(gain_t, np.diag(s).copy(), _mirror_lower(post))
+
+
+def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
+    """Predicted covariance ``A P A^T + W``, exactly symmetric.
+
+    ``A`` is the model's sparse augmented transition and ``W`` the diagonal
+    given by its ``process_variances()``; no dense ``A`` or ``W`` is
+    formed.  The lower triangle comes from the kernel the
+    :func:`gain_schedule` runs, with the transition sliced into row blocks
+    on every call, and is copied onto the upper one.
+    """
+    return _mirror_lower(_predict_lower(
+        model, cov, _row_blocks(model.augmented_transition()),
+        np.empty_like(cov)))
+
+
+def condition_covariance(
+    cov: np.ndarray, h, jitter: Optional[float] = None
+) -> KalmanStep:
+    """Gain, innovation variances and posterior covariance of conditioning
+    the symmetric covariance ``cov`` on the noise-free observation ``z = H x``.
+
+    ``h`` is a dense array or a sparse matrix.  ``jitter`` is added to the
+    diagonal of the innovation covariance ``S``; when omitted it defaults to
+    :func:`default_jitter` of ``cov``.  With the Cholesky factor
+    ``S = L L^T`` and ``V = L^-1 H P`` the gain is ``K^T = L^-T V`` and the
+    posterior ``P - K H P = P - V^T V``, exactly symmetric.  A copy of
+    ``cov`` goes through the kernel the :func:`gain_schedule` runs, which
+    reads only its lower triangle, so ``cov`` is never written.
+
+    Raises
+    ------
+    FilterError
+        If the innovation covariance is singular even with the jitter,
+        which signals an ill-posed observation configuration.
+    """
+    return _condition_lower(np.array(cov, dtype=float, order="C"),
+                            sp.csr_matrix(h), jitter)
 
 
 def gain_schedule(
@@ -207,9 +268,9 @@ def gain_schedule(
 ) -> list[KalmanStep]:
     """Run the covariance recursion from the prior covariance
     ``init_cov I``, ``init_cov`` a positive scalar, through the per-step
-    ``models``: each step predicts with :func:`predict_covariance` and
-    conditions on ``z = H x`` with :func:`condition_covariance` and the
-    default jitter.
+    ``models``: each step predicts as :func:`predict_covariance` and
+    conditions on ``z = H x`` as :func:`condition_covariance` with the
+    default jitter, working on the lower triangle in between.
 
     ``h`` is dense or sparse; it is converted to CSR once, and each run of
     steps that share a model slices its transition into row blocks once;
@@ -221,15 +282,19 @@ def gain_schedule(
     h = sp.csr_matrix(
         h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
     cov = np.diag(np.full(h.shape[1], _prior_variance(init_cov)))
+    # two n x n buffers take turns: each prediction is written over the
+    # covariance before last and conditioned in place.  A new buffer per
+    # step let the kept gains fragment the freed ones, which grew the heap.
+    spare = np.empty_like(cov)
     schedule = []
     sliced = blocks = None
     for model in models:
         if model is not sliced:
             blocks = None               # free the old blocks before slicing
             blocks, sliced = _row_blocks(model.augmented_transition()), model
-        # rebinding cov frees each covariance once it is used
-        cov = predict_covariance(model, cov, _blocks=blocks)
-        gain_t, innovation_var, cov = condition_covariance(cov, h)
+        predicted = _predict_lower(model, cov, blocks, spare)
+        spare = cov
+        gain_t, innovation_var, cov = _condition_lower(predicted, h, None)
         schedule.append(KalmanStep(gain_t, innovation_var, None))
     if schedule:
         schedule[-1] = schedule[-1]._replace(cov=cov)

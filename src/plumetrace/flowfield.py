@@ -99,10 +99,13 @@ class GriddedFlow:
         self.ts = ts
         # Missing cells (land) contribute zero velocity to interpolation.
         self.mask = np.isnan(u) | np.isnan(v)
-        self.u = np.where(self.mask, 0.0, u)
-        self.v = np.where(self.mask, 0.0, v)
-        for arr in (self.xs, self.ys, self.ts, self.u, self.v, self.mask):
+        # both components side by side, so one gather serves the two
+        self._uv = np.where(self.mask[..., None], 0.0, np.stack((u, v), -1))
+        self.u = self._uv[..., 0]
+        self.v = self._uv[..., 1]
+        for arr in (self.xs, self.ys, self.ts, self._uv, self.mask):
             arr.setflags(write=False)
+        self._weights = None
 
     @property
     def t_first(self) -> float:
@@ -122,37 +125,40 @@ class GriddedFlow:
         w = (q - coords[idx]) / (coords[idx + 1] - coords[idx])
         return idx, w
 
+    def _point_weights(self, points: np.ndarray) -> tuple:
+        """Grid indices and bilinear weights of ``points``.  They are kept
+        for the last read-only array queried, such as a mesh's centroids,
+        which are queried once per sample time."""
+        cached = self._weights
+        if cached is not None and cached[0] is points:
+            return cached[1]
+        ix, wx = self._axis_weights(self.xs, points[:, 0], "x")
+        iy, wy = self._axis_weights(self.ys, points[:, 1], "y")
+        nx = self.xs.size
+        ix1 = np.minimum(ix + 1, nx - 1)
+        iy1 = np.minimum(iy + 1, self.ys.size - 1)
+        wx, wy = wx[:, None], wy[:, None]
+        # the four corners' rows of the flattened (y, x) grid, then weights
+        weights = (iy * nx + ix, iy * nx + ix1, iy1 * nx + ix, iy1 * nx + ix1,
+                   1 - wx, wx, 1 - wy, wy)
+        if not points.flags.writeable:
+            self._weights = (points, weights)
+        return weights
+
     def velocity_many(self, points, t: float) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        qx = points[:, 0]
-        qy = points[:, 1]
-        ix, wx = self._axis_weights(self.xs, qx, "x")
-        iy, wy = self._axis_weights(self.ys, qy, "y")
+        i00, i01, i10, i11, x0, x1, y0, y1 = self._point_weights(points)
         it, wt = self._axis_weights(self.ts, np.asarray([float(t)]), "time")
         it, wt = int(it[0]), float(wt[0])
 
-        def bilinear(samples: np.ndarray) -> np.ndarray:
-            ix1 = np.minimum(ix + 1, self.xs.size - 1)
-            iy1 = np.minimum(iy + 1, self.ys.size - 1)
-            s00 = samples[iy, ix]
-            s01 = samples[iy, ix1]
-            s10 = samples[iy1, ix]
-            s11 = samples[iy1, ix1]
-            return (
-                s00 * (1 - wx) * (1 - wy)
-                + s01 * wx * (1 - wy)
-                + s10 * (1 - wx) * wy
-                + s11 * wx * wy
-            )
+        def bilinear(sample: int) -> np.ndarray:
+            s = self._uv[sample].reshape(-1, 2)
+            return (s.take(i00, 0) * x0 * y0 + s.take(i01, 0) * x1 * y0
+                    + s.take(i10, 0) * x0 * y1 + s.take(i11, 0) * x1 * y1)
 
-        out = np.empty((points.shape[0], 2))
-        for comp, samples in ((0, self.u), (1, self.v)):
-            lo = bilinear(samples[it])
-            if wt > 0.0:
-                hi = bilinear(samples[min(it + 1, self.ts.size - 1)])
-                out[:, comp] = lo * (1 - wt) + hi * wt
-            else:
-                out[:, comp] = lo
+        out = bilinear(it)
+        if wt > 0.0:
+            out = out * (1 - wt) + bilinear(it + 1) * wt
         return out
 
     def __repr__(self) -> str:

@@ -26,7 +26,7 @@ from plumetrace.filters import (
     rbpf_init,
     rbpf_step,
 )
-from plumetrace.mesh import build_structured_mesh
+from plumetrace.mesh import TriMesh, build_structured_mesh
 from plumetrace.sensing import QuantisedObservation, SensorNetwork
 
 from oracles import (
@@ -382,10 +382,17 @@ class TestRbpf:
 ONE_BAND, THREE_BANDS = (5, 4), (12, 11)
 
 
-def _time_varying_models(steps=5, cells=ONE_BAND):
+def _time_varying_models(steps=5, cells=ONE_BAND, shuffled=False):
     """Per-step models of a gridded flow that changes at every step, on a
-    10 x 10 domain split into ``cells`` = (nx, ny) cells."""
+    10 x 10 domain split into ``cells`` = (nx, ny) cells; ``shuffled``
+    numbers the nodes in a random order, which scatters the nonzeros of
+    every row band of the transition over the whole state."""
     mesh = build_structured_mesh(0.0, 0.0, 10.0, 10.0, *cells)
+    if shuffled:
+        perm = np.random.default_rng(17).permutation(mesh.node_count)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        mesh = TriMesh(mesh.nodes[perm], inv[mesh.elements])
     xs = np.array([-1.0, 4.0, 11.0])
     ys = np.array([-1.0, 11.0])
     ts = np.arange(steps + 1, dtype=float)
@@ -407,8 +414,8 @@ def _relative_gap(got, expected):
     return float(np.abs(got - expected).max() / np.abs(expected).max())
 
 
-def _assert_sparse_step_matches_dense_algebra(cells):
-    models, net = _time_varying_models(cells=cells)
+def _assert_sparse_step_matches_dense_algebra(cells, shuffled=False):
+    models, net = _time_varying_models(cells=cells, shuffled=shuffled)
     assert _relative_gap(models[0].transition.toarray(),
                          models[-1].transition.toarray()) > 1e-3
     h = net.H
@@ -432,8 +439,8 @@ def _assert_sparse_step_matches_dense_algebra(cells):
         cov = step.cov
 
 
-def _assert_schedule_follows_the_recursion(cells):
-    models, net = _time_varying_models(cells=cells)
+def _assert_schedule_follows_the_recursion(cells, shuffled=False):
+    models, net = _time_varying_models(cells=cells, shuffled=shuffled)
     schedule = gain_schedule(models, net.H, 3.0)
     assert len(schedule) == len(models)
     cov = 3.0 * np.eye(models[0].state_dim)
@@ -457,6 +464,31 @@ class TestCovarianceStep:
         assert dim > 2 * filters._BAND and dim % filters._BAND
         _assert_sparse_step_matches_dense_algebra(THREE_BANDS)
 
+    def test_band_windows_narrow_only_on_ordered_node_numbers(self):
+        for shuffled, narrowed in ((False, True), (True, False)):
+            models, _ = _time_varying_models(steps=1, cells=THREE_BANDS,
+                                             shuffled=shuffled)
+            blocks = filters._row_blocks(models[0].augmented_transition())
+            assert any(rows is not None
+                       for _, _, rows, _, _ in blocks) == narrowed
+
+    def test_sparse_step_matches_dense_algebra_on_shuffled_nodes(self):
+        _assert_sparse_step_matches_dense_algebra(THREE_BANDS, shuffled=True)
+
+    def test_condition_reads_only_the_lower_triangle(self):
+        models, net = _time_varying_models(steps=1, cells=THREE_BANDS)
+        rng = np.random.default_rng(3)
+        root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
+        cov = predict_covariance(models[0], root @ root.T)
+        lower = np.where(np.triu(np.ones_like(cov, dtype=bool), 1), np.nan,
+                         cov)
+        kept = lower.copy()
+        expected = condition_covariance(cov, net.H)
+        got = condition_covariance(lower, net.H)
+        for x, y in zip(got, expected):
+            assert x.tobytes() == y.tobytes()
+        np.testing.assert_array_equal(lower, kept)
+
     def test_results_are_arrays_not_matrices(self):
         models, net = _time_varying_models(steps=2)
         cov = np.eye(models[0].state_dim)
@@ -476,6 +508,9 @@ class TestCovarianceStep:
 
     def test_schedule_follows_the_recursion_across_bands(self):
         _assert_schedule_follows_the_recursion(THREE_BANDS)
+
+    def test_schedule_follows_the_recursion_on_shuffled_nodes(self):
+        _assert_schedule_follows_the_recursion(THREE_BANDS, shuffled=True)
 
     def test_schedule_takes_dense_or_sparse_h(self):
         models, net = _time_varying_models(steps=3)
