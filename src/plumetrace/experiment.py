@@ -14,6 +14,7 @@ estimator or its size therefore never changes the simulated truth.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import time
@@ -246,8 +247,10 @@ class ModelProvider:
         self._strength_walk = strength_walk
         self._source = source
         self._t0 = t0
+        # sample times as Python floats: a per-step bisect on a list is
+        # a fraction of what np.searchsorted costs on a scalar
         self._times = (
-            np.asarray(flow.ts) if isinstance(flow, flowfield.GriddedFlow)
+            flow.ts.tolist() if isinstance(flow, flowfield.GriddedFlow)
             else None
         )
         self._velocities = velocities
@@ -257,8 +260,8 @@ class ModelProvider:
         if self._times is None:
             return 0
         t = self._t0 + step * self._dt
-        idx = np.searchsorted(self._times, t, side="right") - 1
-        return int(np.clip(idx, 0, self._times.size - 1))
+        idx = bisect.bisect_right(self._times, t) - 1
+        return min(max(idx, 0), len(self._times) - 1)
 
     def model_at(self, step: int) -> fem.DispersionModel:
         idx = self.interval_index(step)

@@ -13,6 +13,17 @@ Forward Euler in time gives the linear state update
 
 and the unknown source strength is appended to the state as a random walk,
 giving the augmented transition used by the estimators.
+
+A time-varying flow is discretised again for each flow interval, so the
+work is split by what it depends on.  Once per mesh (on the first
+:func:`assemble` call, kept on the mesh): the lumped mass matrix, the
+element-to-global index pattern, each element's diffusion bracket and the
+element of each source position.  Once per flow interval: the element
+matrices, their sum into the canonical CSR stiffness, and array passes
+over that stiffness for ``A``, the augmented transition and the stability
+operator ``M^-1 N``, each byte for byte what the scipy expressions
+``I - dt diags(1/m) @ N``, ``bmat([[A, B], [0, 1]])`` and the sorted
+``diags(1/m) @ N`` give.
 """
 
 from __future__ import annotations
@@ -44,7 +55,8 @@ class GlobalSystem:
     Attributes
     ----------
     mass : scipy.sparse.csr_matrix
-        Global diagonal mass matrix M, shape ``(C, C)``.
+        Global diagonal mass matrix M, shape ``(C, C)``; one read-only
+        matrix shared by every system assembled on the same mesh.
     stiffness : scipy.sparse.csr_matrix
         Global transport matrix N, shape ``(C, C)``.
     source : numpy.ndarray
@@ -69,7 +81,71 @@ def _element_velocities_array(mesh: TriMesh, velocities) -> np.ndarray:
         raise ValueError(
             f"velocities must have shape ({mesh.element_count}, 2), got {vel.shape}"
         )
+    finite = np.isfinite(vel).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(
+            f"velocity of element {bad} is not finite: {tuple(vel[bad].tolist())}"
+        )
     return vel
+
+
+def _finite(name: str, value, positive: bool) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and positive
+    (or non-negative)."""
+    value = float(value)
+    if not (0.0 < value if positive else 0.0 <= value) or value == np.inf:
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+    return value
+
+
+class _MeshTerms:
+    """The flow-independent terms of assembly on one mesh.
+
+    ``rows`` and ``cols`` index the entries of the ``(E, 3, 3)`` element
+    matrices into the global matrix, ``bracket`` is each element's
+    diffusion bracket ``gy gy^T + gx gx^T`` (scaled by ``lam / 4S`` per
+    call), ``mass`` the lumped mass matrix, shared by every system on the
+    mesh, and ``sources`` the element of each source position located so
+    far.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        elems = mesh.elements
+        n = mesh.node_count
+        self.rows = np.repeat(elems, 3, axis=1).ravel()
+        self.cols = np.tile(elems, (1, 3)).ravel()
+        gy = np.stack([mesh._y32, -mesh._y31, mesh._y21], axis=1)
+        gx = np.stack([mesh._x32, -mesh._x31, mesh._x21], axis=1)
+        self.bracket = (gy[:, :, None] * gy[:, None, :]
+                        + gx[:, :, None] * gx[:, None, :])
+        diag = np.zeros(n)
+        np.add.at(diag, elems.ravel(), np.repeat(mesh.areas / 3.0, 3))
+        held = np.flatnonzero(diag)  # as sp.diags(diag).tocsr() stores it
+        self.mass = sp.csr_matrix(
+            (diag[held], held, np.searchsorted(held, np.arange(n + 1))),
+            shape=(n, n))
+        for arr in (self.mass.data, self.mass.indices, self.mass.indptr):
+            arr.setflags(write=False)
+        self.sources: dict[tuple[float, float], int] = {}
+
+    def source_element(self, mesh: TriMesh, source) -> int:
+        key = tuple(np.reshape(np.asarray(source, dtype=float), 2).tolist())
+        if key not in self.sources:
+            element = locate_point(mesh, key)
+            if element is None:
+                raise MeshError(f"source position {key} lies outside the mesh")
+            self.sources[key] = element
+        return self.sources[key]
+
+
+def _mesh_terms(mesh: TriMesh) -> _MeshTerms:
+    """The mesh's :class:`_MeshTerms`, built on first use and kept on it."""
+    terms = mesh.__dict__.get("_fem_terms")
+    if terms is None:
+        terms = mesh._fem_terms = _MeshTerms(mesh)
+    return terms
 
 
 def assemble(
@@ -81,16 +157,20 @@ def assemble(
     """Assemble the global mass and transport matrices and source vector.
 
     The mass matrix is diagonal: each element gives ``S/3`` to each of its
-    vertices, the row sums of its consistent mass matrix.
+    vertices, the row sums of its consistent mass matrix.  It depends on
+    the mesh alone and is built once per mesh, with the element-to-global
+    index pattern, the diffusion brackets and the source's element; each
+    call computes only the element matrices and sums them into the
+    canonical (sorted, duplicate-free) CSR stiffness.
 
     Parameters
     ----------
     mesh : TriMesh
     velocities : array_like
         Per-element flow velocities, shape ``(E, 2)``; a single ``(2,)``
-        vector is broadcast to all elements.
+        vector is broadcast to all elements.  Every value must be finite.
     diffusivity : float
-        Isotropic diffusivity, non-negative.
+        Isotropic diffusivity, finite and non-negative.
     source : array_like, optional
         Source position ``(x, y)``.  When given it must lie inside the mesh;
         its element receives the injection pattern with unit strength.
@@ -100,11 +180,9 @@ def assemble(
     GlobalSystem
     """
     vel = _element_velocities_array(mesh, velocities)
-    lam = float(diffusivity)
-    if lam < 0.0:
-        raise ValueError(f"diffusivity must be non-negative, got {lam}")
+    lam = _finite("diffusivity", diffusivity, positive=False)
+    terms = _mesh_terms(mesh)
     n = mesh.node_count
-    elems = mesh.elements
     areas = mesh.areas
     u = vel[:, 0][:, None]
     v = vel[:, 1][:, None]
@@ -116,39 +194,20 @@ def assemble(
     y31 = mesh._y31[:, None]
     y32 = mesh._y32[:, None]
 
-    rows = np.concatenate([v * x32 - u * y32, u * y31 - v * x31, v * x21 - u * y21],
+    adv = np.concatenate([v * x32 - u * y32, u * y31 - v * x31, v * x21 - u * y21],
                           axis=1) / 6.0
-    adv = np.broadcast_to(rows[:, None, :], (mesh.element_count, 3, 3))
-    gy = np.concatenate([y32, -y31, y21], axis=1)
-    gx = np.concatenate([x32, -x31, x21], axis=1)
-    scale = lam / (4.0 * areas)
-    diff = scale[:, None, None] * (
-        gy[:, :, None] * gy[:, None, :] + gx[:, :, None] * gx[:, None, :]
-    )
-    ke = adv + diff
-
-    i_idx = np.repeat(elems, 3, axis=1).ravel()
-    j_idx = np.tile(elems, (1, 3)).ravel()
+    ke = adv[:, None, :] + (lam / (4.0 * areas))[:, None, None] * terms.bracket
     stiffness = sp.coo_matrix(
-        (ke.reshape(-1), (i_idx, j_idx)), shape=(n, n)
+        (ke.reshape(-1), (terms.rows, terms.cols)), shape=(n, n)
     ).tocsr()
-
-    diag = np.zeros(n)
-    np.add.at(diag, elems.ravel(), np.repeat(areas / 3.0, 3))
-    mass = sp.diags(diag).tocsr()
 
     q = np.zeros(n)
     source_element = None
     if source is not None:
-        source_element = locate_point(mesh, source)
-        if source_element is None:
-            raise MeshError(
-                f"source position {tuple(float(x) for x in source)} lies "
-                "outside the mesh"
-            )
-        q[elems[source_element]] = areas[source_element] / 3.0
+        source_element = terms.source_element(mesh, source)
+        q[mesh.elements[source_element]] = areas[source_element] / 3.0
     return GlobalSystem(
-        mass=mass,
+        mass=terms.mass,
         stiffness=stiffness,
         source=q,
         source_element=source_element,
@@ -182,12 +241,24 @@ class DispersionModel:
         return self.node_count + 1
 
     def augmented_transition(self) -> sp.csr_matrix:
-        """Sparse ``(C+1, C+1)`` transition with the injection as last column."""
+        """Sparse ``(C+1, C+1)`` transition with the injection as last column.
+
+        Each row holds the transition's entries in ascending column order
+        (duplicates summed), then the row's injection entry when it is
+        nonzero; the last row is ``[1]``.
+        """
         if self._a_csr is None:
-            self._a_csr = sp.bmat([
-                [self.transition, sp.csr_matrix(self.injection[:, None])],
-                [None, sp.csr_matrix([[1.0]])],
-            ], format="csr")
+            a = self.transition.tocsr()
+            if not a.has_canonical_format:
+                a = a.copy()
+                a.sum_duplicates()
+            n = self.node_count
+            # an empty row n for the strength; each row ends in column n
+            parts = _append_to_rows(
+                a.data, a.indices, np.append(a.indptr, a.nnz),
+                np.append(self.injection, 1.0),
+                np.append(self.injection != 0.0, True), np.full(n + 1, n))
+            self._a_csr = sp.csr_matrix(parts, shape=(n + 1, n + 1))
         return self._a_csr
 
     def process_variances(self) -> np.ndarray:
@@ -196,15 +267,52 @@ class DispersionModel:
                          self.strength_var)
 
 
+def _append_to_rows(data, indices, indptr, extra, present, columns):
+    """CSR arrays ``(data, indices, indptr)`` with ``extra[r]`` stored at
+    column ``columns[r]`` after the entries of every row ``r`` where
+    ``present[r]``; each row keeps its order."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    out_indptr = np.concatenate([[0], np.cumsum(np.diff(indptr) + present)])
+    at = np.arange(data.size) + (np.cumsum(present) - present)[rows]
+    last = out_indptr[1:][present] - 1
+    out_data = np.empty(out_indptr[-1])
+    out_indices = np.empty(out_indptr[-1], dtype=np.int64)
+    out_data[at], out_indices[at] = data, indices
+    out_data[last], out_indices[last] = extra[present], columns[present]
+    return out_data, out_indices, out_indptr
+
+
 def _mass_diagonal(mass: sp.spmatrix) -> np.ndarray:
     """The diagonal of a diagonal mass matrix; ``ValueError`` if ``mass`` is
-    not diagonal or has a zero on its diagonal."""
-    diag = mass.diagonal()
-    if (mass - sp.diags(diag)).nnz:
+    not diagonal or has a zero or non-finite entry on its diagonal."""
+    mass = mass.tocsr()
+    rows = np.repeat(np.arange(mass.shape[0]), np.diff(mass.indptr))
+    if mass.data[mass.indices != rows].any():
         raise ValueError("mass matrix is not diagonal")
+    diag = mass.diagonal()
     if (diag == 0.0).any():
         raise ValueError("mass matrix is singular (zero diagonal entry)")
+    if not np.isfinite(diag).all():
+        raise ValueError("mass matrix has a non-finite diagonal entry")
     return diag
+
+
+def _scaled_stiffness(mass_diag: np.ndarray, stiffness: sp.spmatrix):
+    """``M^-1 N`` as the ``(values, columns, rows, indptr)`` of a canonical
+    CSR matrix: ``(1/m_r) N_rc`` for every stored ``N_rc`` of the
+    duplicate-summed stiffness whose product is not zero, in ascending
+    column order; ``rows`` gives each value's row."""
+    inv = 1.0 / mass_diag
+    stiffness = stiffness.tocsr()
+    if not stiffness.has_canonical_format:
+        stiffness = stiffness.copy()
+        stiffness.sum_duplicates()
+    rows = np.repeat(np.arange(inv.size), np.diff(stiffness.indptr))
+    values = inv[rows] * stiffness.data
+    kept = values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(
+        rows[kept], minlength=inv.size))])
+    return values[kept], stiffness.indices[kept], rows[kept], indptr
 
 
 def build_model(
@@ -222,29 +330,36 @@ def build_model(
     Raises
     ------
     ValueError
-        If ``dt`` is negative, the mass matrix is not diagonal or is
-        singular, the field variance is not a positive scalar, or the
-        strength variance is not positive.
+        If ``dt`` is negative or not finite, the mass matrix is not
+        diagonal, is singular or is not finite, the field variance is not
+        a finite positive scalar, or the strength variance is not finite
+        and positive.
     """
-    dt = float(dt)
-    if dt < 0.0:
-        raise ValueError(f"time step must be non-negative, got {dt}")
-    strength_var = float(strength_var)
-    if strength_var <= 0.0:
-        raise ValueError(f"strength variance must be positive, got {strength_var}")
+    dt = _finite("time step", dt, positive=False)
+    strength_var = _finite("strength variance", strength_var, positive=True)
     if np.ndim(field_var) != 0:
         raise ValueError(
             f"field variance must be a scalar, got shape {np.shape(field_var)}"
         )
-    field_var = float(field_var)
-    if field_var <= 0.0:
-        raise ValueError(f"field variance must be positive, got {field_var}")
+    field_var = _finite("field variance", field_var, positive=True)
 
     diag = _mass_diagonal(system.mass)
     n = system.source.shape[0]
-    minv_n = sp.diags(1.0 / diag) @ system.stiffness.tocsr()
+    values, cols, rows, indptr = _scaled_stiffness(diag, system.stiffness)
+    # the bytes of (I - dt * (diags(1/m) @ N)).tocsr(): exact zeros dropped,
+    # each row's off-diagonals in ascending order and its diagonal last
+    step_values = values * dt
+    on_diag = cols == rows
+    off = ~on_diag & (step_values != 0.0)
+    diagonal = np.ones(n)
+    diagonal[rows[on_diag]] -= step_values[on_diag]
+    a = sp.csr_matrix(_append_to_rows(
+        -step_values[off], cols[off],
+        np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))]),
+        diagonal, diagonal != 0.0, np.arange(n)), shape=(n, n))
+    if (np.diff(indptr) <= 1).all():
+        a.sort_indices()   # scipy merges such operands in column order
     b = dt * system.source / diag
-    a = (sp.identity(n, format="csr") - dt * minv_n).tocsr()
     return DispersionModel(
         transition=a,
         injection=np.asarray(b, dtype=float),
@@ -310,11 +425,22 @@ class StabilityReport:
         return 0.0 < dt <= self.critical_dt * (1.0 + 1e-12)
 
 
+def _lambda_operator(mass: sp.spmatrix, stiffness: sp.spmatrix) -> sp.csr_matrix:
+    """``M^-1 N`` in canonical order, the bytes of ``diags(1/m) @ N`` with
+    its indices sorted; the operator whose eigenvalues the report takes."""
+    values, cols, _, indptr = _scaled_stiffness(_mass_diagonal(mass),
+                                                stiffness)
+    n = indptr.size - 1
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+
+
 def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix) -> float:
     """Dominant eigenvalue magnitude of ``M^-1 N`` by implicitly restarted
-    Arnoldi (ARPACK); ``ArpackNoConvergence`` if it does not converge."""
-    operator = (sp.diags(1.0 / _mass_diagonal(mass)) @ stiffness).tocsr()
-    if operator.count_nonzero() == 0:
+    Arnoldi (ARPACK); ``ArpackNoConvergence`` if it does not converge.
+    ARPACK's iterates depend on the operator's storage order, so it is
+    always given the canonical one."""
+    operator = _lambda_operator(mass, stiffness)
+    if operator.nnz == 0:
         return 0.0  # ARPACK rejects the all-zero operator
     n = operator.shape[0]
     # Fixed seed keeps the report deterministic; the random start avoids
@@ -349,9 +475,7 @@ def stability_report(
         needed, e.g. to choose an artificial diffusivity before assembling.
     """
     vel = _element_velocities_array(mesh, velocities)
-    lam = float(diffusivity)
-    if lam < 0.0:
-        raise ValueError(f"diffusivity must be non-negative, got {lam}")
+    lam = _finite("diffusivity", diffusivity, positive=False)
     speed = np.hypot(vel[:, 0], vel[:, 1])
     h = np.sqrt(2.0 * mesh.areas)
 

@@ -1,7 +1,9 @@
 """Reference implementations and helpers that only the tests use.
 
 One element's geometry and its FEM matrices, checked against the
-vectorised ``fem.assemble``; a point locator that tries every element for
+vectorised ``fem.assemble``; the scipy expressions for the transition,
+the augmented transition and the stability operator, whose bytes ``fem``'s
+array passes must reproduce; a point locator that tries every element for
 one point at a time, checked against ``mesh.locate_points``; scalar forms
 of the particle filter's latent proposal and predictive density, checked
 against closed forms; a one-sensor network through which the tests reach
@@ -146,6 +148,42 @@ def element_force(
     if not contains_source:
         return np.zeros(3)
     return np.full(3, geom.area * float(strength) / 3.0)
+
+
+def scipy_transition(system, dt: float) -> sp.csr_matrix:
+    """``A = I - dt M^-1 N`` by scipy's sparse algebra: the expression whose
+    bytes ``fem.build_model``'s array passes reproduce."""
+    n = system.source.shape[0]
+    minv_n = sp.diags(1.0 / system.mass.diagonal()) @ system.stiffness.tocsr()
+    return (sp.identity(n, format="csr") - dt * minv_n).tocsr()
+
+
+def scipy_augmented_transition(model) -> sp.csr_matrix:
+    """``[[A, B], [0, 1]]`` by ``sp.bmat``, the reference for
+    ``DispersionModel.augmented_transition``."""
+    return sp.bmat([
+        [model.transition, sp.csr_matrix(model.injection[:, None])],
+        [None, sp.csr_matrix([[1.0]])],
+    ], format="csr")
+
+
+def scipy_lambda_operator(system) -> sp.csr_matrix:
+    """``diags(1/m) @ N`` with its indices sorted: the operator the
+    stability report hands ARPACK."""
+    operator = (sp.diags(1.0 / system.mass.diagonal())
+                @ system.stiffness).tocsr()
+    operator.sort_indices()
+    return operator
+
+
+def assert_same_csr(actual, expected) -> None:
+    """``data``, ``indices`` and ``indptr`` equal, bit for bit and dtype for
+    dtype."""
+    assert actual.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert a.tobytes() == e.tobytes(), name
 
 
 def latent_transition_density(

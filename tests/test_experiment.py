@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plumetrace import experiment, fem, filters, flowfield, sensing
+from plumetrace import mesh as meshmod
 from plumetrace.cli import load_config
 from plumetrace.experiment import (
     STREAM_ENKF,
@@ -328,6 +329,32 @@ class TestModelProvider:
         for k in range(scen.config.steps):
             scen.provider.model_at(k)
         assert times == [0.0, 2.0, 1e6]
+
+    def test_the_source_is_located_once_per_mesh(self, tmp_path,
+                                                 monkeypatch):
+        # five flow intervals, each with its own model
+        ts = np.arange(6) * 2.0
+        u = np.linspace(0.01, 0.06, 6)[:, None, None] * np.ones((6, 2, 2))
+        flowfield.save_gridded_flow(flowfield.GriddedFlow(
+            np.array([-1.0, 11.0]), np.array([-1.0, 11.0]), ts, u,
+            np.zeros_like(u)), tmp_path / "flow.txt")
+        config = tiny_config(flow_kind="file",
+                             flow_file=str(tmp_path / "flow.txt"),
+                             dt=1.0, steps=10)
+        located = []
+        locate = meshmod.locate_points
+
+        def counted(mesh, points, tol=1e-10):
+            located.append(np.array(points, dtype=float))
+            return locate(mesh, points, tol)
+
+        for module in (meshmod, sensing):
+            monkeypatch.setattr(module, "locate_points", counted)
+        scen = build_scenario(config)
+        models = {id(scen.provider.model_at(k)) for k in range(config.steps)}
+        assert len(models) == 5
+        source = [list(config.source)]
+        assert sum(np.array_equal(points, source) for points in located) == 1
 
 
 class TestTrials:

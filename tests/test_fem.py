@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from plumetrace import experiment, fem
+from plumetrace.cli import load_config
 from plumetrace.fem import (
     GlobalSystem,
     assemble,
@@ -11,7 +15,11 @@ from plumetrace.fem import (
     stability_report,
     step,
 )
-from plumetrace.flowfield import RigidRotationFlow, element_velocities
+from plumetrace.flowfield import (
+    GriddedFlow,
+    RigidRotationFlow,
+    element_velocities,
+)
 from plumetrace.mesh import (
     MeshError,
     TriMesh,
@@ -20,11 +28,17 @@ from plumetrace.mesh import (
 
 from oracles import (
     _digests_at_one_and_two_blas_threads,
+    assert_same_csr,
     element_force,
     element_geometry,
     element_mass,
     element_stiffness,
+    scipy_augmented_transition,
+    scipy_lambda_operator,
+    scipy_transition,
 )
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 from test_mesh import triangles
 
 
@@ -185,6 +199,36 @@ class TestAssembly:
         assert sys_.source_element is None
         assert (sys_.source == 0.0).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_velocity_rejected(self, bad):
+        mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
+        vel = np.full((mesh.element_count, 2), 0.1)
+        vel[7, 1] = bad
+        with pytest.raises(ValueError, match="element 7 is not finite"):
+            assemble(mesh, vel, 0.01)
+        with pytest.raises(ValueError, match="element 7 is not finite"):
+            stability_report(mesh, vel, 0.01)
+        with pytest.raises(ValueError, match="not finite"):
+            assemble(mesh, (bad, 0.0), 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_diffusivity_rejected(self, bad):
+        mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
+        with pytest.raises(ValueError, match="diffusivity must be finite"):
+            assemble(mesh, (0.1, 0.0), bad)
+        with pytest.raises(ValueError, match="diffusivity must be finite"):
+            stability_report(mesh, (0.1, 0.0), bad, compute_lambda_max=False)
+
+    def test_systems_on_one_mesh_share_the_mass_matrix(self):
+        mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
+        a = assemble(mesh, (0.1, 0.0), 0.01, source=(0.3, 0.55))
+        b = assemble(mesh, (0.0, 0.2), 0.03, source=(0.3, 0.55))
+        assert a.mass is b.mass
+        assert a.source_element == b.source_element
+        np.testing.assert_array_equal(a.source, b.source)
+        with pytest.raises(ValueError, match="read-only"):
+            a.mass.data[0] = 1.0
+
 
 class TestBuildModel:
     def setup_method(self):
@@ -254,6 +298,26 @@ class TestBuildModel:
             build_model(self.system, 0.01, asym, 1e-6)
         with pytest.raises(ValueError, match="field variance must be a scalar"):
             build_model(self.system, 0.01, np.eye(3), 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        with pytest.raises(ValueError, match="time step must be finite"):
+            build_model(self.system, bad, 1e-4, 1e-6)
+        with pytest.raises(ValueError, match="field variance must be finite"):
+            build_model(self.system, 0.01, bad, 1e-6)
+        with pytest.raises(ValueError,
+                           match="strength variance must be finite"):
+            build_model(self.system, 0.01, 1e-4, bad)
+
+    def test_non_finite_mass_rejected(self):
+        diag = self.system.mass.diagonal().copy()
+        diag[3] = np.nan
+        broken = GlobalSystem(
+            mass=sp.diags(diag).tocsr(), stiffness=self.system.stiffness,
+            source=self.system.source, source_element=self.system.source_element,
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            build_model(broken, 0.01, 1e-4, 1e-6)
 
     def test_singular_mass_rejected(self):
         n = self.mesh.node_count
@@ -349,6 +413,21 @@ class TestStability:
         digests = _digests_at_one_and_two_blas_threads(script)
         assert digests[0] == digests[1]
 
+    def test_lambda_max_is_pinned(self):
+        # ARPACK's result depends on the operator's storage order: these are
+        # the values of the canonical (column-sorted) operator
+        desk = experiment.build_scenario(load_config(DESK_CONFIG))
+        assert desk.report.lambda_max.hex() == "0x1.546d555d7edcbp-4"
+        mesh = build_structured_mesh(0, 0, 10, 10, 10, 10)
+        rng = np.random.default_rng(29)
+        u, v = rng.normal(0.05, 0.1, (2, 2, 4, 5))
+        u[0, 3, 4] = v[0, 3, 4] = np.nan     # one land cell
+        flow = GriddedFlow(np.linspace(-1, 11, 5), np.linspace(-1, 11, 4),
+                           np.array([0.0, 4.0]), u, v)
+        report = stability_report(mesh, element_velocities(flow, mesh, 0.0),
+                                  0.02)
+        assert report.lambda_max.hex() == "0x1.9cfb0b377e278p-3"
+
     def test_classical_bounds(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)
         lam = 1e-3
@@ -409,3 +488,94 @@ class TestStability:
         report = stability_report(mesh, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="stability bound"):
             default_time_step(report)
+
+
+def _desk_case():
+    scen = experiment.build_scenario(load_config(DESK_CONFIG))
+    velocities = element_velocities(scen.flow, scen.mesh, scen.t0)
+    return (assemble(scen.mesh, velocities, scen.diffusivity_eff,
+                     source=scen.config.source), scen.dt)
+
+
+def _land_case():
+    # a 30x30 mesh under a seeded gridded flow with a land corner: zero
+    # velocity there and no diffusion across the cell diagonals leave
+    # explicit zeros in the stiffness
+    mesh = build_structured_mesh(0, 0, 1000, 1000, 30, 30)
+    rng = np.random.default_rng(43)
+    u, v = rng.normal(0.0, 0.1, (2, 1, 11, 11))
+    u[:, 7:, 7:] = v[:, 7:, 7:] = np.nan
+    axis = np.linspace(0, 1000, 11)
+    flow = GriddedFlow(axis, axis, np.array([0.0]), u, v)
+    system = assemble(mesh, element_velocities(flow, mesh, 0.0), 25.0,
+                      source=(300.0, 400.0))
+    assert (system.stiffness.data == 0.0).sum() > 0
+    return system, 4.0
+
+
+def _shuffled_case():
+    grid = build_structured_mesh(0, 0, 1, 1, 12, 12)
+    perm = np.random.default_rng(5).permutation(grid.node_count)
+    nodes = np.empty_like(grid.nodes)
+    nodes[perm] = grid.nodes
+    mesh = TriMesh(nodes, perm[grid.elements])
+    return assemble(mesh, (0.03, -0.02), 1e-3, source=(0.4, 0.6)), 0.5
+
+
+def _zero_dt_case():
+    system, _ = _desk_case()
+    return system, 0.0
+
+
+def _one_entry_rows_case():
+    # at most one stored product per row: scipy merges I and dt M^-1 N in
+    # column order instead of leaving each diagonal last
+    mass = sp.diags(np.array([1.0, 2.0, 4.0, 0.5])).tocsr()
+    stiffness = sp.csr_matrix(np.array([[0.0, 0.0, 3.0, 0.0],
+                                        [0.0, 0.0, 0.0, -1.0],
+                                        [0.0, 0.0, 2.0, 0.0],
+                                        [5.0, 0.0, 0.0, 0.0]]))
+    return GlobalSystem(mass=mass, stiffness=stiffness,
+                        source=np.array([0.0, 1.0, 0.0, 2.0]),
+                        source_element=None), 0.25
+
+
+def _no_transport_case():
+    mesh = build_structured_mesh(0, 0, 1, 1, 3, 3)
+    return assemble(mesh, (0.0, 0.0), 0.0, source=(0.5, 0.5)), 0.1
+
+
+@pytest.mark.parametrize("case", [
+    _desk_case, _land_case, _shuffled_case, _zero_dt_case,
+    _one_entry_rows_case, _no_transport_case,
+], ids=lambda case: case.__name__.strip("_"))
+def test_array_passes_match_the_scipy_expressions(case):
+    system, dt = case()
+    model = build_model(system, dt, 1e-4, 1e-6)
+    assert_same_csr(model.transition, scipy_transition(system, dt))
+    assert_same_csr(model.augmented_transition(),
+                    scipy_augmented_transition(model))
+    assert_same_csr(fem._lambda_operator(system.mass, system.stiffness),
+                    scipy_lambda_operator(system))
+    np.testing.assert_array_equal(
+        model.injection, dt * system.source / system.mass.diagonal())
+
+
+def test_mass_matches_the_scipy_diagonal_matrix():
+    mesh = build_structured_mesh(0, 0, 1, 1, 5, 4)
+    diag = np.zeros(mesh.node_count)
+    np.add.at(diag, mesh.elements.ravel(), np.repeat(mesh.areas / 3.0, 3))
+    assert_same_csr(assemble(mesh, (0.1, 0.0), 0.01).mass,
+                    sp.diags(diag).tocsr())
+
+
+def test_augmented_transition_sorts_and_sums_a_hand_made_transition():
+    transition = sp.csr_matrix(
+        (np.array([2.0, 1.0, 0.5, 0.25, 0.0]), np.array([2, 0, 1, 1, 0]),
+         np.array([0, 2, 5, 5])), shape=(3, 3))
+    model = fem.DispersionModel(transition=transition,
+                                injection=np.array([0.0, 3.0, 0.0]),
+                                dt=1.0, field_var=1.0, strength_var=1.0)
+    assert_same_csr(model.augmented_transition(),
+                    scipy_augmented_transition(model))
+    assert transition.indices.tolist() == [2, 0, 1, 1, 0]   # left as it was
