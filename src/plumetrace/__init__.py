@@ -20,6 +20,7 @@ from plumetrace.fem import (
     DispersionModel,
     GlobalSystem,
     StabilityReport,
+    artificial_diffusivity,
     assemble,
     build_model,
     default_time_step,

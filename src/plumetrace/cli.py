@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from plumetrace import experiment, fem, flowfield, mesh as meshmod, sensing
+from plumetrace import experiment, fem, mesh as meshmod, sensing
 
 __all__ = ["main", "load_config"]
 
@@ -121,10 +121,9 @@ def cmd_mesh(args) -> int:
             x0, y0, x1, y1, getattr(args, "nx", 10), getattr(args, "ny", 10))
     print(f"nodes {grid.node_count}  elements {grid.element_count}")
     if args.diffusivity is not None:
-        flow = flowfield.UniformFlow(getattr(args, "flow_u", 0.0),
-                                     getattr(args, "flow_v", 0.0))
-        velocities = flowfield.element_velocities(flow, grid, 0.0)
-        report = fem.stability_report(grid, velocities, args.diffusivity)
+        report = fem.stability_report(
+            grid, (getattr(args, "flow_u", 0.0), getattr(args, "flow_v", 0.0)),
+            args.diffusivity)
         _print_stability(report)
         if hasattr(args, "dt"):
             verdict = "stable" if report.approves(args.dt) else "UNSTABLE"

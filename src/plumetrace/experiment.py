@@ -30,7 +30,6 @@ __all__ = [
     "ScenarioConfig",
     "Scenario",
     "ModelProvider",
-    "sample_velocities",
     "TrialResult",
     "TrialRun",
     "build_scenario",
@@ -144,6 +143,12 @@ class ScenarioConfig:
                                 hashed=False)
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.metadata["parse"] not in (float, _parse_dt):
+                continue
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.mesh_file is None:
             x0, y0, x1, y1 = self.domain
             if not (x1 > x0 and y1 > y0):
@@ -205,13 +210,11 @@ class Scenario:
 
     config: ScenarioConfig
     mesh: meshmod.TriMesh
-    flow: object
     network: sensing.SensorNetwork
     provider: "ModelProvider"
     report: fem.StabilityReport
     diffusivity_eff: float
     dt: float
-    t0: float
     _schedule: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
@@ -230,38 +233,30 @@ class Scenario:
 
 
 class ModelProvider:
-    """Per-step dispersion models, rebuilt only when the flow changes.
+    """Per-step dispersion models, one per flow interval.
 
-    For analytic flows a single model serves every step; for gridded flows
-    the transition matrix is reassembled at each flow sample interval and
-    cached by interval index.  ``velocities`` holds the element velocities
-    of each flow sample, as :func:`sample_velocities` evaluates them.
+    Step ``k``, at ``k dt`` after the flow's first sample time, is driven by
+    the last sample at or before it; ``velocities`` holds the samples'
+    ``(S, E, 2)`` element velocities.  Each model is built on first use.
     """
 
     def __init__(self, mesh, flow, velocities, diffusivity, dt, field_noise,
-                 strength_walk, source, t0: float = 0.0):
+                 strength_walk, source):
         self._mesh = mesh
         self._diffusivity = diffusivity
         self._dt = dt
         self._field_noise = field_noise
         self._strength_walk = strength_walk
         self._source = source
-        self._t0 = t0
-        # sample times as Python floats: a per-step bisect on a list is
-        # a fraction of what np.searchsorted costs on a scalar
-        self._times = (
-            flow.ts.tolist() if isinstance(flow, flowfield.GriddedFlow)
-            else None
-        )
+        # a per-step bisect on a tuple of floats is a fraction of what
+        # np.searchsorted costs on a scalar
+        self._times = flow.sample_times
         self._velocities = velocities
         self._cache: dict[int, fem.DispersionModel] = {}
 
     def interval_index(self, step: int) -> int:
-        if self._times is None:
-            return 0
-        t = self._t0 + step * self._dt
-        idx = bisect.bisect_right(self._times, t) - 1
-        return min(max(idx, 0), len(self._times) - 1)
+        t = self._times[0] + step * self._dt
+        return max(bisect.bisect_right(self._times, t) - 1, 0)
 
     def model_at(self, step: int) -> fem.DispersionModel:
         idx = self.interval_index(step)
@@ -276,15 +271,6 @@ class ModelProvider:
         return self._cache[idx]
 
 
-def sample_velocities(flow, mesh, t0: float = 0.0) -> list[np.ndarray]:
-    """Element velocities of each flow sample, one ``(E, 2)`` array per
-    sample time of a gridded flow, or the single one at ``t0`` of an
-    analytic flow; index ``i`` serves flow interval ``i``."""
-    times = (flow.ts.tolist() if isinstance(flow, flowfield.GriddedFlow)
-             else [t0])
-    return [flowfield.element_velocities(flow, mesh, t) for t in times]
-
-
 def _build_flow(config: ScenarioConfig):
     if config.flow_kind == "uniform":
         return flowfield.UniformFlow(config.flow_u, config.flow_v)
@@ -297,13 +283,13 @@ def _build_flow(config: ScenarioConfig):
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    """Resolve a config into mesh, flow, sensors and a model provider.
+    """Resolve a config into mesh, sensors and a model provider.
 
-    Evaluates each flow sample's element velocities once, for the stability
-    checks and the provider's models alike.  Chooses the artificial
-    diffusivity from the worst flow sample, resolves the automatic time
-    step, and refuses an explicitly configured unstable step unless
-    ``force_dt`` is set.
+    Evaluates the element velocities of every flow sample in one call, for
+    the stability checks and the provider's models alike.  Chooses the
+    artificial diffusivity from the worst flow sample, resolves the
+    automatic time step from the first, and refuses an explicitly
+    configured unstable step unless ``force_dt`` is set.
     """
     config.validate()
     if config.mesh_file:
@@ -312,16 +298,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         x0, y0, x1, y1 = config.domain
         grid = meshmod.build_structured_mesh(x0, y0, x1, y1, config.nx, config.ny)
     flow = _build_flow(config)
-    t0 = flow.t_first if isinstance(flow, flowfield.GriddedFlow) else 0.0
-    velocities = sample_velocities(flow, grid, t0)
+    velocities = flowfield.element_velocities(flow, grid)
 
     lam_eff = config.diffusivity
     if config.auto_stabilise:
-        lam_star = max(
-            fem.stability_report(grid, vel, config.diffusivity,
-                                 compute_lambda_max=False).artificial_diffusivity
-            for vel in velocities)
-        lam_eff = config.diffusivity + lam_star
+        lam_eff += fem.artificial_diffusivity(grid, velocities,
+                                              config.diffusivity)
 
     report = fem.stability_report(grid, velocities[0], lam_eff)
     if config.dt is None:
@@ -358,12 +340,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     provider = ModelProvider(
         grid, flow, velocities, lam_eff, dt, config.field_noise,
-        config.strength_walk, source=config.source, t0=t0,
+        config.strength_walk, source=config.source,
     )
     return Scenario(
-        config=config, mesh=grid, flow=flow, network=network,
-        provider=provider, report=report, diffusivity_eff=lam_eff,
-        dt=dt, t0=t0,
+        config=config, mesh=grid, network=network, provider=provider,
+        report=report, diffusivity_eff=lam_eff, dt=dt,
     )
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "build_model",
     "step",
     "stability_report",
+    "artificial_diffusivity",
     "default_time_step",
 ]
 
@@ -452,30 +453,10 @@ def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix) -> float:
     return float(np.abs(values).max())
 
 
-def stability_report(
-    mesh: TriMesh,
-    velocities,
-    diffusivity: float,
-    system: Optional[GlobalSystem] = None,
-    compute_lambda_max: bool = True,
-) -> StabilityReport:
-    """Diagnose explicit time integration for a mesh, flow and diffusivity.
-
-    Parameters
-    ----------
-    mesh : TriMesh
-    velocities : array_like
-        Per-element velocities, shape ``(E, 2)``, or a single vector.
-    diffusivity : float
-    system : GlobalSystem, optional
-        Reuse already-assembled matrices instead of assembling here.
-    compute_lambda_max : bool
-        Skip the eigenvalue estimate (``lambda_max`` and ``critical_dt``
-        become ``nan`` and ``inf``) when only the mesh-quality fields are
-        needed, e.g. to choose an artificial diffusivity before assembling.
-    """
-    vel = _element_velocities_array(mesh, velocities)
-    lam = _finite("diffusivity", diffusivity, positive=False)
+def _peclet(mesh: TriMesh, vel: np.ndarray, lam: float):
+    """Each element's speed ``|v|``, length scale ``h = sqrt(2 S)`` and
+    cell Peclet number ``|v| h / (2 lam)``, and the smallest uniform
+    addition to ``lam`` that brings every element to Pe <= 1."""
     speed = np.hypot(vel[:, 0], vel[:, 1])
     h = np.sqrt(2.0 * mesh.areas)
 
@@ -487,20 +468,37 @@ def stability_report(
         )
         alpha = np.where(peclet > 0.0, 1.0 - 1.0 / peclet, -np.inf)
     alpha = np.clip(alpha, 0.0, 1.0)
-    lam_star = float((alpha * speed * h / 2.0).max())
+    return speed, h, peclet, float((alpha * speed * h / 2.0).max())
+
+
+def artificial_diffusivity(mesh: TriMesh, samples, diffusivity: float) -> float:
+    """The smallest uniform addition to ``diffusivity`` that brings every
+    element to Pe <= 1 under every velocity sample: the largest
+    :attr:`StabilityReport.artificial_diffusivity` over ``samples``, each
+    an ``(E, 2)`` array of per-element velocities or a single vector."""
+    lam = _finite("diffusivity", diffusivity, positive=False)
+    return max(_peclet(mesh, _element_velocities_array(mesh, vel), lam)[3]
+               for vel in samples)
+
+
+def stability_report(mesh: TriMesh, velocities,
+                     diffusivity: float) -> StabilityReport:
+    """Diagnose explicit time integration for a mesh, flow and diffusivity.
+
+    ``velocities`` are per-element, shape ``(E, 2)``, or a single vector.
+    The transport matrix is assembled here for the eigenvalue solve.
+    """
+    vel = _element_velocities_array(mesh, velocities)
+    lam = _finite("diffusivity", diffusivity, positive=False)
+    speed, h, peclet, lam_star = _peclet(mesh, vel, lam)
 
     moving = speed > 0.0
     courant = float((h[moving] / speed[moving]).min()) if moving.any() else np.inf
     diffusion = float((h * h / (2.0 * lam)).min()) if lam > 0.0 else np.inf
 
-    if compute_lambda_max:
-        if system is None:
-            system = assemble(mesh, vel, lam)
-        lambda_max = _lambda_max(system.mass, system.stiffness)
-        critical = 2.0 / lambda_max if lambda_max > 0.0 else np.inf
-    else:
-        lambda_max = np.nan
-        critical = np.inf
+    system = assemble(mesh, vel, lam)
+    lambda_max = _lambda_max(system.mass, system.stiffness)
+    critical = 2.0 / lambda_max if lambda_max > 0.0 else np.inf
     return StabilityReport(
         lambda_max=lambda_max,
         critical_dt=critical,

@@ -1,10 +1,13 @@
 """Time-varying 2-D velocity fields for the transport model.
 
 Provides analytic flows for synthetic studies and gridded flows read from
-text files, both queried through the same method: ``velocity_many(points,
-t)`` gives the ``(P, 2)`` velocities at many points at one time.  Gridded
-data is interpolated bilinearly in space and linearly in time; grid cells
-marked as missing (land) contribute zero velocity.
+text files, both with the same contract: ``sample_times`` lists the times
+at which the flow changes, and ``velocity_samples(points)`` gives the
+``(S, P, 2)`` velocities of all ``S`` samples at ``P`` points.  Sample
+``i`` holds over the interval from ``sample_times[i]`` to the next one.
+An analytic flow has one sample, at time 0.  Gridded data is interpolated
+bilinearly in space; grid cells marked as missing (land) contribute zero
+velocity.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ class UniformFlow:
 
     u: float = 0.0
     v: float = 0.0
+    sample_times = (0.0,)
 
-    def velocity_many(self, points, t: float) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], 2))
-        out[:, 0] = self.u
-        out[:, 1] = self.v
-        return out
+    def velocity_samples(self, points) -> np.ndarray:
+        return np.tile([float(self.u), float(self.v)], (1, len(points), 1))
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,12 @@ class RigidRotationFlow:
 
     center: tuple[float, float] = (0.0, 0.0)
     omega: float = 0.0
+    sample_times = (0.0,)
 
-    def velocity_many(self, points, t: float) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], 2))
-        out[:, 0] = -self.omega * (points[:, 1] - self.center[1])
-        out[:, 1] = self.omega * (points[:, 0] - self.center[0])
-        return out
+    def velocity_samples(self, points) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        return np.stack([-self.omega * (p[:, 1] - self.center[1]),
+                         self.omega * (p[:, 0] - self.center[0])], -1)[None]
 
 
 class GriddedFlow:
@@ -73,8 +72,7 @@ class GriddedFlow:
         (land) cells, which are treated as zero velocity during
         interpolation.
 
-    Queries outside the spatial bounding box or the time range raise
-    ``ValueError``.
+    Queries outside the spatial bounding box raise ``ValueError``.
     """
 
     def __init__(self, xs, ys, ts, u, v):
@@ -97,6 +95,7 @@ class GriddedFlow:
         self.xs = xs
         self.ys = ys
         self.ts = ts
+        self.sample_times = tuple(ts.tolist())
         # Missing cells (land) contribute zero velocity to interpolation.
         self.mask = np.isnan(u) | np.isnan(v)
         # both components side by side, so one gather serves the two
@@ -105,11 +104,6 @@ class GriddedFlow:
         self.v = self._uv[..., 1]
         for arr in (self.xs, self.ys, self.ts, self._uv, self.mask):
             arr.setflags(write=False)
-        self._weights = None
-
-    @property
-    def t_first(self) -> float:
-        return float(self.ts[0])
 
     def _axis_weights(self, coords: np.ndarray, q: np.ndarray, name: str):
         lo, hi = coords[0], coords[-1]
@@ -125,41 +119,19 @@ class GriddedFlow:
         w = (q - coords[idx]) / (coords[idx + 1] - coords[idx])
         return idx, w
 
-    def _point_weights(self, points: np.ndarray) -> tuple:
-        """Grid indices and bilinear weights of ``points``.  They are kept
-        for the last read-only array queried, such as a mesh's centroids,
-        which are queried once per sample time."""
-        cached = self._weights
-        if cached is not None and cached[0] is points:
-            return cached[1]
+    def velocity_samples(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         ix, wx = self._axis_weights(self.xs, points[:, 0], "x")
         iy, wy = self._axis_weights(self.ys, points[:, 1], "y")
         nx = self.xs.size
         ix1 = np.minimum(ix + 1, nx - 1)
         iy1 = np.minimum(iy + 1, self.ys.size - 1)
         wx, wy = wx[:, None], wy[:, None]
-        # the four corners' rows of the flattened (y, x) grid, then weights
-        weights = (iy * nx + ix, iy * nx + ix1, iy1 * nx + ix, iy1 * nx + ix1,
-                   1 - wx, wx, 1 - wy, wy)
-        if not points.flags.writeable:
-            self._weights = (points, weights)
-        return weights
-
-    def velocity_many(self, points, t: float) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        i00, i01, i10, i11, x0, x1, y0, y1 = self._point_weights(points)
-        it, wt = self._axis_weights(self.ts, np.asarray([float(t)]), "time")
-        it, wt = int(it[0]), float(wt[0])
-
-        def bilinear(sample: int) -> np.ndarray:
-            s = self._uv[sample].reshape(-1, 2)
-            return (s.take(i00, 0) * x0 * y0 + s.take(i01, 0) * x1 * y0
-                    + s.take(i10, 0) * x0 * y1 + s.take(i11, 0) * x1 * y1)
-
-        out = bilinear(it)
-        if wt > 0.0:
-            out = out * (1 - wt) + bilinear(it + 1) * wt
-        return out
+        x0, y0 = 1 - wx, 1 - wy
+        # each sample's rows of the flattened (y, x) grid at the four corners
+        s = self._uv.reshape(self.ts.size, -1, 2)
+        return (s[:, iy * nx + ix] * x0 * y0 + s[:, iy * nx + ix1] * wx * y0
+                + s[:, iy1 * nx + ix] * x0 * wy + s[:, iy1 * nx + ix1] * wx * wy)
 
     def __repr__(self) -> str:
         return (
@@ -168,9 +140,10 @@ class GriddedFlow:
         )
 
 
-def element_velocities(flow, mesh: TriMesh, t: float) -> np.ndarray:
-    """``flow.velocity_many`` at every element centroid, shape ``(E, 2)``."""
-    return flow.velocity_many(mesh.centroids, t)
+def element_velocities(flow, mesh: TriMesh) -> np.ndarray:
+    """``flow.velocity_samples`` at every element centroid, shape
+    ``(S, E, 2)``: row ``i`` drives flow interval ``i``."""
+    return flow.velocity_samples(mesh.centroids)
 
 
 def load_gridded_flow(path) -> GriddedFlow:

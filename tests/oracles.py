@@ -12,9 +12,10 @@ linear-domain cell mass taken through it; the tail-only form of the
 quantised log likelihood, checked against that kernel; a dense linear
 model for the Kalman functions; the particle filter step over every
 particle copy, checked against the step over distinct means; per-particle
-views of a filter state; a quantiser's level values, a flow's velocity at
-one point and a gridded flow's last sample time; and a runner that
-compares a script's output at one and two BLAS threads.
+views of a filter state; a quantiser's level values; a gridded flow's
+velocity at one point by the textbook bilinear formula, checked against
+``GriddedFlow.velocity_samples``; and a runner that compares a script's
+output at one and two BLAS threads.
 """
 
 import os
@@ -229,16 +230,29 @@ def locate_point_brute_force(mesh: TriMesh, point, tol: float = 1e-10):
     return element, vals[element]
 
 
-def velocity_at(flow, point, t: float) -> tuple[float, float]:
-    """Velocity of ``flow`` at ``point`` and time ``t`` as a ``(u, v)`` pair:
-    its ``velocity_many`` of that one point."""
-    u, v = flow.velocity_many(np.asarray(point, dtype=float)[None, :], t)[0]
-    return float(u), float(v)
+def velocity_at(flow, point, sample: int = 0) -> tuple[float, float]:
+    """Velocity of sample ``sample`` of a gridded flow at ``point`` as a
+    ``(u, v)`` pair, by the textbook bilinear formula over the grid cell
+    found by scanning each axis (a point on a grid line takes the cell
+    below it); land cells count as zero velocity."""
 
+    def cell(coords, q):   # [(index, weight)] of the cell's two ends
+        assert coords[0] <= q <= coords[-1]
+        if coords.size == 1:
+            return [(0, 1.0)]
+        i = 0
+        while q > coords[i + 1]:
+            i += 1
+        lo, hi = coords[i], coords[i + 1]
+        return [(i, (hi - q) / (hi - lo)), (i + 1, (q - lo) / (hi - lo))]
 
-def t_last(flow) -> float:
-    """The last sample time of a gridded flow."""
-    return float(flow.ts[-1])
+    uv = np.zeros(2)
+    for j, wy in cell(flow.ys, float(point[1])):
+        for i, wx in cell(flow.xs, float(point[0])):
+            if not flow.mask[sample, j, i]:
+                uv += wx * wy * np.array([flow.u[sample, j, i],
+                                          flow.v[sample, j, i]])
+    return float(uv[0]), float(uv[1])
 
 
 def one_sensor(scale, levels, noise_var=1.0, detect_rate=1.0) -> SensorNetwork:

@@ -75,7 +75,7 @@ def test_criterion_01_pure_diffusion_matches_heat_kernel():
     mesh = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 40, 40)
     lam = 1e-3
     system = fem.assemble(mesh, (0.0, 0.0), lam)
-    report = fem.stability_report(mesh, (0.0, 0.0), lam, system=system)
+    report = fem.stability_report(mesh, (0.0, 0.0), lam)
     dt = 0.4 * report.critical_dt
     steps = math.ceil(5.0 / dt)
     sigma0 = 0.1
@@ -100,10 +100,9 @@ def test_criterion_01_pure_diffusion_matches_heat_kernel():
 def test_criterion_02_advection_transports_at_flow_speed():
     mesh = build_structured_mesh(0.0, 0.0, 2.0, 1.0, 80, 40)
     vel = (0.05, 0.0)
-    quality = fem.stability_report(mesh, vel, 1e-6, compute_lambda_max=False)
-    lam_eff = 1e-6 + quality.artificial_diffusivity
+    lam_eff = 1e-6 + fem.artificial_diffusivity(mesh, [vel], 1e-6)
     system = fem.assemble(mesh, vel, lam_eff)
-    report = fem.stability_report(mesh, vel, lam_eff, system=system)
+    report = fem.stability_report(mesh, vel, lam_eff)
     dt = fem.default_time_step(report)
     c = _gaussian_bump(mesh, (0.5, 0.5), 0.1)
     weights = system.mass.diagonal()
@@ -132,7 +131,7 @@ def test_criterion_03_critical_step_separates_stable_from_unstable():
     mesh = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 20, 20)
     vel = (0.05, 0.02)
     system = fem.assemble(mesh, vel, 1e-3)
-    report = fem.stability_report(mesh, vel, 1e-3, system=system)
+    report = fem.stability_report(mesh, vel, 1e-3)
     c0 = _gaussian_bump(mesh, (0.5, 0.5), 0.1)
     n0 = np.linalg.norm(c0)
 
@@ -164,9 +163,9 @@ def test_criterion_04_artificial_diffusivity_restores_unit_peclet():
     mesh = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 10, 10)
     vel = (0.04, 0.0)
     lam = 1e-3
-    before = fem.stability_report(mesh, vel, lam, compute_lambda_max=False)
+    before = fem.stability_report(mesh, vel, lam)
     repaired = lam + before.artificial_diffusivity
-    after = fem.stability_report(mesh, vel, repaired, compute_lambda_max=False)
+    after = fem.stability_report(mesh, vel, repaired)
     _report(
         4, "artificial diffusivity pulls the worst cell to unit Peclet",
         before.max_peclet == pytest.approx(2.0, abs=1e-12)

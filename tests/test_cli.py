@@ -313,6 +313,18 @@ class TestPipeline:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_simulate_refuses_a_non_finite_strength(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        text = (CONFIG_DIR / "desk.cfg").read_text()
+        assert "\nstrength = 1.0\n" in text
+        path.write_text(text.replace("\nstrength = 1.0\n",
+                                     "\nstrength = nan\n"))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "strength must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_rejects_mixed_scenarios(self, tmp_path, capsys):
         import json
         docs = []

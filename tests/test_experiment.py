@@ -35,6 +35,8 @@ from plumetrace.experiment import (
     write_truth_csv,
 )
 
+from oracles import assert_same_csr
+
 
 def tiny_config(**overrides) -> ScenarioConfig:
     """A 4x4 mesh scenario that runs in milliseconds."""
@@ -106,6 +108,12 @@ class TestConfigValidation:
         (dict(init_cov=0.0), "initial covariance"),
         (dict(trials=0), "at least one trial"),
         (dict(node_stride=0), "node stride"),
+        (dict(strength=math.nan), "strength must be finite"),
+        (dict(diffusivity=math.inf), "diffusivity must be finite"),
+        (dict(dt=math.nan), "dt must be finite"),
+        (dict(domain=(0.0, 0.0, math.inf, 1.0)), "domain must be finite"),
+        (dict(flow_center=(0.0, math.nan)), "flow_center must be finite"),
+        (dict(init_cov=math.inf), "init_cov must be finite"),
     ])
     def test_rejects_bad_values(self, overrides, match):
         config = dataclasses.replace(ScenarioConfig(), **overrides)
@@ -187,12 +195,15 @@ class TestBuildScenario:
 
     def test_zero_and_rotation_flows(self):
         still = build_scenario(tiny_config(flow_kind="zero"))
-        vel = flowfield.element_velocities(still.flow, still.mesh, 0.0)
-        np.testing.assert_array_equal(vel, 0.0)
+        assert_same_csr(still.provider.model_at(5).transition,
+                        _transition(still, (0.0, 0.0)))
         spin = build_scenario(tiny_config(
             flow_kind="rotation", flow_center=(5.0, 5.0), flow_rate=0.01,
         ))
-        assert isinstance(spin.flow, flowfield.RigidRotationFlow)
+        [rotation] = flowfield.element_velocities(
+            flowfield.RigidRotationFlow((5.0, 5.0), 0.01), spin.mesh)
+        assert_same_csr(spin.provider.model_at(5).transition,
+                        _transition(spin, rotation))
 
     def test_file_flow(self, tmp_path):
         xs = np.array([-1.0, 5.0, 11.0])
@@ -205,8 +216,19 @@ class TestBuildScenario:
         flowfield.save_gridded_flow(flow, path)
         scen = build_scenario(tiny_config(flow_kind="file",
                                           flow_file=str(path)))
-        assert isinstance(scen.flow, flowfield.GriddedFlow)
-        assert scen.t0 == 0.0
+        # one interval from t = 0 past the last step, under a uniform 0.03
+        assert scen.provider.model_at(0) is scen.provider.model_at(9)
+        np.testing.assert_allclose(
+            scen.provider.model_at(0).transition.toarray(),
+            _transition(scen, (0.03, 0.0)).toarray(), rtol=1e-12, atol=1e-15)
+
+
+def _transition(scen, velocities):
+    """The transition of ``scen``'s model under element ``velocities``."""
+    system = fem.assemble(scen.mesh, velocities, scen.diffusivity_eff,
+                          source=scen.config.source)
+    return fem.build_model(system, scen.dt, scen.config.field_noise,
+                           scen.config.strength_walk).transition
 
 
 class TestFenceLayout:
@@ -317,18 +339,18 @@ class TestModelProvider:
 
 
     def test_each_flow_sample_is_evaluated_once(self, tmp_path, monkeypatch):
-        times = []
+        calls = []
         evaluate = flowfield.element_velocities
 
-        def counted(flow, mesh, t):
-            times.append(t)
-            return evaluate(flow, mesh, t)
+        def counted(flow, mesh):
+            calls.append(flow.sample_times)
+            return evaluate(flow, mesh)
 
         monkeypatch.setattr(flowfield, "element_velocities", counted)
         scen = build_scenario(gridded_config(tmp_path))
         for k in range(scen.config.steps):
             scen.provider.model_at(k)
-        assert times == [0.0, 2.0, 1e6]
+        assert calls == [(0.0, 2.0, 1e6)]
 
     def test_the_source_is_located_once_per_mesh(self, tmp_path,
                                                  monkeypatch):

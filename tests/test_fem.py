@@ -217,7 +217,9 @@ class TestAssembly:
         with pytest.raises(ValueError, match="diffusivity must be finite"):
             assemble(mesh, (0.1, 0.0), bad)
         with pytest.raises(ValueError, match="diffusivity must be finite"):
-            stability_report(mesh, (0.1, 0.0), bad, compute_lambda_max=False)
+            stability_report(mesh, (0.1, 0.0), bad)
+        with pytest.raises(ValueError, match="diffusivity must be finite"):
+            fem.artificial_diffusivity(mesh, [(0.1, 0.0)], bad)
 
     def test_systems_on_one_mesh_share_the_mass_matrix(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
@@ -257,8 +259,6 @@ class TestBuildModel:
         )
         with pytest.raises(ValueError, match="not diagonal"):
             build_model(system, 0.01, 1e-4, 1e-6)
-        with pytest.raises(ValueError, match="not diagonal"):
-            stability_report(self.mesh, (0.05, 0.0), 1e-3, system=system)
 
     def test_zero_dt_freezes_field(self):
         model = build_model(self.system, 0.0, 1e-4, 1e-6)
@@ -378,7 +378,7 @@ class TestStability:
     def test_lambda_max_matches_dense_eigenvalues(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 5, 5)
         system = assemble(mesh, (0.03, 0.01), 1e-3)
-        report = stability_report(mesh, (0.03, 0.01), 1e-3, system=system)
+        report = stability_report(mesh, (0.03, 0.01), 1e-3)
         exact = _dense_lambda_max(system)
         assert report.lambda_max == pytest.approx(exact, rel=1e-10)
         assert report.critical_dt == pytest.approx(2.0 / exact, rel=1e-10)
@@ -386,17 +386,17 @@ class TestStability:
     def test_refuses_a_step_just_above_the_dense_critical_step(self):
         mesh = build_structured_mesh(0, 0, 1000, 1000, 30, 30)
         system = assemble(mesh, (0.02, 0.0), 25.0)
-        report = stability_report(mesh, (0.02, 0.0), 25.0, system=system)
+        report = stability_report(mesh, (0.02, 0.0), 25.0)
         exact = _dense_lambda_max(system)
         assert not report.approves(1.000005 * 2.0 / exact)
 
     def test_rotation_lambda_max_matches_dense_eigenvalues(self):
         # the dominant eigenvalues are a complex-conjugate pair
         mesh = build_structured_mesh(0, 0, 1000, 1000, 20, 20)
-        velocities = element_velocities(
-            RigidRotationFlow(center=(500.0, 500.0), omega=0.01), mesh, 0.0)
+        [velocities] = element_velocities(
+            RigidRotationFlow(center=(500.0, 500.0), omega=0.01), mesh)
         system = assemble(mesh, velocities, 1.0)
-        report = stability_report(mesh, velocities, 1.0, system=system)
+        report = stability_report(mesh, velocities, 1.0)
         exact = _dense_lambda_max(system)
         assert report.lambda_max == pytest.approx(exact, rel=1e-10)
 
@@ -424,7 +424,7 @@ class TestStability:
         u[0, 3, 4] = v[0, 3, 4] = np.nan     # one land cell
         flow = GriddedFlow(np.linspace(-1, 11, 5), np.linspace(-1, 11, 4),
                            np.array([0.0, 4.0]), u, v)
-        report = stability_report(mesh, element_velocities(flow, mesh, 0.0),
+        report = stability_report(mesh, element_velocities(flow, mesh)[0],
                                   0.02)
         assert report.lambda_max.hex() == "0x1.9cfb0b377e278p-3"
 
@@ -447,26 +447,31 @@ class TestStability:
 
     def test_zero_diffusivity_peclet_infinite(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
-        report = stability_report(mesh, (0.1, 0.0), 0.0, compute_lambda_max=False)
+        report = stability_report(mesh, (0.1, 0.0), 0.0)
         assert np.isinf(report.peclet).all()
         assert np.isinf(report.diffusion_dt)
 
     def test_peclet_repair_hits_one_exactly(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)  # h = 0.1
-        report = stability_report(mesh, (0.04, 0.0), 1e-3,
-                                  compute_lambda_max=False)
+        report = stability_report(mesh, (0.04, 0.0), 1e-3)
         assert report.max_peclet == pytest.approx(2.0)
         repaired = 1e-3 + report.artificial_diffusivity
-        after = stability_report(mesh, (0.04, 0.0), repaired,
-                                 compute_lambda_max=False)
+        after = stability_report(mesh, (0.04, 0.0), repaired)
         assert abs(after.max_peclet - 1.0) < 1e-12
 
     def test_no_repair_below_one(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)
-        report = stability_report(mesh, (0.01, 0.0), 1e-3,
-                                  compute_lambda_max=False)
+        report = stability_report(mesh, (0.01, 0.0), 1e-3)
         assert report.max_peclet < 1.0
         assert 1e-3 + report.artificial_diffusivity == 1e-3
+
+    def test_artificial_diffusivity_repairs_the_worst_sample(self):
+        mesh = build_structured_mesh(0, 0, 1, 1, 10, 10)
+        samples = [(0.01, 0.0), (0.04, 0.0), (0.0, 0.02)]
+        repairs = [stability_report(mesh, vel, 1e-3).artificial_diffusivity
+                   for vel in samples]
+        assert fem.artificial_diffusivity(mesh, samples, 1e-3) == repairs[1]
+        assert repairs[1] > max(repairs[0], repairs[2])
 
     def test_approves(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
@@ -492,7 +497,7 @@ class TestStability:
 
 def _desk_case():
     scen = experiment.build_scenario(load_config(DESK_CONFIG))
-    velocities = element_velocities(scen.flow, scen.mesh, scen.t0)
+    velocities = (scen.config.flow_u, scen.config.flow_v)   # a uniform flow
     return (assemble(scen.mesh, velocities, scen.diffusivity_eff,
                      source=scen.config.source), scen.dt)
 
@@ -507,7 +512,7 @@ def _land_case():
     u[:, 7:, 7:] = v[:, 7:, 7:] = np.nan
     axis = np.linspace(0, 1000, 11)
     flow = GriddedFlow(axis, axis, np.array([0.0]), u, v)
-    system = assemble(mesh, element_velocities(flow, mesh, 0.0), 25.0,
+    system = assemble(mesh, element_velocities(flow, mesh)[0], 25.0,
                       source=(300.0, 400.0))
     assert (system.stiffness.data == 0.0).sum() > 0
     return system, 4.0

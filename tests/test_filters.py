@@ -401,7 +401,7 @@ def _time_varying_models(steps=5, cells=ONE_BAND, shuffled=False):
     v = rng.uniform(-0.2, 0.2, (ts.size, ys.size, xs.size))
     flow = flowfield.GriddedFlow(xs, ys, ts, u, v)
     provider = experiment.ModelProvider(
-        mesh, flow, experiment.sample_velocities(flow, mesh), 0.5, 1.0, 1e-3,
+        mesh, flow, flowfield.element_velocities(flow, mesh), 0.5, 1.0, 1e-3,
         1e-6, source=(4.0, 6.0))
     models = [provider.model_at(k) for k in range(steps)]
     net = SensorNetwork.build(mesh, [(2.0, 2.0), (7.5, 3.0), (5.0, 8.0)],
