@@ -8,12 +8,16 @@ conditional mean.  The covariance recursion depends neither on the sampled
 values nor on the data, so it is shared by all particles and all trials:
 :func:`gain_schedule` runs it once per scenario and stores each step's gain
 and innovation variances, leaving only particle work to :func:`rbpf_step`.
-Each step works on the lower triangle of the covariance: the prediction
-forms it a band of columns at a time, each from a band of transition rows
-that reads only the part of ``P`` those rows reach, and the conditioning
-updates it in place and copies it onto the upper triangle once.  :func:`predict_covariance`
-and :func:`condition_covariance` are thin wrappers over the same two
-kernels; they serve the plain Kalman filter (:func:`kf_predict`,
+Each step works in one n x n array, on the lower triangle of the
+covariance.  The prediction forms it a band of columns at a time, each
+from a band of transition rows that reads only the part of ``P`` those
+rows reach, and writes each band back into the covariance it reads once no
+later band reads those columns; the conditioning updates it in place and
+copies it onto the upper triangle once.  What each band reads and when it
+is written back depend only on the transition's sparsity pattern, and are
+planned once per pattern.  :func:`predict_covariance` and
+:func:`condition_covariance` are thin wrappers over the same two kernels,
+applied to a copy; they serve the plain Kalman filter (:func:`kf_predict`,
 :func:`kf_update`).  Particle weights combine the
 quantised-measurement likelihood, the Gaussian predictive density of the
 drawn latent, and the uniform proposal density, accumulated in log space.
@@ -109,44 +113,95 @@ def default_jitter(cov: np.ndarray) -> float:
 
 
 # Rows per block in the covariance products: full-size temporaries would
-# add to peak memory, which the n x n covariances dominate.
+# add to peak memory, which the n x n covariance dominates.
 _BAND = 64
 
 
-def _remap(m, columns, count: int):
-    """The CSR ``m`` with its column indices replaced by ``columns``, of
-    width ``count``; each row keeps its stored order, so a product sums
-    in the same order as ``m``'s."""
-    return sp.csr_matrix((m.data, columns, m.indptr),
-                         shape=(m.shape[0], count))
+class _Band(NamedTuple):
+    """What the sparsity pattern of a square CSR ``A`` fixes of the band
+    ``A[i:j]`` of its rows.
 
-
-def _row_blocks(a) -> list:
-    """``(i, band, rows, tail, lo)`` for each band ``A[i:i+_BAND]`` of rows
-    of the square CSR ``a``.
-
-    The band's product ``A[band] P`` reads only the rows ``rows`` of ``P``
+    The band's product ``A[i:j] P`` reads only the rows ``rows`` of ``P``
     that its nonzeros touch, and only the columns from ``lo`` on, the first
-    column that any row of ``A[i:]`` touches; ``band`` then indexes into
-    ``rows`` and ``tail``, ``A[i:]``, into the columns from ``lo`` on.
+    column that any row of ``A[i:]`` touches.  ``band`` and ``tail`` are
+    the ``(indices, indptr)`` of ``A[i:j]`` and ``A[i:]``, their columns
+    remapped into ``rows`` and shifted by ``lo``; each row keeps its stored
+    order, so a product sums in the same order as ``A``'s.  ``writes``
+    lists the bands whose panels of the prediction are written back once
+    this band is done, as no later band reads their columns.
+    """
+
+    i: int
+    j: int
+    rows: Optional[np.ndarray]
+    lo: int
+    band: tuple
+    tail: tuple
+    writes: tuple
+
+
+def _band_plan(a) -> tuple:
+    """The :class:`_Band` of each band of ``_BAND`` rows of the square CSR
+    ``a``; built once per sparsity pattern."""
+    return _plan_of_pattern(a.shape[0], a.indices.dtype.str,
+                            a.indptr.tobytes(), a.indices.tobytes())
+
+
+@lru_cache(maxsize=4)
+def _plan_of_pattern(n: int, dtype: str, indptr: bytes,
+                     indices: bytes) -> tuple:
+    """:func:`_band_plan` of the pattern given by the CSR index arrays.
+
     Gathering ``P[rows, lo:]`` moves ``rows.size (n - lo)`` values to save
     ``band.nnz lo`` multiply-adds, so a band where that does not pay, as on
-    a mesh with scattered node numbers, keeps ``A[band]`` and ``A[i:]``
-    whole, with ``rows`` None and ``lo`` 0.
+    a mesh with scattered node numbers, keeps ``A[i:j]`` and ``A[i:]``
+    whole, with ``rows`` None and ``lo`` 0.  A band's panel, its columns
+    ``i:j`` from row ``i`` down, waits for the last band whose ``lo`` is
+    below ``j``.
     """
-    n = a.shape[1]
-    blocks = []
-    for i in range(0, a.shape[0], _BAND):
-        band, tail = a[i:i + _BAND], a[i:]
-        rows = np.unique(band.indices)
-        lo = int(tail.indices.min(initial=n))
-        if rows.size * (n - lo) < band.nnz * lo:
-            band = _remap(band, np.searchsorted(rows, band.indices), rows.size)
-            tail = _remap(tail, tail.indices - lo, n - lo)
+    indptr = np.frombuffer(indptr, dtype)
+    indices = np.frombuffer(indices, dtype)
+    bands = []
+    for i in range(0, n, _BAND):
+        j = min(i + _BAND, n)
+        start, stop = int(indptr[i]), int(indptr[j])
+        band = indices[start:stop], indptr[i:j + 1] - start
+        tail = indices[start:], indptr[i:] - start
+        rows = np.unique(band[0])
+        lo = int(tail[0].min(initial=n))
+        if rows.size * (n - lo) < (stop - start) * lo:
+            band = np.searchsorted(rows, band[0]).astype(dtype), band[1]
+            tail = tail[0] - np.array(lo, dtype), tail[1]
         else:
             rows, lo = None, 0
-        blocks.append((i, band, rows, tail, lo))
-    return blocks
+        for array in (rows, *band, *tail):      # shared by every caller
+            if array is not None:
+                array.flags.writeable = False
+        bands.append(_Band(i, j, rows, lo, band, tail, ()))
+    last_reader = [max(k for k in range(b, len(bands))
+                       if k == b or bands[k].lo < bands[b].j)
+                   for b in range(len(bands))]
+    return tuple(
+        band._replace(writes=tuple(b for b, k in enumerate(last_reader)
+                                   if k == r))
+        for r, band in enumerate(bands))
+
+
+def _band_products(a) -> list:
+    """``(plan, band, tail)`` for each :class:`_Band` of the CSR ``a``:
+    its plan and the CSR operators ``A[i:j]`` and ``A[i:]`` with the plan's
+    index arrays, which share ``a``'s values."""
+    n = a.shape[1]
+    products = []
+    for plan in _band_plan(a):
+        start = a.indptr[plan.i]
+        width = n if plan.rows is None else plan.rows.size
+        band = sp.csr_matrix((a.data[start:a.indptr[plan.j]], *plan.band),
+                             shape=(plan.j - plan.i, width))
+        tail = sp.csr_matrix((a.data[start:], *plan.tail),
+                             shape=(n - plan.i, n - plan.lo))
+        products.append((plan, band, tail))
+    return products
 
 
 @lru_cache(maxsize=None)
@@ -167,43 +222,61 @@ def _mirror_lower(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _predict_lower(model, cov: np.ndarray, blocks, p: np.ndarray):
-    """``A P A^T + W`` of the symmetric ``cov``, written into the lower
-    triangle of ``p``, which is returned; ``blocks`` is :func:`_row_blocks`
-    of ``A``.
+def _predict_lower(p: np.ndarray, products, variances) -> np.ndarray:
+    """Write ``A P A^T + W`` of the symmetric ``p`` into the lower triangle
+    of ``p``, which is returned; ``products`` is :func:`_band_products` of
+    ``A`` and ``variances`` the diagonal of ``W``.
 
-    Only the lower block triangle is formed, a band of columns at a time,
-    each diagonal block averaged with its transpose; ``W``, the diagonal
-    given by the model's ``process_variances()``, is added to the
-    diagonal.
+    The lower block triangle is formed a band of columns at a time, each
+    diagonal block averaged with its transpose.  A band's panel is held
+    until no later band reads its columns, so at most the lower triangle
+    is held besides ``p``; the strict upper triangle outside the diagonal
+    blocks keeps the old ``P``.
     """
-    for i, band, rows, tail, lo in blocks:
-        j = i + band.shape[0]
+    panels = {}
+    for b, (plan, band, tail) in enumerate(products):
         # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T
-        x = band @ (cov if rows is None else cov[rows, lo:])
-        p[i:, i:j] = tail @ x.T
-        p[i:j, i:j] = 0.5 * (p[i:j, i:j] + p[i:j, i:j].T)
-    p[np.diag_indices_from(p)] += model.process_variances()
+        x = band @ (p if plan.rows is None else p[plan.rows, plan.lo:])
+        panel = tail @ x.T
+        k = plan.j - plan.i
+        panel[:k] = 0.5 * (panel[:k] + panel[:k].T)
+        panels[b] = panel
+        for w in plan.writes:
+            done = products[w][0]
+            p[done.i:, done.i:done.j] = panels.pop(w)
+    p[np.diag_indices_from(p)] += variances
     return p
 
 
-def _condition_lower(p: np.ndarray, h, jitter: Optional[float]) -> KalmanStep:
-    """:func:`condition_covariance` of the covariance whose lower triangle
-    ``p`` holds; ``h`` is CSR.  ``p`` is overwritten by the posterior.
+def _sensor_plan(h) -> tuple:
+    """``(h, h_rows, gather)`` of the CSR ``h``: ``h_rows`` is ``H`` with
+    its columns remapped into the rows of ``P`` it touches, and ``gather``
+    the flat indices of those rows of ``P`` in its lower triangle."""
+    n = h.shape[1]
+    rows = np.unique(h.indices)
+    # row r of P is P[r, :r] then the column P[r:, r]
+    columns = np.arange(n)
+    gather = (np.maximum(rows[:, None], columns) * n
+              + np.minimum(rows[:, None], columns))
+    h_rows = sp.csr_matrix((h.data, np.searchsorted(rows, h.indices),
+                            h.indptr), shape=(h.shape[0], rows.size))
+    return h, h_rows, gather
 
-    ``H P`` reads only the rows of ``P`` that ``H`` touches, each gathered
-    from the lower triangle; the rank-k update (BLAS ``dsyrk``) works in
-    place on the lower triangle, which is then copied onto the upper one.
+
+def _condition_lower(p: np.ndarray, sensors: tuple,
+                     jitter: Optional[float]) -> KalmanStep:
+    """:func:`condition_covariance` of the covariance whose lower triangle
+    the C-ordered ``p`` holds; ``sensors`` is :func:`_sensor_plan` of
+    ``H``.  ``p`` is overwritten by the posterior.
+
+    ``H P`` reads only the rows of ``P`` that ``H`` touches, gathered from
+    the lower triangle; the rank-k update (BLAS ``dsyrk``) works in place
+    on the lower triangle, which is then copied onto the upper one.
     """
     if jitter is None:
         jitter = default_jitter(p)
-    rows = np.unique(h.indices)
-    # row r of P is P[r, :r] then the column P[r:, r]
-    touched = np.empty((rows.size, p.shape[1]))
-    for k, r in enumerate(rows.tolist()):
-        touched[k, :r] = p[r, :r]
-        touched[k, r:] = p[r:, r]
-    hp = _remap(h, np.searchsorted(rows, h.indices), rows.size) @ touched
+    h, h_rows, gather = sensors
+    hp = h_rows @ np.take(p, gather)
     s = hp @ h.T
     s[np.diag_indices_from(s)] += jitter
     try:
@@ -230,13 +303,15 @@ def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
 
     ``A`` is the model's sparse augmented transition and ``W`` the diagonal
     given by its ``process_variances()``; no dense ``A`` or ``W`` is
-    formed.  The lower triangle comes from the kernel the
-    :func:`gain_schedule` runs, with the transition sliced into row blocks
-    on every call, and is copied onto the upper one.
+    formed.  A copy of ``cov`` goes through the kernel the
+    :func:`gain_schedule` runs, with the band plan of the transition's
+    sparsity pattern, and its lower triangle is copied onto the upper one;
+    ``cov`` is never written.
     """
+    p = np.array(cov, dtype=float, order="C")
     return _mirror_lower(_predict_lower(
-        model, cov, _row_blocks(model.augmented_transition()),
-        np.empty_like(cov)))
+        p, _band_products(model.augmented_transition()),
+        model.process_variances()))
 
 
 def condition_covariance(
@@ -260,7 +335,7 @@ def condition_covariance(
         which signals an ill-posed observation configuration.
     """
     return _condition_lower(np.array(cov, dtype=float, order="C"),
-                            sp.csr_matrix(h), jitter)
+                            _sensor_plan(sp.csr_matrix(h)), jitter)
 
 
 def gain_schedule(
@@ -272,29 +347,27 @@ def gain_schedule(
     conditions on ``z = H x`` as :func:`condition_covariance` with the
     default jitter, working on the lower triangle in between.
 
-    ``h`` is dense or sparse; it is converted to CSR once, and each run of
-    steps that share a model slices its transition into row blocks once;
-    the blocks are freed with the next model.  Returns one
+    ``h`` is dense or sparse; its sensor plan is built once, and each run
+    of steps that share a model forms its row-band operators once, on the
+    band plan of its transition's sparsity pattern.  Returns one
     :class:`KalmanStep` per model; only the last keeps its posterior
     covariance.  Each step's arrays are allocated separately, so the
     schedule is never one large block of memory.
     """
     h = sp.csr_matrix(
         h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
+    sensors = _sensor_plan(h)
+    # one n x n buffer: each step predicts into the covariance it reads and
+    # conditions it in place
     cov = np.diag(np.full(h.shape[1], _prior_variance(init_cov)))
-    # two n x n buffers take turns: each prediction is written over the
-    # covariance before last and conditioned in place.  A new buffer per
-    # step let the kept gains fragment the freed ones, which grew the heap.
-    spare = np.empty_like(cov)
     schedule = []
-    sliced = blocks = None
+    sliced = products = None
     for model in models:
         if model is not sliced:
-            blocks = None               # free the old blocks before slicing
-            blocks, sliced = _row_blocks(model.augmented_transition()), model
-        predicted = _predict_lower(model, cov, blocks, spare)
-        spare = cov
-        gain_t, innovation_var, cov = _condition_lower(predicted, h, None)
+            products = _band_products(model.augmented_transition())
+            sliced = model
+        _predict_lower(cov, products, model.process_variances())
+        gain_t, innovation_var, cov = _condition_lower(cov, sensors, None)
         schedule.append(KalmanStep(gain_t, innovation_var, None))
     if schedule:
         schedule[-1] = schedule[-1]._replace(cov=cov)

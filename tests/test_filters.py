@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -468,9 +469,8 @@ class TestCovarianceStep:
         for shuffled, narrowed in ((False, True), (True, False)):
             models, _ = _time_varying_models(steps=1, cells=THREE_BANDS,
                                              shuffled=shuffled)
-            blocks = filters._row_blocks(models[0].augmented_transition())
-            assert any(rows is not None
-                       for _, _, rows, _, _ in blocks) == narrowed
+            plan = filters._band_plan(models[0].augmented_transition())
+            assert any(band.rows is not None for band in plan) == narrowed
 
     def test_sparse_step_matches_dense_algebra_on_shuffled_nodes(self):
         _assert_sparse_step_matches_dense_algebra(THREE_BANDS, shuffled=True)
@@ -488,6 +488,21 @@ class TestCovarianceStep:
         for x, y in zip(got, expected):
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(lower, kept)
+
+    def test_predict_and_kf_predict_leave_their_input_unchanged(self):
+        models, net = _time_varying_models(steps=1, cells=THREE_BANDS)
+        model = models[0]
+        rng = np.random.default_rng(5)
+        root = rng.normal(0.0, 1.0, (model.state_dim,) * 2)
+        cov = root @ root.T
+        kept = cov.copy()
+        predicted = predict_covariance(model, cov)
+        np.testing.assert_array_equal(cov, kept)
+        assert not np.shares_memory(predicted, cov)
+        belief = GaussianBelief(mean=np.ones(model.state_dim), cov=cov)
+        kf_predict(model, belief)
+        np.testing.assert_array_equal(belief.cov, kept)
+        np.testing.assert_array_equal(belief.mean, np.ones(model.state_dim))
 
     def test_results_are_arrays_not_matrices(self):
         models, net = _time_varying_models(steps=2)
@@ -511,6 +526,42 @@ class TestCovarianceStep:
 
     def test_schedule_follows_the_recursion_on_shuffled_nodes(self):
         _assert_schedule_follows_the_recursion(THREE_BANDS, shuffled=True)
+
+    def test_panels_wait_for_the_last_band_that_reads_them(self):
+        # on a 70 x 6 mesh a row reaches more than a band of columns away
+        for shuffled, most in ((False, 3), (True, 7)):
+            models, _ = _time_varying_models(steps=1, cells=(70, 6),
+                                             shuffled=shuffled)
+            plan = filters._band_plan(models[0].augmented_transition())
+            last_reader = {b: k for k, band in enumerate(plan)
+                           for b in band.writes}
+            assert sorted(last_reader) == list(range(len(plan)))
+            for b, band in enumerate(plan):
+                readers = [k for k in range(b, len(plan))
+                           if plan[k].lo < band.j]
+                assert last_reader[b] == max(readers)
+            assert max(k - b for b, k in last_reader.items()) == most
+
+    # sha256 of every step's gain and innovation variances and the final
+    # covariance on the 70 x 6 mesh, ordered and shuffled, across five
+    # flow intervals
+    SCHEDULE_DIGESTS = {
+        False: "b6c1e8f69ca68e78c3a6739ecdcef7f1"
+               "5dc8ce73021df3ca3993f95fc0ec183c",
+        True: "731317c3e0137d4ed259e2e78e550dc0"
+              "8cfdb063cb776553dab6368da29f84c2",
+    }
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_schedule_bytes_are_pinned_across_bands(self, shuffled):
+        models, net = _time_varying_models(cells=(70, 6), shuffled=shuffled)
+        assert len({id(model) for model in models}) >= 2
+        digest = hashlib.sha256()
+        for step in gain_schedule(models, net.H, 3.0):
+            for array in step:
+                if array is not None:
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == self.SCHEDULE_DIGESTS[shuffled]
 
     def test_schedule_takes_dense_or_sparse_h(self):
         models, net = _time_varying_models(steps=3)
@@ -549,6 +600,21 @@ class TestGainSchedule:
         finally:
             tracemalloc.stop()
         assert peak < 8 * scenario.state_dim ** 2
+
+    def test_schedule_holds_one_covariance_buffer(self):
+        # n = 962; the first bands' panels wait up to three bands
+        models, net = _time_varying_models(steps=3, cells=(30, 30))
+        for model in models:
+            model.augmented_transition()
+        tracemalloc.start()
+        try:
+            schedule = gain_schedule(models, net.H_csr, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(array.nbytes for step in schedule for array in step
+                   if array is not None)
+        assert peak - kept < 8 * models[0].state_dim ** 2
 
     def test_schedule_bytes_do_not_depend_on_the_blas_thread_count(self):
         script = (
