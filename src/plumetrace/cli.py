@@ -29,15 +29,19 @@ def load_config(path) -> experiment.ScenarioConfig:
     """Parse a sectioned key-value config file into a ScenarioConfig.
 
     Sections and keys come from the ``ScenarioConfig`` field metadata.
-    Unknown sections or keys raise ``ValueError`` so typos never pass
-    silently.
+    Unknown sections or keys, and a file ``configparser`` cannot read (a
+    repeated key or section, a key before any section header), raise
+    ``ValueError`` so typos never pass silently.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
     )
     if not Path(path).is_file():
         raise ValueError(f"config file {path} not found")
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path} is malformed: {exc}") from exc
     schema = {}  # (section, key) -> (field, tuple slot)
     for f in dataclasses.fields(experiment.ScenarioConfig):
         for slot, key in enumerate(f.metadata["keys"]):

@@ -717,21 +717,35 @@ def load_observations_csv(path) -> tuple[str, dict[int, np.ndarray]]:
     if data.shape[1] != 4:
         raise ValueError(f"observation file {path}: rows must hold trial, "
                          f"step, sensor and value")
-    cells = data[:, :3].astype(int) - (0, 1, 0)
-    bad = ((cells + (0, 1, 0) != data[:, :3]) | (cells < 0)).any(axis=1)
+    # whole indices from (0, 1, 0) on, checked before the cast, which a NaN
+    # or an index beyond int64 would make warn and wrap
+    index = data[:, :3]
+    bad = ~((index >= (0, 1, 0)) & (index < 2.0 ** 53)
+            & (index == np.floor(index))).all(axis=1)
     bad |= ~np.isfinite(data[:, 3])
     if bad.any():
         raise ValueError(f"observation file {path}: bad row "
                          f"{rows[np.argmax(bad)]!r}")
-    index = tuple(cells.T)
-    counts = np.zeros(tuple(cells.max(axis=0) + 1), dtype=int)
-    np.add.at(counts, index, 1)
-    values = np.zeros(counts.shape)
-    values[index] = data[:, 3]
-    wrong = np.argwhere(counts != 1)
-    if wrong.size:
-        trial, step, sensor = wrong[0]
-        what = "no value" if counts[trial, step, sensor] == 0 else "repeated values"
+    cells = index.astype(int) - (0, 1, 0)
+    # sorted, a complete file lists every cell once, each row the successor
+    # of the row before, from (0, 0, 0) to the grid's last cell; the first
+    # row that breaks the chain names the first repeated or missing cell.
+    # Nothing is sized by an index, which may be far beyond the row count.
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    shape = cells.max(axis=0) + 1
+    expected = np.vstack([np.zeros((1, 3), dtype=int), cells])
+    expected[1:, 2] += 1
+    for axis in (2, 1):
+        carry = expected[:, axis] == shape[axis]
+        expected[carry, axis] = 0
+        expected[carry, axis - 1] += 1
+    broken = (expected != np.vstack([cells, (shape[0], 0, 0)])).any(axis=1)
+    if broken.any():
+        k = int(np.argmax(broken))
+        repeated = 0 < k < len(cells) and (cells[k] == cells[k - 1]).all()
+        trial, step, sensor = cells[k] if repeated else expected[k]
+        what = "repeated values" if repeated else "no value"
         raise ValueError(f"observation file {path} has {what} for trial "
                          f"{trial}, step {step + 1}, sensor {sensor}")
-    return config_hash, dict(enumerate(values))
+    return config_hash, dict(enumerate(data[order, 3].reshape(shape)))

@@ -15,12 +15,11 @@ rows reach, and writes each band back into the covariance it reads once no
 later band reads those columns; the conditioning updates it in place and
 copies it onto the upper triangle once.  What each band reads and when it
 is written back depend only on the transition's sparsity pattern, and are
-planned once per pattern.  :func:`predict_covariance` and
-:func:`condition_covariance` are thin wrappers over the same two kernels,
-applied to a copy; they serve the plain Kalman filter (:func:`kf_predict`,
-:func:`kf_update`).  Particle weights combine the
-quantised-measurement likelihood, the Gaussian predictive density of the
-drawn latent, and the uniform proposal density, accumulated in log space.
+planned once per pattern.  The plain Kalman filter (:func:`kf_predict`,
+:func:`kf_update`) runs the same two kernels on a copy of its belief's
+covariance.  Particle weights combine the quantised-measurement likelihood,
+the Gaussian predictive density of the drawn latent, and the uniform
+proposal density, accumulated in log space.
 
 An ensemble Kalman filter with perturbed observations serves as a baseline;
 quantisation enters it only as extra additive observation noise.
@@ -59,8 +58,6 @@ __all__ = [
     "RbpfState",
     "EnsembleState",
     "default_jitter",
-    "predict_covariance",
-    "condition_covariance",
     "gain_schedule",
     "kf_predict",
     "kf_update",
@@ -265,10 +262,15 @@ def _sensor_plan(h) -> tuple:
 
 def _condition_lower(p: np.ndarray, sensors: tuple,
                      jitter: Optional[float]) -> KalmanStep:
-    """:func:`condition_covariance` of the covariance whose lower triangle
-    the C-ordered ``p`` holds; ``sensors`` is :func:`_sensor_plan` of
-    ``H``.  ``p`` is overwritten by the posterior.
+    """Gain, innovation variances and posterior covariance of conditioning
+    the covariance ``P`` whose lower triangle the C-ordered ``p`` holds on
+    the noise-free observation ``z = H x``; ``sensors`` is
+    :func:`_sensor_plan` of ``H``.  ``p`` is overwritten by the posterior.
 
+    ``jitter`` is added to the diagonal of the innovation covariance ``S``;
+    ``None`` means :func:`default_jitter` of ``P``.  With the Cholesky
+    factor ``S = L L^T`` and ``V = L^-1 H P`` the gain is ``K^T = L^-T V``
+    and the posterior ``P - K H P = P - V^T V``, exactly symmetric.
     ``H P`` reads only the rows of ``P`` that ``H`` touches, gathered from
     the lower triangle; the rank-k update (BLAS ``dsyrk``) works in place
     on the lower triangle, which is then copied onto the upper one.
@@ -298,54 +300,14 @@ def _condition_lower(p: np.ndarray, sensors: tuple,
     return KalmanStep(gain_t, np.diag(s).copy(), _mirror_lower(post))
 
 
-def predict_covariance(model, cov: np.ndarray) -> np.ndarray:
-    """Predicted covariance ``A P A^T + W``, exactly symmetric.
-
-    ``A`` is the model's sparse augmented transition and ``W`` the diagonal
-    given by its ``process_variances()``; no dense ``A`` or ``W`` is
-    formed.  A copy of ``cov`` goes through the kernel the
-    :func:`gain_schedule` runs, with the band plan of the transition's
-    sparsity pattern, and its lower triangle is copied onto the upper one;
-    ``cov`` is never written.
-    """
-    p = np.array(cov, dtype=float, order="C")
-    return _mirror_lower(_predict_lower(
-        p, _band_products(model.augmented_transition()),
-        model.process_variances()))
-
-
-def condition_covariance(
-    cov: np.ndarray, h, jitter: Optional[float] = None
-) -> KalmanStep:
-    """Gain, innovation variances and posterior covariance of conditioning
-    the symmetric covariance ``cov`` on the noise-free observation ``z = H x``.
-
-    ``h`` is a dense array or a sparse matrix.  ``jitter`` is added to the
-    diagonal of the innovation covariance ``S``; when omitted it defaults to
-    :func:`default_jitter` of ``cov``.  With the Cholesky factor
-    ``S = L L^T`` and ``V = L^-1 H P`` the gain is ``K^T = L^-T V`` and the
-    posterior ``P - K H P = P - V^T V``, exactly symmetric.  A copy of
-    ``cov`` goes through the kernel the :func:`gain_schedule` runs, which
-    reads only its lower triangle, so ``cov`` is never written.
-
-    Raises
-    ------
-    FilterError
-        If the innovation covariance is singular even with the jitter,
-        which signals an ill-posed observation configuration.
-    """
-    return _condition_lower(np.array(cov, dtype=float, order="C"),
-                            _sensor_plan(sp.csr_matrix(h)), jitter)
-
-
 def gain_schedule(
     models: Sequence, h: np.ndarray, init_cov: float
 ) -> list[KalmanStep]:
     """Run the covariance recursion from the prior covariance
     ``init_cov I``, ``init_cov`` a positive scalar, through the per-step
-    ``models``: each step predicts as :func:`predict_covariance` and
-    conditions on ``z = H x`` as :func:`condition_covariance` with the
-    default jitter, working on the lower triangle in between.
+    ``models``: each step predicts as :func:`kf_predict` and conditions on
+    ``z = H x`` as :func:`kf_update` with the default jitter, working on the
+    lower triangle in between.
 
     ``h`` is dense or sparse; its sensor plan is built once, and each run
     of steps that share a model forms its row-band operators once, on the
@@ -375,11 +337,16 @@ def gain_schedule(
 
 
 def kf_predict(model, belief: GaussianBelief) -> GaussianBelief:
-    """Propagate a Gaussian belief through the model dynamics."""
-    return GaussianBelief(
-        mean=model.augmented_transition() @ belief.mean,
-        cov=predict_covariance(model, belief.cov),
-    )
+    """Propagate a Gaussian belief through the model dynamics.
+
+    The covariance ``A P A^T + W``, exactly symmetric, comes from the
+    kernel the :func:`gain_schedule` runs, on a copy of ``belief.cov``;
+    ``belief`` is never written.
+    """
+    a = model.augmented_transition()
+    p = np.array(belief.cov, dtype=float, order="C")
+    _predict_lower(p, _band_products(a), model.process_variances())
+    return GaussianBelief(mean=a @ belief.mean, cov=_mirror_lower(p))
 
 
 def kf_update(
@@ -387,12 +354,22 @@ def kf_update(
 ) -> GaussianBelief:
     """Condition a Gaussian belief on the noise-free observation ``z = H x``.
 
-    ``jitter`` is as for :func:`condition_covariance`, which raises
-    :class:`FilterError` for an ill-posed observation configuration.
+    ``jitter`` loads the diagonal of the innovation covariance, by default
+    :func:`default_jitter` of ``belief.cov``.  A copy of ``belief.cov`` goes
+    through the kernel the :func:`gain_schedule` runs, which reads only its
+    lower triangle; the posterior is exactly symmetric and ``belief`` is
+    never written.
+
+    Raises
+    ------
+    FilterError
+        If the innovation covariance is singular even with the jitter,
+        which signals an ill-posed observation configuration.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    step = condition_covariance(belief.cov, h, jitter)
+    step = _condition_lower(np.array(belief.cov, dtype=float, order="C"),
+                            _sensor_plan(sp.csr_matrix(h)), jitter)
     mean = belief.mean + (z - h @ belief.mean) @ step.gain_t
     return GaussianBelief(mean=mean, cov=step.cov)
 

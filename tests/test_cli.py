@@ -313,6 +313,17 @@ class TestPipeline:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[mesh]\nnx = 5\nnx = 6\n", "nx = 5\n[mesh]\nny = 6\n",
+    ], ids=["repeated-key", "key-before-any-section"])
+    def test_malformed_config_file_is_a_validation_failure(self, text,
+                                                           tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config file {path} is malformed" in capsys.readouterr().err
+
     def test_simulate_refuses_a_non_finite_strength(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
         text = (CONFIG_DIR / "desk.cfg").read_text()

@@ -708,10 +708,32 @@ class TestOutputs:
                                              "step 1, sensor 3$"):
             load_observations_csv(observation_file)
         for bad in ("1,2,x,0.5", "1,0,0,0.5", "1,1,2,nan", "1,1.5,2,0.5",
-                    "1,1,2"):
+                    "1,1,2", "nan,1,2,0.5", "1e19,1,2,0.5", "1,inf,2,0.5"):
             observation_file.write_text("".join(lines) + bad + "\n")
             with pytest.raises(ValueError, match="observation file"):
                 load_observations_csv(observation_file)
+
+    def test_load_observations_refuses_an_index_beyond_its_rows(self,
+                                                               tmp_path):
+        # a 10^12-trial grid would need 7 TiB; two rows fill two cells
+        path = tmp_path / "huge.csv"
+        path.write_text("trial,step,sensor,value\n0,1,0,0.5\n"
+                        "1000000000000,1,0,0.5\n")
+        with pytest.raises(ValueError, match="no value for trial 1, step 1, "
+                                             "sensor 0$"):
+            load_observations_csv(path)
+
+    def test_load_observations_reads_rows_in_any_order(self,
+                                                       observation_file):
+        _, expected = load_observations_csv(observation_file)
+        lines = observation_file.read_text().splitlines(keepends=True)
+        rows = lines[2:]
+        np.random.default_rng(4).shuffle(rows)
+        observation_file.write_text("".join(lines[:2] + rows))
+        _, got = load_observations_csv(observation_file)
+        assert sorted(got) == sorted(expected)
+        for trial in expected:
+            np.testing.assert_array_equal(got[trial], expected[trial])
 
     def test_load_observations_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from scipy.stats import norm
 
@@ -11,7 +12,6 @@ from plumetrace import experiment, fem, filters, flowfield, sensing
 from plumetrace.filters import (
     FilterError,
     GaussianBelief,
-    condition_covariance,
     default_jitter,
     effective_sample_size,
     enkf_init,
@@ -23,7 +23,6 @@ from plumetrace.filters import (
     latent_transition_logpdf,
     multinomial_resample,
     normalise_weights,
-    predict_covariance,
     rbpf_init,
     rbpf_step,
 )
@@ -411,6 +410,11 @@ def _time_varying_models(steps=5, cells=ONE_BAND, shuffled=False):
     return models, net
 
 
+def _belief(cov):
+    """A belief with covariance ``cov`` and a zero mean."""
+    return GaussianBelief(mean=np.zeros(cov.shape[0]), cov=cov)
+
+
 def _relative_gap(got, expected):
     return float(np.abs(got - expected).max() / np.abs(expected).max())
 
@@ -420,15 +424,16 @@ def _assert_sparse_step_matches_dense_algebra(cells, shuffled=False):
     assert _relative_gap(models[0].transition.toarray(),
                          models[-1].transition.toarray()) > 1e-3
     h = net.H
+    sensors = filters._sensor_plan(sp.csr_matrix(h))
     rng = np.random.default_rng(7)
     root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
     cov = root @ root.T + np.eye(models[0].state_dim)
     for model in models:
         a = model.augmented_transition().toarray()
-        predicted = predict_covariance(model, cov)
+        predicted = kf_predict(model, _belief(cov)).cov
         dense = a @ cov @ a.T + np.diag(model.process_variances())
         assert _relative_gap(predicted, dense) < 1e-12
-        step = condition_covariance(predicted, h)
+        step = filters._condition_lower(predicted, sensors, None)
         s = h @ dense @ h.T + default_jitter(dense) * np.eye(net.count)
         gain = np.linalg.solve(s, h @ dense).T
         posterior = (np.eye(model.state_dim) - gain @ h) @ dense
@@ -444,9 +449,11 @@ def _assert_schedule_follows_the_recursion(cells, shuffled=False):
     models, net = _time_varying_models(cells=cells, shuffled=shuffled)
     schedule = gain_schedule(models, net.H, 3.0)
     assert len(schedule) == len(models)
+    sensors = filters._sensor_plan(sp.csr_matrix(net.H))
     cov = 3.0 * np.eye(models[0].state_dim)
     for k, model in enumerate(models):
-        step = condition_covariance(predict_covariance(model, cov), net.H)
+        step = filters._condition_lower(kf_predict(model, _belief(cov)).cov,
+                                        sensors, None)
         np.testing.assert_array_equal(schedule[k].gain_t, step.gain_t)
         np.testing.assert_array_equal(schedule[k].innovation_var,
                                       step.innovation_var)
@@ -479,43 +486,49 @@ class TestCovarianceStep:
         models, net = _time_varying_models(steps=1, cells=THREE_BANDS)
         rng = np.random.default_rng(3)
         root = rng.normal(0.0, 1.0, (models[0].state_dim,) * 2)
-        cov = predict_covariance(models[0], root @ root.T)
+        cov = kf_predict(models[0], _belief(root @ root.T)).cov
         lower = np.where(np.triu(np.ones_like(cov, dtype=bool), 1), np.nan,
                          cov)
         kept = lower.copy()
-        expected = condition_covariance(cov, net.H)
-        got = condition_covariance(lower, net.H)
+        sensors = filters._sensor_plan(sp.csr_matrix(net.H))
+        expected = filters._condition_lower(cov.copy(), sensors, None)
+        got = filters._condition_lower(lower.copy(), sensors, None)
         for x, y in zip(got, expected):
+            assert x.tobytes() == y.tobytes()
+        z = np.arange(1.0, net.count + 1.0)
+        expected = kf_update(_belief(cov), net.H, z)
+        got = kf_update(_belief(lower), net.H, z)
+        for x, y in ((got.mean, expected.mean), (got.cov, expected.cov)):
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(lower, kept)
 
-    def test_predict_and_kf_predict_leave_their_input_unchanged(self):
+    def test_kf_predict_and_kf_update_leave_their_input_unchanged(self):
         models, net = _time_varying_models(steps=1, cells=THREE_BANDS)
         model = models[0]
         rng = np.random.default_rng(5)
         root = rng.normal(0.0, 1.0, (model.state_dim,) * 2)
         cov = root @ root.T
         kept = cov.copy()
-        predicted = predict_covariance(model, cov)
-        np.testing.assert_array_equal(cov, kept)
-        assert not np.shares_memory(predicted, cov)
         belief = GaussianBelief(mean=np.ones(model.state_dim), cov=cov)
-        kf_predict(model, belief)
-        np.testing.assert_array_equal(belief.cov, kept)
-        np.testing.assert_array_equal(belief.mean, np.ones(model.state_dim))
+        for result in (kf_predict(model, belief),
+                       kf_update(belief, net.H, np.zeros(net.count))):
+            np.testing.assert_array_equal(belief.cov, kept)
+            np.testing.assert_array_equal(belief.mean,
+                                          np.ones(model.state_dim))
+            assert not np.shares_memory(result.cov, cov)
 
     def test_results_are_arrays_not_matrices(self):
         models, net = _time_varying_models(steps=2)
         cov = np.eye(models[0].state_dim)
-        step = condition_covariance(predict_covariance(models[0], cov), net.H)
         schedule = gain_schedule(models, net.H, 2.0)
-        belief = kf_update(kf_predict(models[0], GaussianBelief(
-            mean=np.ones(models[0].state_dim), cov=cov)), net.H, np.zeros(3))
+        predicted = kf_predict(models[0], GaussianBelief(
+            mean=np.ones(models[0].state_dim), cov=cov))
+        belief = kf_update(predicted, net.H, np.zeros(3))
         state = rbpf_init(models[0], net, 4, np.random.default_rng(1))
         state, estimate = rbpf_step(state, np.zeros(3), models[0], schedule[0])
-        arrays = (predict_covariance(models[0], cov), *step,
-                  *schedule[0][:2], *schedule[1], belief.mean, belief.cov,
-                  estimate, state.means)
+        arrays = (predicted.mean, predicted.cov, *schedule[0][:2],
+                  *schedule[1], belief.mean, belief.cov, estimate,
+                  state.means)
         assert all(type(x) is np.ndarray for x in arrays)
 
     def test_schedule_covariances_and_gains_follow_the_recursion(self):
