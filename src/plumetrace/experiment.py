@@ -20,7 +20,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -223,13 +223,18 @@ class Scenario:
 
     def gain_schedule(self) -> list[filters.KalmanStep]:
         """The particle filter's gain schedule over the configured horizon
-        from the configured prior covariance, built on first use."""
+        from the configured prior covariance, built on first use and
+        kept."""
         if self._schedule is None:
-            models = [self.provider.model_at(k)
-                      for k in range(self.config.steps)]
-            self._schedule = filters.gain_schedule(
-                models, self.network.H_csr, self.config.init_cov)
+            self._schedule = list(self._gain_steps())
         return self._schedule
+
+    def _gain_steps(self) -> Iterator[filters.KalmanStep]:
+        """The same schedule as a stream: each step computed when read, and
+        kept by no one."""
+        models = [self.provider.model_at(k) for k in range(self.config.steps)]
+        return filters.gain_schedule(models, self.network.H_csr,
+                                     self.config.init_cov)
 
 
 class ModelProvider:
@@ -422,14 +427,45 @@ def run_rbpf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
             f"observation log has {len(observations)} steps, the scenario "
             f"horizon is {config.steps}"
         )
-    schedule = scenario.gain_schedule()
-    state = filters.rbpf_init(
-        scenario.provider.model_at(0), scenario.network, config.size, rng)
-    estimates = np.empty((len(observations), scenario.state_dim))
-    for k, obs in enumerate(observations):
-        state, estimates[k] = filters.rbpf_step(
-            state, obs, scenario.provider.model_at(k), schedule[k])
+    (estimates,), _, _ = _rbpf_in_lockstep(
+        scenario, [observations], [rng], scenario.gain_schedule())
     return estimates
+
+
+def _rbpf_in_lockstep(
+    scenario: Scenario, logs: Sequence[Sequence], rngs: Sequence,
+    schedule: Iterable[filters.KalmanStep],
+) -> tuple[list[np.ndarray], list[float], float]:
+    """Run one particle filter per observation log, ``rngs`` giving each
+    filter's stream; the logs share one length, at most the schedule's.
+
+    All filters advance together, one step of ``schedule`` at a time, so
+    a streamed schedule's step is read once for every filter and dropped
+    before the next is computed.  Returns each log's ``(K, C+1)``
+    estimates, the seconds each filter spent in its steps, and the seconds
+    spent reading the schedule.
+    """
+    config = scenario.config
+    model = scenario.provider.model_at(0)
+    states = [filters.rbpf_init(model, scenario.network, config.size, rng)
+              for rng in rngs]
+    horizon = len(logs[0])
+    estimates = [np.empty((horizon, scenario.state_dim)) for _ in logs]
+    seconds = [0.0] * len(logs)
+    reading = 0.0
+    steps = iter(schedule)
+    for k in range(horizon):
+        start = time.perf_counter()
+        kalman = next(steps)
+        reading += time.perf_counter() - start
+        model = scenario.provider.model_at(k)
+        for i, log in enumerate(logs):
+            start = time.perf_counter()
+            states[i], estimates[i][k] = filters.rbpf_step(
+                states[i], log[k], model, kalman)
+            seconds[i] += time.perf_counter() - start
+        del kalman      # so no gain is held while the next step is formed
+    return estimates, seconds, reading
 
 
 def run_enkf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
@@ -472,6 +508,39 @@ class TrialResult:
         return self.errors.shape[0]
 
 
+def _trial_log(scenario: Scenario, trial: int,
+               observations: Optional[Sequence]) -> tuple[np.ndarray, list]:
+    """Trial ``trial``'s truth states and the log its estimator reads:
+    ``observations`` after a length check, or else the simulated readings'
+    quantised values, all a filter reads of them."""
+    truth_states, obs_log = simulate_trial(scenario, trial)
+    if observations is None:
+        return truth_states, [obs.values for obs in obs_log]
+    if len(observations) != scenario.config.steps:
+        raise ValueError(
+            f"observation log has {len(observations)} steps, config "
+            f"expects {scenario.config.steps}"
+        )
+    return truth_states, list(observations)
+
+
+def _score(trial: int, truth_states: np.ndarray, estimates: np.ndarray,
+           runtime: float) -> TrialResult:
+    """The result of estimates scored against the truth states, initial
+    state first."""
+    truth = truth_states[1:]
+    errors = np.linalg.norm(truth - estimates, axis=1)
+    aee = float(errors.mean()) if errors.size else 0.0
+    return TrialResult(
+        trial=trial,
+        truth=truth,
+        estimates=estimates,
+        errors=errors,
+        aee_contribution=aee,
+        runtime=runtime,
+    )
+
+
 def run_trial(
     config: ScenarioConfig,
     trial: int,
@@ -488,35 +557,21 @@ def run_trial(
     if scenario is None:
         scenario = build_scenario(config)
     start = time.perf_counter()
-    truth_states, obs_log = simulate_trial(scenario, trial)
-    if observations is not None:
-        if len(observations) != config.steps:
-            raise ValueError(
-                f"observation log has {len(observations)} steps, config "
-                f"expects {config.steps}"
-            )
-        obs_log = list(observations)
+    truth_states, obs_log = _trial_log(scenario, trial, observations)
     est_rng = _trial_rng(config, _ESTIMATOR_STREAMS[config.estimator], trial)
     if config.estimator == "rbpf":
         estimates = run_rbpf(scenario, obs_log, est_rng)
     else:
         estimates = run_enkf(scenario, obs_log, est_rng)
-    truth = truth_states[1:]
-    errors = np.linalg.norm(truth - estimates, axis=1)
-    aee = float(errors.mean()) if errors.size else 0.0
-    return TrialResult(
-        trial=trial,
-        truth=truth,
-        estimates=estimates,
-        errors=errors,
-        aee_contribution=aee,
-        runtime=time.perf_counter() - start,
-    )
+    return _score(trial, truth_states, estimates,
+                  time.perf_counter() - start)
 
 
 class TrialRun(list):
     """Trial results in trial order; ``runtime_schedule`` holds the seconds
-    spent building the gain schedule before the trials."""
+    spent producing the particle filter's gain-schedule steps, which no
+    trial's ``runtime`` includes.  A trial's ``runtime`` is its truth
+    simulation plus its own estimator steps."""
 
     runtime_schedule = 0.0
 
@@ -538,31 +593,51 @@ def run_trials(
     threads: int = 1,
     observations: Optional[Mapping[int, Sequence]] = None,
 ) -> TrialRun:
-    """Run all configured trials, optionally across processes.
+    """Run all configured trials, optionally across ``threads`` processes.
 
     ``observations`` maps each trial index to an observation log that
-    replaces the simulated one (e.g. read from file).  The scenario, and for
-    the particle filter its gain schedule, is built once, before the trials;
-    each worker process receives it once.  Results are ordered by trial
-    index regardless of completion order, and every trial reseeds from the
-    master seed, so the outcome does not depend on the degree of
-    parallelism.
+    replaces the simulated one (e.g. read from file).  The scenario is
+    built once.  In one process the particle filter simulates every
+    trial's truth first and then advances all trials together, one step of
+    the streamed gain schedule at a time, so no step outlives its use and
+    the schedule is never held whole; the ensemble filter runs trial by
+    trial.  With more processes the particle filter's schedule is built
+    once, whole, and each worker receives it with the scenario.  Results
+    are ordered by trial index, and every trial reseeds from the master
+    seed, so the outcome does not depend on the degree of parallelism.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     indices = range(config.trials)
     logs = [None if observations is None else observations[i] for i in indices]
     scenario = build_scenario(config)
     results = TrialRun()
-    start = time.perf_counter()
-    if config.estimator == "rbpf":
-        scenario.gain_schedule()
-    results.runtime_schedule = time.perf_counter() - start
-    if threads == 1:
+    if threads > 1:
+        start = time.perf_counter()
+        if config.estimator == "rbpf":
+            scenario.gain_schedule()
+        results.runtime_schedule = time.perf_counter() - start
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=_start_worker,
+                                 initargs=(scenario,)) as pool:
+            results.extend(pool.map(_worker_trial, [config] * config.trials,
+                                    indices, logs))
+    elif config.estimator == "enkf":
         results.extend(run_trial(config, i, scenario, logs[i]) for i in indices)
-        return results
-    with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
-                             initargs=(scenario,)) as pool:
-        results.extend(pool.map(_worker_trial, [config] * config.trials,
-                                indices, logs))
+    else:
+        truths, obs_logs, runtimes = [], [], []
+        for i in indices:
+            start = time.perf_counter()
+            truth_states, obs_log = _trial_log(scenario, i, logs[i])
+            runtimes.append(time.perf_counter() - start)
+            truths.append(truth_states)
+            obs_logs.append(obs_log)
+        rngs = [_trial_rng(config, STREAM_RBPF, i) for i in indices]
+        estimates, seconds, results.runtime_schedule = _rbpf_in_lockstep(
+            scenario, obs_logs, rngs, scenario._gain_steps())
+        results.extend(
+            _score(i, truths[i], estimates[i], runtimes[i] + seconds[i])
+            for i in indices)
     return results
 
 
@@ -600,8 +675,9 @@ def write_summary_json(results: Sequence[TrialResult], path,
     """Aggregate summary: AEE, per-step error statistics, settings, seeds.
 
     ``runtime_total`` sums the per-trial runtimes; ``runtime_schedule`` is
-    the gain-schedule build time a :class:`TrialRun` carries (0 for a plain
-    list).  Returns the written document as a dictionary.
+    the time spent producing gain-schedule steps that a :class:`TrialRun`
+    carries (0 for a plain list).  Returns the written document as a
+    dictionary.
     """
     errors = np.stack([r.errors for r in results])
     strengths = np.stack([r.strengths for r in results])

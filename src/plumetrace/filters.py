@@ -6,8 +6,10 @@ model is linear-Gaussian conditional on the noise-free latent measurement
 uniformly over the received quantisation cell) and keeps a Kalman
 conditional mean.  The covariance recursion depends neither on the sampled
 values nor on the data, so it is shared by all particles and all trials:
-:func:`gain_schedule` runs it once per scenario and stores each step's gain
-and innovation variances, leaving only particle work to :func:`rbpf_step`.
+:func:`gain_schedule` runs it once per scenario and yields each step's gain
+and innovation variances as it computes them, leaving only particle work to
+:func:`rbpf_step`; trials that advance together read each step once and
+then drop it, so no one holds the whole schedule.
 Each step works in one n x n array, on the lower triangle of the
 covariance.  The prediction forms it a band of columns at a time, each
 from a band of transition rows that reads only the part of ``P`` those
@@ -40,7 +42,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -232,9 +234,13 @@ def _predict_lower(p: np.ndarray, products, variances) -> np.ndarray:
     """
     panels = {}
     for b, (plan, band, tail) in enumerate(products):
-        # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T
-        x = band @ (p if plan.rows is None else p[plan.rows, plan.lo:])
-        panel = tail @ x.T
+        # rows i: of A P A^T in the columns of the band: A[i:] (A[band] P)^T.
+        # The product would copy the transpose to C order itself; copied
+        # here, A[band] P and then the copy go as soon as each is used.
+        x = np.ascontiguousarray(
+            (band @ (p if plan.rows is None else p[plan.rows, plan.lo:])).T)
+        panel = tail @ x
+        del x
         k = plan.j - plan.i
         panel[:k] = 0.5 * (panel[:k] + panel[:k].T)
         panels[b] = panel
@@ -302,38 +308,47 @@ def _condition_lower(p: np.ndarray, sensors: tuple,
 
 def gain_schedule(
     models: Sequence, h: np.ndarray, init_cov: float
-) -> list[KalmanStep]:
+) -> Iterator[KalmanStep]:
     """Run the covariance recursion from the prior covariance
     ``init_cov I``, ``init_cov`` a positive scalar, through the per-step
     ``models``: each step predicts as :func:`kf_predict` and conditions on
     ``z = H x`` as :func:`kf_update` with the default jitter, working on the
     lower triangle in between.
 
+    Yields one :class:`KalmanStep` per model, computed when it is read, so
+    a reader that drops each step before taking the next holds one step's
+    gain at a time; ``list(...)`` keeps the whole schedule.  Only the last
+    step carries its posterior covariance.  A bad ``h`` or ``init_cov``
+    raises here, at the call, not at the first step.
+
     ``h`` is dense or sparse; its sensor plan is built once, and each run
     of steps that share a model forms its row-band operators once, on the
-    band plan of its transition's sparsity pattern.  Returns one
-    :class:`KalmanStep` per model; only the last keeps its posterior
-    covariance.  Each step's arrays are allocated separately, so the
-    schedule is never one large block of memory.
+    band plan of its transition's sparsity pattern.  The n x n covariance
+    is allocated at the first step.
     """
     h = sp.csr_matrix(
         h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
-    sensors = _sensor_plan(h)
+    return _recursion(models, _sensor_plan(h), _prior_variance(init_cov))
+
+
+def _recursion(models: Sequence, sensors: tuple,
+               variance: float) -> Iterator[KalmanStep]:
+    """The steps of :func:`gain_schedule` from the prior ``variance I``;
+    ``sensors`` is :func:`_sensor_plan` of ``H``."""
     # one n x n buffer: each step predicts into the covariance it reads and
     # conditions it in place
-    cov = np.diag(np.full(h.shape[1], _prior_variance(init_cov)))
-    schedule = []
+    cov = np.diag(np.full(sensors[0].shape[1], variance))
+    last = len(models) - 1
     sliced = products = None
-    for model in models:
+    for k, model in enumerate(models):
         if model is not sliced:
             products = _band_products(model.augmented_transition())
             sliced = model
         _predict_lower(cov, products, model.process_variances())
         gain_t, innovation_var, cov = _condition_lower(cov, sensors, None)
-        schedule.append(KalmanStep(gain_t, innovation_var, None))
-    if schedule:
-        schedule[-1] = schedule[-1]._replace(cov=cov)
-    return schedule
+        yield KalmanStep(gain_t, innovation_var, cov if k == last else None)
+        # a reader that drops the step holds no gain while the next is formed
+        del gain_t, innovation_var
 
 
 def kf_predict(model, belief: GaussianBelief) -> GaussianBelief:

@@ -414,6 +414,20 @@ class TestPipeline:
         summary = json.loads((out / "summary_rbpf.json").read_text())
         assert summary["runtime_schedule"] > 0.0
 
+    def test_estimate_refuses_no_threads_before_any_schedule(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+
+        def refuse(*a, **kw):
+            raise AssertionError("built a gain schedule for no workers")
+
+        monkeypatch.setattr(filters, "gain_schedule", refuse)
+        assert main(["estimate", "--threads", "0"] + args) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (out / "estimates_rbpf.csv").exists()
+
     def test_estimate_rejects_a_missing_trial(self, tiny_cfg, tmp_path,
                                               capsys):
         out = tmp_path / "out"

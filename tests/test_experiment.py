@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,22 @@ def gridded_config(tmp_path, **overrides) -> ScenarioConfig:
     flowfield.save_gridded_flow(flow, path)
     return tiny_config(flow_kind="file", flow_file=str(path), dt=1.5,
                        steps=4, **overrides)
+
+
+def per_step_flow_config(tmp_path, **overrides) -> ScenarioConfig:
+    """:func:`tiny_config` on a 12 x 12 mesh under a file flow with a new
+    sample for each of its 5 steps, so every step has its own model."""
+    steps, dt = 5, 1.5
+    xs = np.array([-1.0, 4.0, 11.0])
+    ys = np.array([-1.0, 11.0])
+    # sample k starts half a step before step k
+    ts = np.concatenate([[0.0], (np.arange(1, steps) - 0.5) * dt])
+    u, v = np.random.default_rng(31).uniform(
+        -0.05, 0.05, (2, ts.size, ys.size, xs.size))
+    path = tmp_path / "flow.txt"
+    flowfield.save_gridded_flow(flowfield.GriddedFlow(xs, ys, ts, u, v), path)
+    return tiny_config(nx=12, ny=12, flow_kind="file", flow_file=str(path),
+                       dt=dt, steps=steps, **overrides)
 
 
 def _other_values(value) -> list:
@@ -438,6 +455,58 @@ class TestTrials:
                 np.testing.assert_array_equal(d.estimates, r.estimates)
         with pytest.raises(ValueError):
             run_trials(config, threads=0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_run_trials_refuses_no_threads_before_any_work(self, threads,
+                                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a scenario for no workers")
+
+        monkeypatch.setattr(experiment, "build_scenario", refuse)
+        with pytest.raises(ValueError, match="threads"):
+            run_trials(tiny_config(), threads=threads)
+
+    def test_streamed_trials_equal_run_rbpf_over_the_kept_schedule(
+            self, tmp_path):
+        # step k of the stream must meet model k: every step has its own
+        config = per_step_flow_config(tmp_path, trials=3)
+        streamed = run_trials(config)
+        scenario = build_scenario(config)
+        models = [scenario.provider.model_at(k) for k in range(config.steps)]
+        assert len({id(model) for model in models}) == config.steps
+        assert [r.trial for r in streamed] == [0, 1, 2]
+        schedule = scenario.gain_schedule()
+        for result in streamed:
+            truth, observations = simulate_trial(scenario, result.trial)
+            estimates = experiment.run_rbpf(
+                scenario, observations,
+                _trial_rng(config, STREAM_RBPF, result.trial))
+            assert result.estimates.tobytes() == estimates.tobytes()
+            assert result.truth.tobytes() == truth[1:].tobytes()
+            # the same steps spelled out, model k with schedule step k
+            state = filters.rbpf_init(
+                models[0], scenario.network, config.size,
+                _trial_rng(config, STREAM_RBPF, result.trial))
+            for k, obs in enumerate(observations):
+                state, estimate = filters.rbpf_step(state, obs, models[k],
+                                                    schedule[k])
+                assert result.estimates[k].tobytes() == estimate.tobytes()
+
+    def test_run_trials_never_holds_the_whole_schedule(self):
+        config = ScenarioConfig(trials=1)
+        # fill the per-pattern caches the first run on a mesh leaves
+        run_trials(dataclasses.replace(config, steps=1))
+        tracemalloc.start()
+        try:
+            (result,) = run_trials(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = (result.truth.base.nbytes + result.estimates.nbytes
+                    + result.errors.nbytes)
+        n = result.estimates.shape[1]
+        gains = config.steps * config.sensor_count * n * 8
+        assert peak - returned < 8 * n ** 2 + gains / 4
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_run_trials_builds_one_schedule(self, threads, monkeypatch,

@@ -68,7 +68,7 @@ def _small_setup(seed=0, sensors=3, particles=5):
 
 def _first_step(model, net):
     """Step 0 of the gain schedule from the default prior ``10 I``."""
-    return gain_schedule([model], net.H, 10.0)[0]
+    return list(gain_schedule([model], net.H, 10.0))[0]
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +234,7 @@ class TestRbpf:
         obs = net.quantise(np.array([0.08, -0.08, 0.24]))
         seed = 42
         state = rbpf_init(model, net, 1, np.random.default_rng(seed))
-        kalman = gain_schedule([model], net.H, 2.0)[0]
+        kalman = list(gain_schedule([model], net.H, 2.0))[0]
         new_state, estimate = rbpf_step(state, obs, model, kalman)
 
         rng = np.random.default_rng(seed)
@@ -447,7 +447,7 @@ def _assert_sparse_step_matches_dense_algebra(cells, shuffled=False):
 
 def _assert_schedule_follows_the_recursion(cells, shuffled=False):
     models, net = _time_varying_models(cells=cells, shuffled=shuffled)
-    schedule = gain_schedule(models, net.H, 3.0)
+    schedule = list(gain_schedule(models, net.H, 3.0))
     assert len(schedule) == len(models)
     sensors = filters._sensor_plan(sp.csr_matrix(net.H))
     cov = 3.0 * np.eye(models[0].state_dim)
@@ -520,7 +520,7 @@ class TestCovarianceStep:
     def test_results_are_arrays_not_matrices(self):
         models, net = _time_varying_models(steps=2)
         cov = np.eye(models[0].state_dim)
-        schedule = gain_schedule(models, net.H, 2.0)
+        schedule = list(gain_schedule(models, net.H, 2.0))
         predicted = kf_predict(models[0], GaussianBelief(
             mean=np.ones(models[0].state_dim), cov=cov))
         belief = kf_update(predicted, net.H, np.zeros(3))
@@ -621,7 +621,7 @@ class TestGainSchedule:
             model.augmented_transition()
         tracemalloc.start()
         try:
-            schedule = gain_schedule(models, net.H_csr, 10.0)
+            schedule = list(gain_schedule(models, net.H_csr, 10.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
