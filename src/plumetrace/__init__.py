@@ -62,7 +62,6 @@ from plumetrace.experiment import (
     TrialResult,
     build_scenario,
     compute_aee,
-    run_trial,
     run_trials,
     simulate_ground_truth,
 )

@@ -15,12 +15,13 @@ estimator or its size therefore never changes the simulated truth.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "draw_observation",
     "run_rbpf",
     "run_enkf",
-    "run_trial",
     "run_trials",
     "compute_aee",
     "write_results_csv",
@@ -192,14 +192,22 @@ class ScenarioConfig:
 
     def scenario_hash(self) -> str:
         """Digest of the scenario-defining (``hashed``) fields, in field
-        order.
+        order.  A file field (config key ``file``) enters as the sha256 of
+        the file's bytes, so a rewritten file changes the digest and the
+        same file at another path does not.
 
         Embedded in every output file so estimates are never computed
         against observations from a different scenario.
         """
         parts = ["plumetrace-config-v1"]
-        parts += [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
-                  if f.metadata["hashed"]]
+        for f in fields(self):
+            if not f.metadata["hashed"]:
+                continue
+            value = getattr(self, f.name)
+            if f.metadata["keys"] == ("file",) and value:
+                with open(value, "rb") as fh:
+                    value = hashlib.sha256(fh.read()).hexdigest()
+            parts.append(f"{f.name}={value!r}")
         digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
         return digest.hexdigest()[:16]
 
@@ -215,23 +223,15 @@ class Scenario:
     report: fem.StabilityReport
     diffusivity_eff: float
     dt: float
-    _schedule: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
     def state_dim(self) -> int:
         return self.mesh.node_count + 1
 
-    def gain_schedule(self) -> list[filters.KalmanStep]:
+    def gain_schedule(self) -> Iterator[filters.KalmanStep]:
         """The particle filter's gain schedule over the configured horizon
-        from the configured prior covariance, built on first use and
-        kept."""
-        if self._schedule is None:
-            self._schedule = list(self._gain_steps())
-        return self._schedule
-
-    def _gain_steps(self) -> Iterator[filters.KalmanStep]:
-        """The same schedule as a stream: each step computed when read, and
-        kept by no one."""
+        from the configured prior covariance, as a stream: each step is
+        computed when read, and kept by no one."""
         models = [self.provider.model_at(k) for k in range(self.config.steps)]
         return filters.gain_schedule(models, self.network.H_csr,
                                      self.config.init_cov)
@@ -427,23 +427,21 @@ def run_rbpf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
             f"observation log has {len(observations)} steps, the scenario "
             f"horizon is {config.steps}"
         )
-    (estimates,), _, _ = _rbpf_in_lockstep(
-        scenario, [observations], [rng], scenario.gain_schedule())
+    (estimates,), _, _ = _rbpf_in_lockstep(scenario, [observations], [rng])
     return estimates
 
 
 def _rbpf_in_lockstep(
     scenario: Scenario, logs: Sequence[Sequence], rngs: Sequence,
-    schedule: Iterable[filters.KalmanStep],
 ) -> tuple[list[np.ndarray], list[float], float]:
     """Run one particle filter per observation log, ``rngs`` giving each
-    filter's stream; the logs share one length, at most the schedule's.
+    filter's stream; the logs share one length, at most the horizon.
 
-    All filters advance together, one step of ``schedule`` at a time, so
-    a streamed schedule's step is read once for every filter and dropped
+    All filters advance together, one step of the streamed gain schedule
+    at a time, so each step is read once for every filter and dropped
     before the next is computed.  Returns each log's ``(K, C+1)``
     estimates, the seconds each filter spent in its steps, and the seconds
-    spent reading the schedule.
+    spent producing schedule steps.
     """
     config = scenario.config
     model = scenario.provider.model_at(0)
@@ -453,7 +451,7 @@ def _rbpf_in_lockstep(
     estimates = [np.empty((horizon, scenario.state_dim)) for _ in logs]
     seconds = [0.0] * len(logs)
     reading = 0.0
-    steps = iter(schedule)
+    steps = scenario.gain_schedule()
     for k in range(horizon):
         start = time.perf_counter()
         kalman = next(steps)
@@ -541,51 +539,52 @@ def _score(trial: int, truth_states: np.ndarray, estimates: np.ndarray,
     )
 
 
-def run_trial(
-    config: ScenarioConfig,
-    trial: int,
-    scenario: Optional[Scenario] = None,
-    observations: Optional[Sequence] = None,
-) -> TrialResult:
-    """Simulate one trial and run the configured estimator on it.
+def _run_batch(
+    scenario: Scenario, indices: Sequence[int],
+    logs: Sequence[Optional[Sequence]],
+) -> tuple[list[TrialResult], float]:
+    """Trials ``indices`` of ``scenario`` under the configured estimator,
+    ``logs`` giving each trial's observation log or None to use the
+    simulated one.
 
-    The truth stream depends only on the master seed and trial index, so
-    the simulated world is identical whichever estimator analyses it.  An
-    externally supplied observation log (e.g. read from file) replaces the
-    freshly simulated one after a shape check.
+    Every trial's truth is simulated first.  The particle filter then
+    advances all the trials together on one streamed gain schedule; the
+    ensemble filter runs trial by trial, since in lockstep it would hold
+    every trial's ensemble at once.  Returns the results in the order of
+    ``indices`` and the seconds spent producing schedule steps.
     """
-    if scenario is None:
-        scenario = build_scenario(config)
-    start = time.perf_counter()
-    truth_states, obs_log = _trial_log(scenario, trial, observations)
-    est_rng = _trial_rng(config, _ESTIMATOR_STREAMS[config.estimator], trial)
+    config = scenario.config
+    truths, obs_logs, runtimes = [], [], []
+    for i, log in zip(indices, logs):
+        start = time.perf_counter()
+        truth_states, obs_log = _trial_log(scenario, i, log)
+        runtimes.append(time.perf_counter() - start)
+        truths.append(truth_states)
+        obs_logs.append(obs_log)
+    stream = _ESTIMATOR_STREAMS[config.estimator]
+    rngs = [_trial_rng(config, stream, i) for i in indices]
     if config.estimator == "rbpf":
-        estimates = run_rbpf(scenario, obs_log, est_rng)
+        estimates, seconds, schedule_seconds = _rbpf_in_lockstep(
+            scenario, obs_logs, rngs)
     else:
-        estimates = run_enkf(scenario, obs_log, est_rng)
-    return _score(trial, truth_states, estimates,
-                  time.perf_counter() - start)
+        estimates, seconds, schedule_seconds = [], [], 0.0
+        for obs_log, rng in zip(obs_logs, rngs):
+            start = time.perf_counter()
+            estimates.append(run_enkf(scenario, obs_log, rng))
+            seconds.append(time.perf_counter() - start)
+    results = [_score(i, truth, est, runtime + own) for i, truth, est, runtime,
+               own in zip(indices, truths, estimates, runtimes, seconds)]
+    return results, schedule_seconds
 
 
 class TrialRun(list):
     """Trial results in trial order; ``runtime_schedule`` holds the seconds
-    spent producing the particle filter's gain-schedule steps, which no
-    trial's ``runtime`` includes.  A trial's ``runtime`` is its truth
-    simulation plus its own estimator steps."""
+    spent producing the particle filter's gain-schedule steps, summed over
+    the processes that ran the trials, which no trial's ``runtime``
+    includes.  A trial's ``runtime`` is its truth simulation plus its own
+    estimator steps."""
 
     runtime_schedule = 0.0
-
-
-_WORKER_SCENARIO: Optional[Scenario] = None
-
-
-def _start_worker(scenario: Scenario) -> None:
-    global _WORKER_SCENARIO
-    _WORKER_SCENARIO = scenario
-
-
-def _worker_trial(config: ScenarioConfig, trial: int, observations):
-    return run_trial(config, trial, _WORKER_SCENARIO, observations)
 
 
 def run_trials(
@@ -593,51 +592,35 @@ def run_trials(
     threads: int = 1,
     observations: Optional[Mapping[int, Sequence]] = None,
 ) -> TrialRun:
-    """Run all configured trials, optionally across ``threads`` processes.
+    """Run all configured trials, in one process or across ``threads``.
 
     ``observations`` maps each trial index to an observation log that
     replaces the simulated one (e.g. read from file).  The scenario is
-    built once.  In one process the particle filter simulates every
-    trial's truth first and then advances all trials together, one step of
-    the streamed gain schedule at a time, so no step outlives its use and
-    the schedule is never held whole; the ensemble filter runs trial by
-    trial.  With more processes the particle filter's schedule is built
-    once, whole, and each worker receives it with the scenario.  Results
-    are ordered by trial index, and every trial reseeds from the master
-    seed, so the outcome does not depend on the degree of parallelism.
+    built once.  One process runs every trial as one batch; with more,
+    the trials are split into ``min(threads, trials)`` contiguous batches,
+    one per worker process.  Each batch streams its own gain schedule (see
+    :func:`_run_batch`), so no process holds the schedule whole and the
+    parent builds none.  Results are ordered by trial index, and every
+    trial reseeds from the master seed, so the outcome does not depend on
+    the degree of parallelism.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    indices = range(config.trials)
-    logs = [None if observations is None else observations[i] for i in indices]
+    logs = [None if observations is None else observations[i]
+            for i in range(config.trials)]
     scenario = build_scenario(config)
-    results = TrialRun()
-    if threads > 1:
-        start = time.perf_counter()
-        if config.estimator == "rbpf":
-            scenario.gain_schedule()
-        results.runtime_schedule = time.perf_counter() - start
-        with ProcessPoolExecutor(max_workers=threads,
-                                 initializer=_start_worker,
-                                 initargs=(scenario,)) as pool:
-            results.extend(pool.map(_worker_trial, [config] * config.trials,
-                                    indices, logs))
-    elif config.estimator == "enkf":
-        results.extend(run_trial(config, i, scenario, logs[i]) for i in indices)
+    if threads == 1:
+        batches = [_run_batch(scenario, range(config.trials), logs)]
     else:
-        truths, obs_logs, runtimes = [], [], []
-        for i in indices:
-            start = time.perf_counter()
-            truth_states, obs_log = _trial_log(scenario, i, logs[i])
-            runtimes.append(time.perf_counter() - start)
-            truths.append(truth_states)
-            obs_logs.append(obs_log)
-        rngs = [_trial_rng(config, STREAM_RBPF, i) for i in indices]
-        estimates, seconds, results.runtime_schedule = _rbpf_in_lockstep(
-            scenario, obs_logs, rngs, scenario._gain_steps())
-        results.extend(
-            _score(i, truths[i], estimates[i], runtimes[i] + seconds[i])
-            for i in indices)
+        workers = min(threads, config.trials)
+        bounds = [config.trials * w // workers for w in range(workers + 1)]
+        spans = list(zip(bounds, bounds[1:]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(
+                functools.partial(_run_batch, scenario),
+                [range(a, b) for a, b in spans], [logs[a:b] for a, b in spans]))
+    results = TrialRun(r for batch, _ in batches for r in batch)
+    results.runtime_schedule = sum(seconds for _, seconds in batches)
     return results
 
 

@@ -3,11 +3,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plumetrace import filters, mesh as meshmod
+from plumetrace import filters, flowfield, mesh as meshmod
 from plumetrace.cli import load_config, main
-from plumetrace.experiment import ScenarioConfig, run_trial
+from plumetrace.experiment import ScenarioConfig, run_trials
 
 DESK_HASH = "1d6eeab85a34ae50"
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -394,6 +395,8 @@ class TestPipeline:
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
 
+    # one process builds one schedule; two workers build one per batch,
+    # in the workers, and the parent builds none
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_estimate_builds_one_schedule(self, threads, tiny_cfg, tmp_path,
                                           monkeypatch):
@@ -410,7 +413,12 @@ class TestPipeline:
 
         monkeypatch.setattr(filters, "gain_schedule", counted)
         assert main(["estimate", "--threads", threads] + args) == 0
-        assert calls.read_text().split() == [str(os.getpid())]
+        builders = calls.read_text().split()
+        if threads == "1":
+            assert builders == [str(os.getpid())]
+        else:
+            assert len(builders) == 2       # one batch for each of 2 trials
+            assert str(os.getpid()) not in builders
         summary = json.loads((out / "summary_rbpf.json").read_text())
         assert summary["runtime_schedule"] > 0.0
 
@@ -451,6 +459,32 @@ class TestPipeline:
         assert "no value for trial 1, step 3, sensor 4" in \
             capsys.readouterr().err
 
+    def test_estimate_refuses_a_rewritten_flow_file(self, tiny_cfg, tmp_path,
+                                                    capsys):
+        flow = tmp_path / "flow.txt"
+
+        def write_flow(speed):
+            u = np.full((1, 2, 2), speed)
+            flowfield.save_gridded_flow(flowfield.GriddedFlow(
+                [-1.0, 11.0], [-1.0, 11.0], [0.0], u, np.zeros_like(u)), flow)
+
+        write_flow(0.05)
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(tiny_cfg.read_text().replace(
+            "kind = uniform", f"kind = file\nfile = {flow}"))
+        out = tmp_path / "out"
+        args = ["--config", str(cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        config = load_config(cfg)
+        moved = tmp_path / "moved.txt"
+        moved.write_bytes(flow.read_bytes())
+        assert (dataclasses.replace(config, flow_file=str(moved))
+                .scenario_hash() == config.scenario_hash())
+        write_flow(0.04)
+        assert main(["estimate"] + args) == 2
+        assert "was simulated under config" in capsys.readouterr().err
+        assert not (out / "estimates_rbpf.csv").exists()
+
     def test_simulate_shares_the_trial_pipeline_truth(self, tiny_cfg,
                                                       tmp_path):
         out = tmp_path / "out"
@@ -458,11 +492,10 @@ class TestPipeline:
                      "--out", str(out)]) == 0
         rows = (out / "truth.csv").read_text().splitlines()[2:]
         config = load_config(tiny_cfg)
-        for trial in range(config.trials):
-            truth = run_trial(config, trial).truth
+        for trial, result in enumerate(run_trials(config)):
             expected = [
                 f"{trial},{k + 1}," + ",".join(format(v, ".17g") for v in row)
-                for k, row in enumerate(truth)
+                for k, row in enumerate(result.truth)
             ]
             written = [r for r in rows if r.startswith(f"{trial},")
                        and not r.startswith(f"{trial},0,")]

@@ -26,7 +26,6 @@ from plumetrace.experiment import (
     compute_aee,
     draw_observation,
     load_observations_csv,
-    run_trial,
     run_trials,
     simulate_ground_truth,
     simulate_trial,
@@ -140,7 +139,9 @@ class TestConfigValidation:
     def test_defaults_validate(self):
         ScenarioConfig().validate()
 
-    def test_hash_covers_scenario_not_estimator(self):
+    def test_hash_covers_scenario_not_estimator(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)      # a file field's value names a file
+        Path("other.txt").write_text("other\n")
         base = ScenarioConfig()
         unhashed = {"estimator", "size", "init_cov", "force_dt", "node_stride"}
         for f in dataclasses.fields(ScenarioConfig):
@@ -151,7 +152,11 @@ class TestConfigValidation:
         auto_dt = dataclasses.replace(base, dt=None)
         assert auto_dt.scenario_hash() != base.scenario_hash()
 
-    def test_hash_pins_a_non_default_scenario(self):
+    def test_hash_pins_a_non_default_scenario(self, tmp_path, monkeypatch):
+        # the file fields enter by their files' bytes
+        monkeypatch.chdir(tmp_path)
+        for name in ("grid", "flow", "sensors"):
+            Path(f"{name}.txt").write_text(f"{name}\n")
         config = ScenarioConfig(
             mesh_file="grid.txt", domain=(1.0, 2.0, 3.0, 4.0), nx=7, ny=9,
             flow_kind="file", flow_u=0.5, flow_v=-0.25,
@@ -163,7 +168,7 @@ class TestConfigValidation:
             quantiser_scale=4.0, quantiser_levels=16, sensor_noise=1e-3,
             trials=3, seed=42,
         )
-        assert config.scenario_hash() == "8741ff9a53036500"
+        assert config.scenario_hash() == "7262b1996cd4ef86"
 
 
 class TestBuildScenario:
@@ -398,9 +403,9 @@ class TestModelProvider:
 
 class TestTrials:
     def test_run_trial_reproducible(self):
-        config = tiny_config()
-        a = run_trial(config, 0)
-        b = run_trial(config, 0)
+        config = tiny_config(trials=1)
+        (a,) = run_trials(config)
+        (b,) = run_trials(config)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         np.testing.assert_array_equal(a.truth, b.truth)
         np.testing.assert_array_equal(a.errors, b.errors)
@@ -410,35 +415,66 @@ class TestTrials:
         assert a.steps == config.steps
 
     def test_estimators_share_truth_but_differ(self):
-        base = tiny_config()
-        r = run_trial(base, 0)
-        e = run_trial(dataclasses.replace(base, estimator="enkf"), 0)
+        base = tiny_config(trials=1)
+        (r,) = run_trials(base)
+        (e,) = run_trials(dataclasses.replace(base, estimator="enkf"))
         np.testing.assert_array_equal(r.truth, e.truth)
         assert not np.array_equal(r.estimates, e.estimates)
 
     def test_observation_override_length_checked(self):
-        config = tiny_config()
-        scen = build_scenario(config)
+        config = tiny_config(trials=1)
         with pytest.raises(ValueError, match="observation log"):
-            run_trial(config, 0, scenario=scen, observations=[np.zeros(5)] * 2)
+            run_trials(config, observations={0: [np.zeros(5)] * 2})
 
     def test_observation_override_used(self):
-        config = tiny_config()
+        config = tiny_config(trials=1)
         scen = build_scenario(config)
         _, obs = simulate_ground_truth(scen, _trial_rng(config, STREAM_TRUTH, 0))
         arrays = [o.values for o in obs]
-        direct = run_trial(config, 0, scenario=scen)
-        replayed = run_trial(config, 0, scenario=scen, observations=arrays)
+        (direct,) = run_trials(config)
+        (replayed,) = run_trials(config, observations={0: arrays})
         np.testing.assert_array_equal(direct.estimates, replayed.estimates)
 
     def test_run_trials_ordering_and_parallel_equivalence(self):
-        config = tiny_config(trials=3)
+        # three trials over two workers, and four over two and over three,
+        # whose batches are unequal
+        cases = [(3, 2, "rbpf")] + [
+            (4, threads, estimator) for threads in (2, 3)
+            for estimator in ("rbpf", "enkf")]
+        for trials, threads, estimator in cases:
+            config = tiny_config(trials=trials, estimator=estimator)
+            serial = run_trials(config)
+            assert [r.trial for r in serial] == list(range(trials))
+            parallel = run_trials(config, threads=threads)
+            assert [r.trial for r in parallel] == list(range(trials))
+            for s, p in zip(serial, parallel):
+                assert s.estimates.tobytes() == p.estimates.tobytes()
+                assert s.truth.tobytes() == p.truth.tobytes()
+
+    def test_run_trials_opens_no_more_workers_than_trials(self, monkeypatch):
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        config = tiny_config(trials=2)
         serial = run_trials(config)
-        assert [r.trial for r in serial] == [0, 1, 2]
-        parallel = run_trials(config, threads=2)
-        for s, p in zip(serial, parallel):
-            assert s.trial == p.trial
-            np.testing.assert_array_equal(s.estimates, p.estimates)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_trials(config, threads=8)
+        assert opened == [2]
+        assert [r.trial for r in pooled] == [0, 1]
+        for s, p in zip(serial, pooled):
+            assert s.estimates.tobytes() == p.estimates.tobytes()
 
     def test_run_trials_replays_observation_logs(self):
         config = tiny_config(trials=2)
@@ -475,7 +511,7 @@ class TestTrials:
         models = [scenario.provider.model_at(k) for k in range(config.steps)]
         assert len({id(model) for model in models}) == config.steps
         assert [r.trial for r in streamed] == [0, 1, 2]
-        schedule = scenario.gain_schedule()
+        schedule = list(scenario.gain_schedule())
         for result in streamed:
             truth, observations = simulate_trial(scenario, result.trial)
             estimates = experiment.run_rbpf(
@@ -508,6 +544,8 @@ class TestTrials:
         gains = config.steps * config.sensor_count * n * 8
         assert peak - returned < 8 * n ** 2 + gains / 4
 
+    # one process builds one schedule; two workers build one per batch,
+    # in the workers, and the parent builds none
     @pytest.mark.parametrize("threads", [1, 2])
     def test_run_trials_builds_one_schedule(self, threads, monkeypatch,
                                             tmp_path):
@@ -522,7 +560,12 @@ class TestTrials:
         monkeypatch.setattr(filters, "gain_schedule", counted)
         results = run_trials(tiny_config(trials=3), threads=threads)
         assert len(results) == 3
-        assert calls.read_text().split() == [str(os.getpid())]
+        builders = calls.read_text().split()
+        if threads == 1:
+            assert builders == [str(os.getpid())]
+        else:
+            assert len(builders) == threads
+            assert str(os.getpid()) not in builders
         assert results.runtime_schedule > 0.0
 
     def test_enkf_builds_no_schedule(self, monkeypatch):
@@ -554,9 +597,9 @@ class TestTrials:
         with pytest.raises(ValueError, match="no trial"):
             compute_aee([])
         results = run_trials(tiny_config(trials=2))
-        short = run_trial(tiny_config(steps=2), 0)
+        short = run_trials(tiny_config(steps=2, trials=1))
         with pytest.raises(ValueError, match="mismatched"):
-            compute_aee(results + [short])
+            compute_aee(results + short)
         expected = np.mean([r.aee_contribution for r in results])
         assert compute_aee(results) == pytest.approx(expected)
 
@@ -669,14 +712,14 @@ class TestOutputs:
     # on and an explicit stable step: the flow reader, the per-sample
     # element velocities and the per-interval models, end to end
     GRIDDED_DIGESTS = {
-        "truth.csv": "c12be9596be87bb56893da64bda382ac"
-                     "3fbf4635f59109d10cfae2e5dacb58d9",
-        "observations.csv": "0324b8dbd214dcb11d0a048ecce26a27"
-                            "4ca9af669bb66495d04a565bc08a9e31",
-        "estimates_rbpf.csv": "ac76bd96379a77f08613ec780e7c3155"
-                              "668524ba259b773bb7fa5f413fcdad50",
-        "estimates_enkf.csv": "b1cdc6109abf62433a52d5b49680c2d7"
-                              "a19531a8e4defcce5652ada05217246f",
+        "truth.csv": "c50c7d9a6bcc5cd9c4cb805b140f9944"
+                     "bea3f1f829b4a246c44274f5c08067ef",
+        "observations.csv": "49e4de91b20a4d384fd0b1ea803b52ee"
+                            "2b62fb5a944ab975861974e3ff3b5fa1",
+        "estimates_rbpf.csv": "33698f8876e5156f6543468cca4014de"
+                              "cf04f5903d385507994f01f0f0112ebf",
+        "estimates_enkf.csv": "ad8696b546c16169fe218d819993c44d"
+                              "c5b17821fcde29660c33d9d0ef59f45d",
     }
 
     def test_gridded_flow_run_bytes_are_pinned(self, tmp_path, monkeypatch):
@@ -853,8 +896,8 @@ def test_csv_fields_are_17_significant_digits(values, tmp_path_factory):
 class TestEndToEnd:
     @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
     def test_estimates_stay_finite(self, estimator):
-        config = tiny_config(estimator=estimator, steps=6)
-        result = run_trial(config, 0)
+        config = tiny_config(estimator=estimator, steps=6, trials=1)
+        (result,) = run_trials(config)
         assert np.isfinite(result.estimates).all()
         assert np.isfinite(result.errors).all()
         assert result.runtime > 0.0

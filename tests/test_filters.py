@@ -598,17 +598,23 @@ class TestGainSchedule:
         config = experiment.ScenarioConfig(nx=10, ny=10, source=(500.0, 500.0),
                                            sensor_count=12, steps=2000)
         scenario = experiment.build_scenario(config)
-        cov = scenario.gain_schedule()[-1].cov
+        cov = list(scenario.gain_schedule())[-1].cov
         np.testing.assert_array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9 * np.abs(cov).max()
 
+    # the particle filter's own steps; the schedule that feeds them has its
+    # own n x n working covariance (test_schedule_holds_one_covariance_buffer)
     def test_run_rbpf_never_holds_a_dense_prior(self, desk):
         config, scenario, observations = desk
-        scenario.gain_schedule()
+        schedule = list(scenario.gain_schedule())
+        models = [scenario.provider.model_at(k)
+                  for k in range(len(observations))]
         tracemalloc.start()
         try:
-            experiment.run_rbpf(scenario, observations,
-                                np.random.default_rng(0))
+            state = rbpf_init(models[0], scenario.network, config.size,
+                              np.random.default_rng(0))
+            for obs, model, kalman in zip(observations, models, schedule):
+                state, _ = rbpf_step(state, obs, model, kalman)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
