@@ -12,7 +12,6 @@ from plumetrace.mesh import (
     TriMesh,
     build_structured_mesh,
     load_mesh,
-    locate_point,
     locate_points,
     save_mesh,
 )

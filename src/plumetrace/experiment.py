@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +38,7 @@ __all__ = [
     "simulate_ground_truth",
     "simulate_trial",
     "draw_observation",
-    "run_rbpf",
-    "run_enkf",
+    "run_filter",
     "run_trials",
     "compute_aee",
     "write_results_csv",
@@ -414,12 +414,12 @@ def simulate_trial(
         scenario, _trial_rng(scenario.config, STREAM_TRUTH, trial))
 
 
-def run_rbpf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
-    """Run the particle filter over an observation log; returns ``(K, C+1)``
-    estimates.
+def run_filter(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
+    """Run the configured estimator over an observation log; returns
+    ``(K, C+1)`` estimates.
 
-    Each step takes its gain from the scenario's gain schedule, so the log
-    may be no longer than the configured horizon.
+    The log may be no longer than the configured horizon, over which the
+    particle filter's gain schedule runs.
     """
     config = scenario.config
     if len(observations) > config.steps:
@@ -427,31 +427,39 @@ def run_rbpf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
             f"observation log has {len(observations)} steps, the scenario "
             f"horizon is {config.steps}"
         )
-    (estimates,), _, _ = _rbpf_in_lockstep(scenario, [observations], [rng])
+    (estimates,), _, _ = _filter_in_lockstep(scenario, [observations], [rng])
     return estimates
 
 
-def _rbpf_in_lockstep(
+def _filter_in_lockstep(
     scenario: Scenario, logs: Sequence[Sequence], rngs: Sequence,
 ) -> tuple[list[np.ndarray], list[float], float]:
-    """Run one particle filter per observation log, ``rngs`` giving each
-    filter's stream; the logs share one length, at most the horizon.
+    """Run the configured estimator once per observation log, ``rngs``
+    giving each filter's stream; the logs share one length, at most the
+    horizon.
 
-    All filters advance together, one step of the streamed gain schedule
-    at a time, so each step is read once for every filter and dropped
-    before the next is computed.  Returns each log's ``(K, C+1)``
-    estimates, the seconds each filter spent in its steps, and the seconds
-    spent producing schedule steps.
+    All filters advance together, one step at a time.  Each step's model
+    and its ``kalman`` step, from the streamed gain schedule for the
+    particle filter and None for the ensemble filter, are read once for
+    every filter, and the schedule step is dropped before the next is
+    computed.  Returns each log's ``(K, C+1)`` estimates, the seconds each
+    filter spent in its steps, and the seconds spent producing ``kalman``
+    steps.
     """
     config = scenario.config
     model = scenario.provider.model_at(0)
-    states = [filters.rbpf_init(model, scenario.network, config.size, rng)
-              for rng in rngs]
+    if config.estimator == "rbpf":
+        states = [filters.rbpf_init(model, scenario.network, config.size, rng)
+                  for rng in rngs]
+        step, steps = filters.rbpf_step, scenario.gain_schedule()
+    else:
+        states = [filters.enkf_init(model, scenario.network, config.size, rng,
+                                    cov=config.init_cov) for rng in rngs]
+        step, steps = filters.enkf_step, itertools.repeat(None)
     horizon = len(logs[0])
     estimates = [np.empty((horizon, scenario.state_dim)) for _ in logs]
     seconds = [0.0] * len(logs)
     reading = 0.0
-    steps = scenario.gain_schedule()
     for k in range(horizon):
         start = time.perf_counter()
         kalman = next(steps)
@@ -459,26 +467,10 @@ def _rbpf_in_lockstep(
         model = scenario.provider.model_at(k)
         for i, log in enumerate(logs):
             start = time.perf_counter()
-            states[i], estimates[i][k] = filters.rbpf_step(
-                states[i], log[k], model, kalman)
+            states[i], estimates[i][k] = step(states[i], log[k], model, kalman)
             seconds[i] += time.perf_counter() - start
         del kalman      # so no gain is held while the next step is formed
     return estimates, seconds, reading
-
-
-def run_enkf(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
-    """Run the ensemble baseline over an observation log; returns
-    ``(K, C+1)`` estimates."""
-    config = scenario.config
-    state = filters.enkf_init(
-        scenario.provider.model_at(0), scenario.network, config.size, rng,
-        cov=config.init_cov,
-    )
-    estimates = np.empty((len(observations), scenario.state_dim))
-    for k, obs in enumerate(observations):
-        state, estimates[k] = filters.enkf_step(
-            state, obs, scenario.provider.model_at(k))
-    return estimates
 
 
 @dataclass
@@ -547,11 +539,13 @@ def _run_batch(
     ``logs`` giving each trial's observation log or None to use the
     simulated one.
 
-    Every trial's truth is simulated first.  The particle filter then
-    advances all the trials together on one streamed gain schedule; the
-    ensemble filter runs trial by trial, since in lockstep it would hold
-    every trial's ensemble at once.  Returns the results in the order of
-    ``indices`` and the seconds spent producing schedule steps.
+    Every trial's truth is simulated first.  The estimator then runs in
+    lockstep groups (see :func:`_filter_in_lockstep`): one group of every
+    trial for the particle filter, so that they read one streamed gain
+    schedule, and groups of one trial for the ensemble filter, which in
+    lockstep would hold every trial's ensemble at once.  Returns the
+    results in the order of ``indices`` and the seconds spent producing
+    schedule steps.
     """
     config = scenario.config
     truths, obs_logs, runtimes = [], [], []
@@ -563,15 +557,14 @@ def _run_batch(
         obs_logs.append(obs_log)
     stream = _ESTIMATOR_STREAMS[config.estimator]
     rngs = [_trial_rng(config, stream, i) for i in indices]
-    if config.estimator == "rbpf":
-        estimates, seconds, schedule_seconds = _rbpf_in_lockstep(
-            scenario, obs_logs, rngs)
-    else:
-        estimates, seconds, schedule_seconds = [], [], 0.0
-        for obs_log, rng in zip(obs_logs, rngs):
-            start = time.perf_counter()
-            estimates.append(run_enkf(scenario, obs_log, rng))
-            seconds.append(time.perf_counter() - start)
+    width = len(indices) if config.estimator == "rbpf" else 1
+    estimates, seconds, schedule_seconds = [], [], 0.0
+    for g in range(0, len(indices), width):
+        group, own, reading = _filter_in_lockstep(
+            scenario, obs_logs[g:g + width], rngs[g:g + width])
+        estimates += group
+        seconds += own
+        schedule_seconds += reading
     results = [_score(i, truth, est, runtime + own) for i, truth, est, runtime,
                own in zip(indices, truths, estimates, runtimes, seconds)]
     return results, schedule_seconds
@@ -581,8 +574,9 @@ class TrialRun(list):
     """Trial results in trial order; ``runtime_schedule`` holds the seconds
     spent producing the particle filter's gain-schedule steps, summed over
     the processes that ran the trials, which no trial's ``runtime``
-    includes.  A trial's ``runtime`` is its truth simulation plus its own
-    estimator steps."""
+    includes (next to nothing for the ensemble filter, which reads none).
+    A trial's ``runtime`` is its truth simulation plus its own estimator
+    steps."""
 
     runtime_schedule = 0.0
 
@@ -598,11 +592,12 @@ def run_trials(
     replaces the simulated one (e.g. read from file).  The scenario is
     built once.  One process runs every trial as one batch; with more,
     the trials are split into ``min(threads, trials)`` contiguous batches,
-    one per worker process.  Each batch streams its own gain schedule (see
-    :func:`_run_batch`), so no process holds the schedule whole and the
-    parent builds none.  Results are ordered by trial index, and every
-    trial reseeds from the master seed, so the outcome does not depend on
-    the degree of parallelism.
+    one per worker process.  Each batch runs its trials through the one
+    filter loop (see :func:`_run_batch`); under the particle filter it
+    streams its own gain schedule, so no process holds the schedule whole
+    and the parent builds none.  Results are ordered by trial index, and
+    every trial reseeds from the master seed, so the outcome does not
+    depend on the degree of parallelism.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

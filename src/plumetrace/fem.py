@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plumetrace.mesh import MeshError, TriMesh, locate_point
+from plumetrace.mesh import MeshError, TriMesh, locate_points
 
 __all__ = [
     "GlobalSystem",
@@ -134,8 +134,8 @@ class _MeshTerms:
     def source_element(self, mesh: TriMesh, source) -> int:
         key = tuple(np.reshape(np.asarray(source, dtype=float), 2).tolist())
         if key not in self.sources:
-            element = locate_point(mesh, key)
-            if element is None:
+            element = int(locate_points(mesh, [key])[0][0])
+            if element < 0:
                 raise MeshError(f"source position {key} lies outside the mesh")
             self.sources[key] = element
         return self.sources[key]

@@ -32,9 +32,13 @@ Both filters keep their population state-major, as C-ordered
 and most resampled particles are copies: the RBPF keeps only its distinct
 conditional means (``RbpfState.survivors``) and, per particle, the column
 it reads (``RbpfState.lineage``), so each distinct mean is propagated and
-updated once.  ``RbpfState.means`` spells the population out as a
-``(particles, state)`` array; ``EnsembleState.members`` is a
-``(size, state)`` transpose view of the ensemble array.
+updated once.  ``EnsembleState.members`` is a ``(size, state)``
+transpose view of the ensemble array.
+
+Both step functions take ``(state, observation, model, kalman)``, where
+``kalman`` is the step of a :func:`gain_schedule`, or None for the
+ensemble filter, which reads none, so that one loop
+(``experiment.run_filter``) drives either estimator.
 """
 
 from __future__ import annotations
@@ -432,6 +436,18 @@ def multinomial_resample(weights, rng, size: Optional[int] = None) -> np.ndarray
     return np.minimum(np.searchsorted(edges, u, side="right"), w.size - 1)
 
 
+def _observed_values(observation, net: SensorNetwork) -> np.ndarray:
+    """The quantised values of ``observation``, a
+    :class:`QuantisedObservation` or an array, checked to supply one value
+    per sensor of ``net``."""
+    y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
+    if y_hat.shape != (net.count,):
+        raise ValueError(
+            f"observation must supply {net.count} values, got {y_hat.shape}"
+        )
+    return y_hat
+
+
 @dataclass
 class RbpfState:
     """Particle population of the filter.
@@ -439,8 +455,7 @@ class RbpfState:
     Every step resamples, so many particles share an ancestor and with it
     their conditional mean.  The population is kept as its distinct means,
     ``survivors``, a C-ordered ``(state, distinct)`` array, and ``lineage``,
-    which maps each particle to its column; ``means`` is the
-    ``(particles, state)`` array they spell out.  ``weights`` are the
+    which maps each particle to its column.  ``weights`` are the
     weights carried into the next step, uniform after a step.  The
     covariance is shared by all particles and lives in the
     :func:`gain_schedule`, not here.  ``last_weights`` and ``last_latent``
@@ -452,14 +467,8 @@ class RbpfState:
     lineage: np.ndarray
     weights: np.ndarray
     rng: np.random.Generator
-    step_index: int = 0
     last_weights: Optional[np.ndarray] = None
     last_latent: Optional[np.ndarray] = None
-
-    @property
-    def means(self) -> np.ndarray:
-        """The ``(particles, state)`` conditional means, a fresh array."""
-        return self.survivors[:, self.lineage].T
 
     @property
     def particle_count(self) -> int:
@@ -521,11 +530,7 @@ def rbpf_step(
     means before resampling.
     """
     net = state.network
-    y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
-    if y_hat.shape != (net.count,):
-        raise ValueError(
-            f"observation must supply {net.count} values, got {y_hat.shape}"
-        )
+    y_hat = _observed_values(observation, net)
     h = net.H_csr
 
     # each distinct mean is propagated once; particle m reads column
@@ -569,7 +574,6 @@ def rbpf_step(
         survivors=survivors,
         lineage=new_lineage,
         weights=np.full_like(weights, 1.0 / weights.size),
-        step_index=state.step_index + 1,
         last_weights=weights,
         last_latent=z,
     )
@@ -587,7 +591,6 @@ class EnsembleState:
     network: SensorNetwork
     members: np.ndarray
     rng: np.random.Generator
-    step_index: int = 0
 
     @property
     def size(self) -> int:
@@ -677,8 +680,13 @@ def enkf_step(
     state: EnsembleState,
     observation: Union[QuantisedObservation, np.ndarray],
     model: DispersionModel,
+    kalman: None = None,
 ) -> tuple[EnsembleState, np.ndarray]:
     """Advance the ensemble one step; return the new state and ensemble mean.
+
+    The step takes the arguments of :func:`rbpf_step`; the ensemble carries
+    its own covariance, so ``kalman``, the schedule step, is None and
+    unread.
 
     Members are propagated through the sparse augmented transition with
     process noise drawn from the diagonal process covariance, then updated
@@ -687,11 +695,7 @@ def enkf_step(
     top of the sensor noise.
     """
     net = state.network
-    y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
-    if y_hat.shape != (net.count,):
-        raise ValueError(
-            f"observation must supply {net.count} values, got {y_hat.shape}"
-        )
+    y_hat = _observed_values(observation, net)
 
     # x before the noise buffer, which outlives the step as the new
     # ensemble: the other order leaves the freed x on top of the heap, which
@@ -710,6 +714,4 @@ def enkf_step(
                           _out=noise.reshape(x.shape))
     estimate = members.mean(axis=0)
 
-    new_state = replace(state, members=members,
-                        step_index=state.step_index + 1)
-    return new_state, estimate
+    return replace(state, members=members), estimate

@@ -8,15 +8,12 @@ written directly in those terms.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
     "MeshError",
     "TriMesh",
     "build_structured_mesh",
-    "locate_point",
     "locate_points",
     "load_mesh",
     "save_mesh",
@@ -136,22 +133,11 @@ class TriMesh:
         hi = self.nodes.max(axis=0)
         return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
-    def shape_values(self, point) -> np.ndarray:
-        """Evaluate the three shape functions of every element at ``point``.
-
-        Returns an ``(E, 3)`` array; row ``e`` contains the barycentric
-        (linear shape function) values of element ``e`` extended to the whole
-        plane.  They form a partition of unity everywhere and reproduce
-        linear functions exactly; inside element ``e`` row ``e`` lies in
-        ``[0, 1]``.
-        """
-        return self._barycentric(slice(None), float(point[0]), float(point[1]))
-
     def _barycentric(self, e, x, y) -> np.ndarray:
         """Shape-function values of elements ``e`` (an index array or a
         slice) at points ``(x, y)`` that broadcast against them, ``(K, 3)``;
-        the one barycentric formula behind :meth:`shape_values` and
-        :func:`locate_points`."""
+        the barycentric (linear shape function) values of each element
+        extended to the whole plane, which lie in ``[0, 1]`` inside it."""
         two_s = 2.0 * self._areas[e]
         c = self._corners[e]
         b1 = (-self._y32[e] * (x - c[:, 1, 0]) + self._x32[e] * (y - c[:, 1, 1])) / two_s
@@ -213,18 +199,6 @@ def build_structured_mesh(
     return TriMesh(nodes, elements)
 
 
-def locate_point(mesh: TriMesh, point, tol: float = 1e-10) -> Optional[int]:
-    """Find the element containing one point ``(x, y)``.
-
-    The single-point form of :func:`locate_points`, with the same
-    acceptance rule (every shape-function value at least ``-tol``, lowest
-    element index wins).  Returns ``None`` when the point lies outside the
-    mesh.
-    """
-    element = int(locate_points(mesh, np.reshape(point, (1, 2)), tol)[0][0])
-    return None if element < 0 else element
-
-
 # Points located per pass: bounds the (points, elements) candidate mask
 _LOCATE_CHUNK = 1 << 20
 
@@ -239,8 +213,8 @@ def locate_points(mesh: TriMesh, points, tol: float = 1e-10):
     so that no pair the test accepts is dropped, holds the point.
 
     Returns the ``(P,)`` element indices, ``-1`` for a point outside the
-    mesh, and the ``(P, 3)`` shape values there, bit for bit the element's
-    row of :meth:`TriMesh.shape_values` (``NaN`` for a point outside).
+    mesh, and the ``(P, 3)`` shape values there (``NaN`` for a point
+    outside).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:

@@ -3,19 +3,20 @@
 One element's geometry and its FEM matrices, checked against the
 vectorised ``fem.assemble``; the scipy expressions for the transition,
 the augmented transition and the stability operator, whose bytes ``fem``'s
-array passes must reproduce; a point locator that tries every element for
-one point at a time, checked against ``mesh.locate_points``; scalar forms
-of the particle filter's latent proposal and predictive density, checked
-against closed forms; a one-sensor network through which the tests reach
-the quantiser and the likelihood kernel of ``SensorNetwork``, and the
-linear-domain cell mass taken through it; the tail-only form of the
-quantised log likelihood, checked against that kernel; a dense linear
-model for the Kalman functions; the particle filter step over every
-particle copy, checked against the step over distinct means; per-particle
-views of a filter state; a quantiser's level values; a gridded flow's
-velocity at one point by the textbook bilinear formula, checked against
-``GriddedFlow.velocity_samples``; and a runner that compares a script's
-output at one and two BLAS threads.
+array passes must reproduce; every element's shape values at one point,
+and a point locator that tries every element for one point at a time,
+checked against ``mesh.locate_points``; scalar forms of the particle
+filter's latent proposal and predictive density, checked against closed
+forms; a one-sensor network through which the tests reach the quantiser
+and the likelihood kernel of ``SensorNetwork``, and the linear-domain cell
+mass taken through it; the tail-only form of the quantised log
+likelihood, checked against that kernel; a dense linear model for the
+Kalman functions; the particle filter step over every particle copy,
+checked against the step over distinct means; the conditional means and
+per-particle views of a filter state; a quantiser's level values; a
+gridded flow's velocity at one point by the textbook bilinear formula,
+checked against ``GriddedFlow.velocity_samples``; and a runner that
+compares a script's output at one and two BLAS threads.
 """
 
 import os
@@ -217,12 +218,24 @@ def propose_latent(w, y_hat, rng, size=None):
     return out
 
 
+def shape_values(mesh: TriMesh, point) -> np.ndarray:
+    """The three shape functions of every element at ``point``, ``(E, 3)``.
+
+    Row ``e`` holds the barycentric (linear shape function) values of
+    element ``e`` extended to the whole plane: a partition of unity
+    everywhere that reproduces linear functions exactly, in ``[0, 1]``
+    inside element ``e``.  The formula is the mesh's own, over every
+    element.
+    """
+    return mesh._barycentric(slice(None), float(point[0]), float(point[1]))
+
+
 def locate_point_brute_force(mesh: TriMesh, point, tol: float = 1e-10):
     """The containing element of ``point`` and its shape values there, found
     one point at a time over every element: the first element whose
-    :meth:`TriMesh.shape_values` row is at least ``-tol`` throughout, or
+    :func:`shape_values` row is at least ``-tol`` throughout, or
     ``(None, None)`` when there is none."""
-    vals = mesh.shape_values(point)
+    vals = shape_values(mesh, point)
     inside = (vals >= -tol).all(axis=1)
     if not inside.any():
         return None, None
@@ -350,11 +363,16 @@ class Particle:
         return float(self.mean[-1])
 
 
+def means(state: RbpfState) -> np.ndarray:
+    """The ``(particles, state)`` conditional means that a filter state's
+    survivors and lineage spell out, a fresh array."""
+    return state.survivors[:, state.lineage].T
+
+
 def particles(state: RbpfState) -> list[Particle]:
     """The population a filter state carries into its next step."""
-    means = state.means
-    return [Particle(mean=means[m], weight=float(state.weights[m]))
-            for m in range(state.particle_count)]
+    return [Particle(mean=mean, weight=float(weight))
+            for mean, weight in zip(means(state), state.weights)]
 
 
 class ReferenceRbpfStep(NamedTuple):
@@ -383,7 +401,7 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
                        dtype=float)
     h = net.H_csr
 
-    x = model.augmented_transition() @ state.means.T
+    x = model.augmented_transition() @ means(state).T
     z_pred = (h @ x).T
     half = net.cell_half_width
     draws = state.rng.random((state.particle_count, net.count))
@@ -406,7 +424,6 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
         survivors=np.take(x, ancestors, axis=1),
         lineage=np.arange(weights.size),
         weights=np.full_like(weights, 1.0 / weights.size),
-        step_index=state.step_index + 1,
         last_weights=weights,
         last_latent=z,
     )

@@ -25,7 +25,7 @@ from plumetrace.experiment import (
     build_scenario,
     compute_aee,
     draw_observation,
-    run_rbpf,
+    run_filter,
     run_trials,
     simulate_ground_truth,
     write_observations_csv,
@@ -260,7 +260,7 @@ def test_criterion_08_particle_filter_collapses_to_kalman_without_noise(
     truth, observations = simulate_ground_truth(
         scenario, _trial_rng(config, STREAM_TRUTH, 0)
     )
-    estimates = run_rbpf(
+    estimates = run_filter(
         scenario, observations, _trial_rng(config, STREAM_RBPF, 0)
     )
     model = scenario.provider.model_at(0)

@@ -27,7 +27,10 @@ def test_every_package_import_is_a_public_name():
 
 def test_the_kalman_probe_names_stay_public():
     # the benchmark's covariance probe steps a GaussianBelief with
-    # kf_predict and kf_update, and its runner catches FilterError
+    # kf_predict and kf_update, and its runner catches FilterError; its
+    # tracer times the filter functions it finds in __all__
     filters = importlib.import_module("plumetrace.filters")
-    assert {"GaussianBelief", "kf_predict", "kf_update",
-            "FilterError"} <= set(filters.__all__)
+    assert {"GaussianBelief", "kf_predict", "kf_update", "FilterError",
+            "rbpf_step", "enkf_step", "enkf_update", "normalise_weights",
+            "multinomial_resample",
+            "latent_transition_logpdf"} <= set(filters.__all__)

@@ -26,6 +26,7 @@ from plumetrace.experiment import (
     compute_aee,
     draw_observation,
     load_observations_csv,
+    run_filter,
     run_trials,
     simulate_ground_truth,
     simulate_trial,
@@ -392,7 +393,7 @@ class TestModelProvider:
             located.append(np.array(points, dtype=float))
             return locate(mesh, points, tol)
 
-        for module in (meshmod, sensing):
+        for module in (meshmod, sensing, fem):
             monkeypatch.setattr(module, "locate_points", counted)
         scen = build_scenario(config)
         models = {id(scen.provider.model_at(k)) for k in range(config.steps)}
@@ -502,7 +503,7 @@ class TestTrials:
         with pytest.raises(ValueError, match="threads"):
             run_trials(tiny_config(), threads=threads)
 
-    def test_streamed_trials_equal_run_rbpf_over_the_kept_schedule(
+    def test_streamed_trials_equal_run_filter_over_the_kept_schedule(
             self, tmp_path):
         # step k of the stream must meet model k: every step has its own
         config = per_step_flow_config(tmp_path, trials=3)
@@ -514,7 +515,7 @@ class TestTrials:
         schedule = list(scenario.gain_schedule())
         for result in streamed:
             truth, observations = simulate_trial(scenario, result.trial)
-            estimates = experiment.run_rbpf(
+            estimates = experiment.run_filter(
                 scenario, observations,
                 _trial_rng(config, STREAM_RBPF, result.trial))
             assert result.estimates.tobytes() == estimates.tobytes()
@@ -574,6 +575,37 @@ class TestTrials:
 
         monkeypatch.setattr(filters, "gain_schedule", refuse)
         assert len(run_trials(tiny_config(estimator="enkf", trials=1))) == 1
+
+    @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
+    def test_run_filter_refuses_a_log_beyond_the_horizon(self, estimator):
+        config = tiny_config(estimator=estimator, trials=1)
+        scenario = build_scenario(config)
+        _, observations = simulate_trial(scenario, 0)
+        stream = STREAM_RBPF if estimator == "rbpf" else STREAM_ENKF
+        rng = _trial_rng(config, stream, 0)
+        with pytest.raises(ValueError, match="horizon"):
+            run_filter(scenario, observations + observations[:1], rng)
+        estimates = run_filter(scenario, observations, rng)
+        assert estimates.shape == (config.steps, scenario.state_dim)
+
+    @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
+    def test_the_loop_calls_the_traced_step_functions(self, estimator,
+                                                      monkeypatch):
+        # a tracer wraps the module attributes in place, so the loop must
+        # look the step functions up when it runs
+        calls = {"rbpf": 0, "enkf": 0}
+        for kind in calls:
+            step = getattr(filters, f"{kind}_step")
+
+            def counted(*args, _kind=kind, _step=step):
+                calls[_kind] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(filters, f"{kind}_step", counted)
+        config = tiny_config(estimator=estimator, trials=2, steps=3)
+        assert len(run_trials(config, threads=1)) == 2
+        assert calls[estimator] == config.trials * config.steps
+        assert sum(calls.values()) == calls[estimator]
 
     @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
     def test_models_hold_no_dense_matrices(self, estimator, monkeypatch,

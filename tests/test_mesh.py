@@ -7,13 +7,12 @@ from plumetrace.mesh import (
     TriMesh,
     build_structured_mesh,
     load_mesh,
-    locate_point,
     locate_points,
     save_mesh,
 )
 from plumetrace import mesh as meshmod
 
-from oracles import element_geometry, locate_point_brute_force
+from oracles import element_geometry, locate_point_brute_force, shape_values
 
 
 def _signed_area(a, b, c):
@@ -149,7 +148,7 @@ class TestElementGeometry:
 class TestShapeFunctions:
     @given(triangles(), st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
     def test_partition_of_unity_everywhere(self, m, x, y):
-        vals = m.shape_values((x, y))[0]
+        vals = shape_values(m, (x, y))[0]
         assert vals.sum() == pytest.approx(1.0, abs=1e-9)
 
     @given(triangles(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
@@ -160,7 +159,7 @@ class TestShapeFunctions:
             s, t = 1.0 - s, 1.0 - t
         p = m.nodes[0] + s * (m.nodes[1] - m.nodes[0]) + t * (m.nodes[2] - m.nodes[0])
         f = lambda q: a + b * q[0] + c * q[1]
-        vals = m.shape_values(p)[0]
+        vals = shape_values(m, p)[0]
         interp = sum(v * f(node) for v, node in zip(vals, m.nodes))
         scale = 1.0 + abs(a) + 5.0 * (abs(b) + abs(c))
         assert interp == pytest.approx(f(p), abs=1e-8 * scale)
@@ -169,19 +168,25 @@ class TestShapeFunctions:
         m = build_structured_mesh(0, 0, 2, 1, 2, 1)
         for e in range(m.element_count):
             for local, node in enumerate(m.elements[e]):
-                vals = m.shape_values(m.nodes[node])[e]
+                vals = shape_values(m, m.nodes[node])[e]
                 np.testing.assert_allclose(vals, np.eye(3)[local], atol=1e-12)
 
     def test_inside_flag(self):
         m = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
-        assert (m.shape_values((0.2, 0.2))[0] >= 0.0).all()
-        assert not (m.shape_values((0.9, 0.9))[0] >= 0.0).all()
+        assert (shape_values(m, (0.2, 0.2))[0] >= 0.0).all()
+        assert not (shape_values(m, (0.9, 0.9))[0] >= 0.0).all()
 
     def test_shape_values_matrix(self):
         m = build_structured_mesh(0, 0, 1, 1, 2, 2)
-        vals = m.shape_values((0.3, 0.4))
+        vals = shape_values(m, (0.3, 0.4))
         assert vals.shape == (m.element_count, 3)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0)
+
+
+def _locate(m, point, tol=1e-10):
+    """The element :func:`locate_points` finds for ``point`` alone, -1
+    outside the mesh."""
+    return int(locate_points(m, [point], tol)[0][0])
 
 
 class TestLocatePoint:
@@ -190,20 +195,20 @@ class TestLocatePoint:
 
     def test_interior_points_found(self):
         for p in [(0.1, 0.05), (0.9, 0.9), (0.3, 0.7)]:
-            e = locate_point(self.m, p)
-            assert e is not None
-            assert (self.m.shape_values(p)[e] >= 0.0).all()
+            e = _locate(self.m, p)
+            assert e >= 0
+            assert (shape_values(self.m, p)[e] >= 0.0).all()
 
     def test_shared_edge_takes_lowest_index(self):
         # the cell diagonal belongs to elements 0 and 1
-        assert locate_point(self.m, (0.25, 0.25)) == 0
+        assert _locate(self.m, (0.25, 0.25)) == 0
 
     def test_outside_returns_none(self):
-        assert locate_point(self.m, (1.5, 0.5)) is None
-        assert locate_point(self.m, (0.5, -0.01)) is None
+        assert _locate(self.m, (1.5, 0.5)) == -1
+        assert _locate(self.m, (0.5, -0.01)) == -1
 
     def test_corner_found(self):
-        assert locate_point(self.m, (0.0, 0.0)) is not None
+        assert _locate(self.m, (0.0, 0.0)) >= 0
 
 
 def _jittered_mesh(tmp_path):
@@ -249,7 +254,8 @@ def _assert_matches_brute_force(m, points, tol=1e-10):
     assert elements.shape == (len(points),) and values.shape == (len(points), 3)
     for j, p in enumerate(points):
         element, row = locate_point_brute_force(m, p, tol)
-        assert locate_point(m, p, tol) == element
+        # one point alone is placed as it is among all of them
+        assert _locate(m, p, tol) == (-1 if element is None else element)
         if element is None:
             assert elements[j] == -1 and np.isnan(values[j]).all()
         else:
@@ -314,7 +320,7 @@ class TestLocatePoints:
         with pytest.raises(ValueError, match="shape"):
             locate_points(m, [0.5, 0.5])
         with pytest.raises(ValueError):
-            locate_point(m, (0.5, 0.5, 0.5))
+            locate_points(m, [(0.5, 0.5, 0.5)])
 
 
 class TestMeshIO:
