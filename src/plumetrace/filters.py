@@ -35,10 +35,14 @@ it reads (``RbpfState.lineage``), so each distinct mean is propagated and
 updated once.  ``EnsembleState.members`` is a ``(size, state)``
 transpose view of the ensemble array.
 
-Both step functions take ``(state, observation, model, kalman)``, where
-``kalman`` is the step of a :func:`gain_schedule`, or None for the
-ensemble filter, which reads none, so that one loop
-(``experiment.run_filter``) drives either estimator.
+Both step functions take ``(state, observation, model, kalman)``, so that
+one loop (``experiment.run_filter``) drives either estimator.  For the
+particle filter the fourth slot is the step of a :func:`gain_schedule`;
+the ensemble filter carries its own covariance and takes there the
+step's standard normal draws, which the loop has drawn one step ahead on
+a worker thread, or None to draw them from ``state.rng`` inline.  The
+draws and their order do not depend on the data, so both give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -617,6 +621,22 @@ def enkf_init(
                          members=np.ascontiguousarray(members.T).T, rng=rng)
 
 
+def _draw_shapes(state: EnsembleState) -> tuple:
+    """The shapes of one :func:`enkf_step`'s draws: the process noise, one
+    row per member, then the observation perturbations."""
+    return state.members.shape, (state.size, state.network.count)
+
+
+def _fill_draws(rng: np.random.Generator, noise: np.ndarray,
+                perturbations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill one :func:`enkf_step`'s C-ordered draw buffers from ``rng``,
+    the process noise first, and return them.  ``standard_normal(out=b)``
+    gives ``b`` the values ``standard_normal(b.shape)`` would return."""
+    rng.standard_normal(out=noise)
+    rng.standard_normal(out=perturbations)
+    return noise, perturbations
+
+
 def enkf_update(
     members: np.ndarray, h, noise_var, y_hat, perturbations, *, _out=None
 ) -> np.ndarray:
@@ -680,13 +700,18 @@ def enkf_step(
     state: EnsembleState,
     observation: Union[QuantisedObservation, np.ndarray],
     model: DispersionModel,
-    kalman: None = None,
+    draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[EnsembleState, np.ndarray]:
     """Advance the ensemble one step; return the new state and ensemble mean.
 
     The step takes the arguments of :func:`rbpf_step`; the ensemble carries
-    its own covariance, so ``kalman``, the schedule step, is None and
-    unread.
+    its own covariance, so its fourth slot holds the step's standard normal
+    ``draws`` in place of a schedule step: the process noise, C-ordered
+    ``(size, state)``, and the observation perturbations,
+    ``(size, sensors)``, as :func:`_fill_draws` fills them.  The step
+    scales them in place and keeps the noise buffer as the new ensemble.
+    With None it draws them from ``state.rng`` itself, the same values in
+    the same order.
 
     Members are propagated through the sparse augmented transition with
     process noise drawn from the diagonal process covariance, then updated
@@ -697,18 +722,18 @@ def enkf_step(
     net = state.network
     y_hat = _observed_values(observation, net)
 
-    # x before the noise buffer, which outlives the step as the new
-    # ensemble: the other order leaves the freed x on top of the heap, which
-    # is then trimmed and regrown (and page-faulted) every other step
+    # x before an inline draw's noise buffer, which outlives the step as the
+    # new ensemble: the other order leaves the freed x on top of the heap,
+    # which is then trimmed and regrown (and page-faulted) every other step
     x = model.augmented_transition() @ state.members.T
-    noise = state.rng.standard_normal(state.members.shape)   # member by member
-    noise *= np.sqrt(model.process_variances())
+    if draws is None:
+        draws = _fill_draws(state.rng, *map(np.empty, _draw_shapes(state)))
+    noise, perturbations = draws
+    noise *= np.sqrt(model.process_variances())    # member by member
     x += noise.T
 
     r_eff = net.noise_var + net.cell_half_width ** 2 / 3.0
-    perturbations = state.rng.standard_normal((state.size, net.count)) * np.sqrt(
-        r_eff
-    )
+    perturbations *= np.sqrt(r_eff)
     # the noise is spent: its buffer, read state-major, takes the update
     members = enkf_update(x.T, net.H_csr, r_eff, y_hat, perturbations,
                           _out=noise.reshape(x.shape))

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -634,6 +637,125 @@ class TestTrials:
             compute_aee(results + short)
         expected = np.mean([r.aee_contribution for r in results])
         assert compute_aee(results) == pytest.approx(expected)
+
+
+@pytest.fixture(scope="module")
+def desk_enkf():
+    """The desk scenario under the ensemble filter and trial 0's log."""
+    scenario = build_scenario(ScenarioConfig(estimator="enkf", trials=1))
+    _, observations = simulate_trial(scenario, 0)
+    return scenario, observations
+
+
+# what the benchmark tracer wraps: every function in these modules'
+# __all__, these methods and this private function
+TRACED_MODULES = (meshmod, fem, flowfield, sensing, filters, experiment)
+TRACED_METHODS = (
+    (sensing.SensorNetwork, "build"),
+    (sensing.SensorNetwork, "log_likelihood"),
+    (sensing.SensorNetwork, "quantise"),
+    (ModelProvider, "model_at"),
+    (fem.DispersionModel, "augmented_transition"),
+)
+
+
+class TestEnsembleDrawsAhead:
+    """The ensemble filter's draws, filled a step ahead on a worker thread."""
+
+    @pytest.mark.parametrize("size", [30, 1000])
+    def test_run_filter_equals_steps_that_draw_inline(self, desk_enkf, size):
+        scenario, observations = desk_enkf
+        config = dataclasses.replace(scenario.config, size=size)
+        scenario = dataclasses.replace(scenario, config=config)
+        log = observations[:4]
+        rng = _trial_rng(config, STREAM_ENKF, 0)
+        # switch threads as often as the interpreter allows, so that a draw
+        # racing the main thread would show in the bytes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimates = run_filter(scenario, log, rng)
+        finally:
+            sys.setswitchinterval(interval)
+        inline = _trial_rng(config, STREAM_ENKF, 0)
+        state = filters.enkf_init(scenario.provider.model_at(0),
+                                  scenario.network, size, inline,
+                                  cov=config.init_cov)
+        for k, obs in enumerate(log):
+            state, estimate = filters.enkf_step(
+                state, obs, scenario.provider.model_at(k))
+            assert estimates[k].tobytes() == estimate.tobytes()
+        # nothing is drawn past the last step
+        assert rng.bit_generator.state == inline.bit_generator.state
+
+    def test_no_thread_outlives_the_loop(self):
+        before = threading.active_count()
+        config = tiny_config(estimator="enkf", steps=5)
+        assert len(run_trials(config)) == config.trials
+        assert threading.active_count() == before
+        scenario = build_scenario(config)
+        _, observations = simulate_trial(scenario, 0)
+        observations[3] = np.zeros(scenario.network.count + 1)
+        with pytest.raises(ValueError, match="observation"):
+            run_filter(scenario, observations,
+                       _trial_rng(config, STREAM_ENKF, 0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("estimator", ["rbpf", "enkf"])
+    def test_the_worker_calls_no_traced_function(self, estimator,
+                                                 monkeypatch):
+        # the tracer keeps one span stack, which only the main thread may
+        # touch; the step's wrapper also counts the threads it runs beside
+        callers, beside = set(), []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                if fn.__name__ in ("rbpf_step", "enkf_step"):
+                    beside.append(threading.active_count())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in TRACED_MODULES:
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    monkeypatch.setattr(module, name, recorded(fn))
+        monkeypatch.setattr(experiment, "_build_flow",
+                            recorded(experiment._build_flow))
+        for cls, name in TRACED_METHODS:
+            raw = inspect.getattr_static(cls, name)
+            monkeypatch.setattr(cls, name, classmethod(recorded(raw.__func__))
+                                if isinstance(raw, classmethod)
+                                else recorded(raw))
+        before = threading.active_count()
+        config = tiny_config(estimator=estimator, trials=1, steps=3)
+        assert len(run_trials(config, threads=1)) == 1
+        assert callers == {threading.get_ident()}
+        assert len(beside) == config.steps
+        # only the ensemble filter starts a thread, and it ends with the run
+        assert max(beside) == before + (estimator == "enkf")
+        assert threading.active_count() == before
+
+    def test_run_filter_holds_one_step_of_draws_ahead(self, desk_enkf):
+        scenario, observations = desk_enkf
+        config = dataclasses.replace(scenario.config, size=1000)
+        scenario = dataclasses.replace(scenario, config=config)
+        rng = _trial_rng(config, STREAM_ENKF, 0)
+        run_filter(scenario, observations[:1], rng)    # fill the caches
+        tracemalloc.start()
+        try:
+            estimates = run_filter(scenario, observations[:6], rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ensemble = config.size * scenario.state_dim * 8
+        draws = config.size * (scenario.state_dim
+                               + scenario.network.count) * 8
+        # with the draws taken inline, the peak was 3.57 ensembles (12.6 MB);
+        # the worker adds the next step's draws, and a quarter ensemble
+        # (0.9 MB) is left for slack, well short of another step's draws
+        assert peak - estimates.nbytes <= 3.57 * ensemble + draws + ensemble / 4
 
 
 @pytest.fixture(scope="module")
