@@ -193,12 +193,27 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+_SUMMARY_KEYS = ("config_hash", "estimator", "size", "aee", "runtime_total")
+
+
+def _load_summary(path) -> dict:
+    """A summary JSON as ``estimate`` writes it; ``ValueError`` naming the
+    file unless it holds an object with every key ``compare`` reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"summary file {path} is not a JSON object")
+    missing = [key for key in _SUMMARY_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"summary file {path} lacks {', '.join(missing)}")
+    return doc
+
+
 def cmd_compare(args) -> int:
     rows = []
     hashes = set()
     for path in args.summaries:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_summary(path)
         hashes.add(doc["config_hash"])
         rows.append(
             (doc["estimator"], int(doc["size"]), float(doc["aee"]),

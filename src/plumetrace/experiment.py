@@ -162,8 +162,8 @@ class ScenarioConfig:
             raise ValueError("diffusivity must be non-negative")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("time step must be positive")
-        if self.steps < 0:
-            raise ValueError("step count must be non-negative")
+        if self.steps < 1:
+            raise ValueError("step count must be at least 1")
         if self.field_noise <= 0.0 or self.strength_walk <= 0.0:
             raise ValueError("process noise variances must be positive")
         if self.sensor_layout not in ("fence", "random"):

@@ -62,16 +62,14 @@ class GlobalSystem:
         Global transport matrix N, shape ``(C, C)``.
     source : numpy.ndarray
         Injection pattern Q, shape ``(C,)``; multiplied by the strength at
-        run time.
-    source_element : int or None
-        Element containing the source position, ``None`` when no source was
+        run time.  It is nonzero only on the three nodes of the element
+        that holds the source position, all zero when no source was
         requested.
     """
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     source: np.ndarray
-    source_element: Optional[int]
 
 
 def _element_velocities_array(mesh: TriMesh, velocities) -> np.ndarray:
@@ -203,16 +201,10 @@ def assemble(
     ).tocsr()
 
     q = np.zeros(n)
-    source_element = None
     if source is not None:
-        source_element = terms.source_element(mesh, source)
-        q[mesh.elements[source_element]] = areas[source_element] / 3.0
-    return GlobalSystem(
-        mass=terms.mass,
-        stiffness=stiffness,
-        source=q,
-        source_element=source_element,
-    )
+        element = terms.source_element(mesh, source)
+        q[mesh.elements[element]] = areas[element] / 3.0
+    return GlobalSystem(mass=terms.mass, stiffness=stiffness, source=q)
 
 
 @dataclass

@@ -19,9 +19,9 @@ copies it onto the upper triangle once.  What each band reads and when it
 is written back depend only on the transition's sparsity pattern, and are
 planned once per pattern.  The plain Kalman filter (:func:`kf_predict`,
 :func:`kf_update`) runs the same two kernels on a copy of its belief's
-covariance.  Particle weights combine the quantised-measurement likelihood,
-the Gaussian predictive density of the drawn latent, and the uniform
-proposal density, accumulated in log space.
+covariance.  Particle weights combine the prior ``1/M`` of a resampled
+population, the quantised-measurement likelihood, the Gaussian predictive
+density of the drawn latent and the uniform proposal density, in log space.
 
 An ensemble Kalman filter with perturbed observations serves as a baseline;
 quantisation enters it only as extra additive observation noise.
@@ -454,25 +454,21 @@ def _observed_values(observation, net: SensorNetwork) -> np.ndarray:
 
 @dataclass
 class RbpfState:
-    """Particle population of the filter.
+    """Particle population of the filter: what its next step reads.
 
-    Every step resamples, so many particles share an ancestor and with it
-    their conditional mean.  The population is kept as its distinct means,
-    ``survivors``, a C-ordered ``(state, distinct)`` array, and ``lineage``,
-    which maps each particle to its column.  ``weights`` are the
-    weights carried into the next step, uniform after a step.  The
-    covariance is shared by all particles and lives in the
-    :func:`gain_schedule`, not here.  ``last_weights`` and ``last_latent``
-    snapshot the step just computed, before resampling.
+    Every step resamples, so every particle enters a step with weight
+    ``1/M`` and many share an ancestor and with it their conditional mean.
+    The population is kept as its distinct means, ``survivors``, a
+    C-ordered ``(state, distinct)`` array, and ``lineage``, which maps each
+    particle to its column, with the generator ``rng`` that draws the
+    latents and the ancestors.  The covariance is shared by all particles
+    and lives in the :func:`gain_schedule`, not here.
     """
 
     network: SensorNetwork
     survivors: np.ndarray
     lineage: np.ndarray
-    weights: np.ndarray
     rng: np.random.Generator
-    last_weights: Optional[np.ndarray] = None
-    last_latent: Optional[np.ndarray] = None
 
     @property
     def particle_count(self) -> int:
@@ -481,9 +477,9 @@ class RbpfState:
 
 def _prior_variance(cov) -> float:
     """The variance ``c`` of the isotropic prior covariance ``c I``, a
-    positive scalar; ``10.0`` when omitted."""
+    positive scalar the caller must give: ``None`` is refused."""
     if cov is None:
-        return 10.0
+        raise ValueError("initial covariance is required, got None")
     if np.ndim(cov) != 0:
         raise ValueError("initial covariance must be a scalar variance, got "
                          f"shape {np.shape(cov)}")
@@ -499,9 +495,9 @@ def rbpf_init(
     particle_count: int,
     rng: np.random.Generator,
 ) -> RbpfState:
-    """Initial particle population: all means at the zero prior mean.  The
-    prior covariance is the ``init_cov`` of the :func:`gain_schedule` that
-    drives the steps."""
+    """Initial population: ``particle_count`` particles of weight ``1/M``,
+    all at the zero prior mean; the prior covariance is the ``init_cov`` of
+    the :func:`gain_schedule` that drives the steps."""
     particle_count = int(particle_count)
     if particle_count < 1:
         raise ValueError("particle count must be at least 1")
@@ -509,7 +505,6 @@ def rbpf_init(
         network=network,
         survivors=np.zeros((model.state_dim, 1)),
         lineage=np.zeros(particle_count, dtype=np.intp),
-        weights=np.full(particle_count, 1.0 / particle_count),
         rng=rng,
     )
 
@@ -548,9 +543,9 @@ def rbpf_step(
 
     log_trans = latent_transition_logpdf(z, z_pred, kalman.innovation_var)
     log_obs = net.log_likelihood(y_hat, z)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(state.weights)
-    log_w = log_prior + (
+    # every particle enters with weight 1/M; this scalar is bit for bit each
+    # entry of np.log(np.full(M, 1/M)), which -np.log(M) is not for every M
+    log_w = np.log(1.0 / state.particle_count) + (
         log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
     weights = normalise_weights(log_w)
 
@@ -573,15 +568,7 @@ def rbpf_step(
     padded = np.resize(keep, min(-(-keep.size // 8) * 8, weights.size))
     survivors = np.take(ax, lineage[keep], axis=1)
     survivors += (gain @ innovations[padded].T)[:, :keep.size]
-    new_state = replace(
-        state,
-        survivors=survivors,
-        lineage=new_lineage,
-        weights=np.full_like(weights, 1.0 / weights.size),
-        last_weights=weights,
-        last_latent=z,
-    )
-    return new_state, estimate
+    return replace(state, survivors=survivors, lineage=new_lineage), estimate
 
 
 @dataclass
@@ -606,10 +593,10 @@ def enkf_init(
     network: SensorNetwork,
     size: int,
     rng: np.random.Generator,
-    cov=None,
+    cov,
 ) -> EnsembleState:
     """Draw the initial ensemble from the Gaussian prior ``N(0, cov I)``,
-    ``cov`` a positive scalar (default ``10.0``).  The root of ``cov I`` is
+    ``cov`` a positive scalar with no default.  The root of ``cov I`` is
     ``sqrt(cov) I``, so each member is its draws scaled by ``sqrt(cov)``
     and no ``(n+1)^2`` matrix is formed."""
     size = int(size)

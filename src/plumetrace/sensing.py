@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import erf, log_ndtr
 
-from plumetrace.mesh import TriMesh, locate_points
+from plumetrace.mesh import TriMesh, _data_lines, _table, locate_points
 
 __all__ = [
     "SensorNetwork",
@@ -408,23 +408,17 @@ def save_sensor_layout(network: SensorNetwork, path) -> None:
 
 
 def load_sensor_layout(path, mesh: TriMesh) -> SensorNetwork:
-    """Read a sensor layout file and build its network on ``mesh``."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(
-                    f"sensor line must have 6 fields "
-                    f"(x y scale levels noise_var detect_rate), got {line!r}"
-                )
-            rows.append([float(v) for v in parts])
-    if not rows:
+    """Read a sensor layout file, one ``x y scale levels noise_var
+    detect_rate`` line per sensor, and build its network on ``mesh``; a
+    line that is not 6 numbers raises ``ValueError`` naming the file."""
+    try:
+        data = _table(_data_lines(path), 6, float,
+                      "sensor lines must have 6 fields "
+                      "(x y scale levels noise_var detect_rate)")
+    except ValueError as exc:
+        raise ValueError(f"malformed sensor layout file {path}: {exc}") from exc
+    if not data.size:
         raise ValueError(f"sensor layout file {path} contains no sensors")
-    data = np.array(rows)
     return SensorNetwork.build(
         mesh,
         positions=data[:, :2],

@@ -12,7 +12,8 @@ and the likelihood kernel of ``SensorNetwork``, and the linear-domain cell
 mass taken through it; the tail-only form of the quantised log
 likelihood, checked against that kernel; a dense linear model for the
 Kalman functions; the particle filter step over every particle copy,
-checked against the step over distinct means; the conditional means and
+checked against the step over distinct means; a recorder of the weights
+and latents each filter step computes; the conditional means and
 per-particle views of a filter state; a quantiser's level values; a
 gridded flow's velocity at one point by the textbook bilinear formula,
 checked against ``GriddedFlow.velocity_samples``; and a runner that
@@ -22,7 +23,8 @@ compares a script's output at one and two BLAS threads.
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -370,9 +372,51 @@ def means(state: RbpfState) -> np.ndarray:
 
 
 def particles(state: RbpfState) -> list[Particle]:
-    """The population a filter state carries into its next step."""
-    return [Particle(mean=mean, weight=float(weight))
-            for mean, weight in zip(means(state), state.weights)]
+    """The population a filter state carries into its next step, each
+    particle of weight ``1/M``, as every step resamples."""
+    weight = 1.0 / state.particle_count
+    return [Particle(mean=mean, weight=weight) for mean in means(state)]
+
+
+@dataclass
+class StepRecord:
+    """What each particle filter step computed and dropped: its normalised
+    weights and its ``(particles, sensors)`` drawn latents, one entry per
+    step, in step order."""
+
+    weights: list = field(default_factory=list)
+    latents: list = field(default_factory=list)
+
+
+@contextmanager
+def recording_steps():
+    """Record every :func:`filters.rbpf_step` taken inside the block in the
+    :class:`StepRecord` it yields.
+
+    The step looks up ``normalise_weights`` and ``latent_transition_logpdf``
+    as globals of ``filters``; both are replaced there by wrappers that keep
+    the result of the one and the first argument of the other.  This module
+    holds its own references to both, so :func:`reference_rbpf_step` is not
+    recorded.
+    """
+    record = StepRecord()
+
+    def normalise(log_weights):
+        weights = normalise_weights(log_weights)
+        record.weights.append(weights)
+        return weights
+
+    def logpdf(z, mean, variance):
+        record.latents.append(np.array(z, dtype=float))
+        return latent_transition_logpdf(z, mean, variance)
+
+    saved = filters.normalise_weights, filters.latent_transition_logpdf
+    filters.normalise_weights, filters.latent_transition_logpdf = (
+        normalise, logpdf)
+    try:
+        yield record
+    finally:
+        filters.normalise_weights, filters.latent_transition_logpdf = saved
 
 
 class ReferenceRbpfStep(NamedTuple):
@@ -382,6 +426,8 @@ class ReferenceRbpfStep(NamedTuple):
     estimate: np.ndarray
     means: np.ndarray
     ancestors: np.ndarray
+    weights: np.ndarray
+    latents: np.ndarray
 
 
 def reference_rbpf_step(state: RbpfState, observation, model, kalman):
@@ -394,7 +440,8 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
     and the population is resampled multinomially.  Returns the new state,
     in which every resampled copy is its own survivor, the weighted
     estimate, the ``(particles, state)`` means before resampling and the
-    resampled ancestors.
+    resampled ancestors, and the step's normalised weights and
+    ``(particles, sensors)`` drawn latents.
     """
     net = state.network
     y_hat = np.asarray(getattr(observation, "values", observation),
@@ -409,9 +456,7 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
 
     log_trans = latent_transition_logpdf(z, z_pred, kalman.innovation_var)
     log_obs = net.log_likelihood(y_hat, z)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(state.weights)
-    log_w = log_prior + (
+    log_w = np.log(1.0 / state.particle_count) + (
         log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
     weights = normalise_weights(log_w)
 
@@ -419,15 +464,9 @@ def reference_rbpf_step(state: RbpfState, observation, model, kalman):
     estimate = x @ weights
 
     ancestors = multinomial_resample(weights, state.rng)
-    new_state = replace(
-        state,
-        survivors=np.take(x, ancestors, axis=1),
-        lineage=np.arange(weights.size),
-        weights=np.full_like(weights, 1.0 / weights.size),
-        last_weights=weights,
-        last_latent=z,
-    )
-    return ReferenceRbpfStep(new_state, estimate, x.T, ancestors)
+    new_state = replace(state, survivors=np.take(x, ancestors, axis=1),
+                        lineage=np.arange(weights.size))
+    return ReferenceRbpfStep(new_state, estimate, x.T, ancestors, weights, z)
 
 
 def _digests_at_one_and_two_blas_threads(script):

@@ -350,6 +350,22 @@ class TestPipeline:
         assert code == 2
         assert "different scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,names", [
+        ({"estimator": "rbpf"}, "config_hash, size, aee, runtime_total"),
+        ({"estimator": "rbpf", "size": 5, "aee": 1.0, "config_hash": "aaaa"},
+         "runtime_total"),
+        ([1, 2], "not a JSON object"),
+    ], ids=["estimator-only", "no-runtime", "list"])
+    def test_compare_rejects_malformed_summaries(self, doc, names, tmp_path,
+                                                 capsys):
+        path = tmp_path / "summary_rbpf.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["compare", "--out", str(out), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and names in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--config", "nonexistent.cfg"],
                                        ["--force"]])
     def test_compare_refuses_scenario_flags(self, flags, tmp_path, capsys):

@@ -134,6 +134,7 @@ class TestConfigValidation:
         (dict(domain=(0.0, 0.0, math.inf, 1.0)), "domain must be finite"),
         (dict(flow_center=(0.0, math.nan)), "flow_center must be finite"),
         (dict(init_cov=math.inf), "init_cov must be finite"),
+        (dict(steps=0), "step count must be at least 1"),
     ])
     def test_rejects_bad_values(self, overrides, match):
         config = dataclasses.replace(ScenarioConfig(), **overrides)
@@ -424,6 +425,11 @@ class TestTrials:
         (e,) = run_trials(dataclasses.replace(base, estimator="enkf"))
         np.testing.assert_array_equal(r.truth, e.truth)
         assert not np.array_equal(r.estimates, e.estimates)
+
+    def test_zero_steps_are_refused(self):
+        # zero steps would simulate and estimate nothing and report an AEE
+        with pytest.raises(ValueError, match="step count"):
+            run_trials(ScenarioConfig(steps=0, trials=1))
 
     def test_observation_override_length_checked(self):
         config = tiny_config(trials=1)

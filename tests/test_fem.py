@@ -24,6 +24,7 @@ from plumetrace.mesh import (
     MeshError,
     TriMesh,
     build_structured_mesh,
+    locate_points,
 )
 
 from oracles import (
@@ -180,11 +181,11 @@ class TestAssembly:
     def test_source_pattern(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
         sys_ = assemble(mesh, (0, 0), 0.01, source=(0.3, 0.55))
-        assert sys_.source_element is not None
-        nodes = mesh.elements[sys_.source_element]
-        np.testing.assert_allclose(
-            sys_.source[nodes], mesh.areas[sys_.source_element] / 3.0
-        )
+        (element,), _ = locate_points(mesh, [(0.3, 0.55)])
+        assert element >= 0
+        nodes = mesh.elements[element]
+        np.testing.assert_allclose(sys_.source[nodes],
+                                   mesh.areas[element] / 3.0)
         others = np.setdiff1d(np.arange(mesh.node_count), nodes)
         assert (sys_.source[others] == 0.0).all()
 
@@ -196,7 +197,6 @@ class TestAssembly:
     def test_no_source(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 2, 2)
         sys_ = assemble(mesh, (0, 0), 0.01)
-        assert sys_.source_element is None
         assert (sys_.source == 0.0).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -226,7 +226,6 @@ class TestAssembly:
         a = assemble(mesh, (0.1, 0.0), 0.01, source=(0.3, 0.55))
         b = assemble(mesh, (0.0, 0.2), 0.03, source=(0.3, 0.55))
         assert a.mass is b.mass
-        assert a.source_element == b.source_element
         np.testing.assert_array_equal(a.source, b.source)
         with pytest.raises(ValueError, match="read-only"):
             a.mass.data[0] = 1.0
@@ -255,7 +254,6 @@ class TestBuildModel:
         system = GlobalSystem(
             mass=sp.csr_matrix(consistent), stiffness=self.system.stiffness,
             source=self.system.source,
-            source_element=self.system.source_element,
         )
         with pytest.raises(ValueError, match="not diagonal"):
             build_model(system, 0.01, 1e-4, 1e-6)
@@ -314,7 +312,7 @@ class TestBuildModel:
         diag[3] = np.nan
         broken = GlobalSystem(
             mass=sp.diags(diag).tocsr(), stiffness=self.system.stiffness,
-            source=self.system.source, source_element=self.system.source_element,
+            source=self.system.source,
         )
         with pytest.raises(ValueError, match="non-finite"):
             build_model(broken, 0.01, 1e-4, 1e-6)
@@ -325,7 +323,7 @@ class TestBuildModel:
         diag[0] = 0.0
         broken = GlobalSystem(
             mass=sp.diags(diag).tocsr(), stiffness=self.system.stiffness,
-            source=self.system.source, source_element=self.system.source_element,
+            source=self.system.source,
         )
         with pytest.raises(ValueError, match="singular"):
             build_model(broken, 0.01, 1e-4, 1e-6)
@@ -541,8 +539,7 @@ def _one_entry_rows_case():
                                         [0.0, 0.0, 2.0, 0.0],
                                         [5.0, 0.0, 0.0, 0.0]]))
     return GlobalSystem(mass=mass, stiffness=stiffness,
-                        source=np.array([0.0, 1.0, 0.0, 2.0]),
-                        source_element=None), 0.25
+                        source=np.array([0.0, 1.0, 0.0, 2.0])), 0.25
 
 
 def _no_transport_case():

@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from oracles import (
     one_sensor,
     particles,
     propose_latent,
+    recording_steps,
     reference_log_likelihood,
     reference_rbpf_step,
 )
@@ -200,16 +201,18 @@ class TestWeights:
 def _assert_steps_match_the_reference(models, schedule, net, observations,
                                       particle_count):
     """Run the filter and the reference step side by side from one seed:
-    the weights, the ancestry and the means agree bit for bit, and the
-    filter keeps one survivor per distinct ancestor."""
+    the latents, the weights, the ancestry and the means agree bit for
+    bit, and the filter keeps one survivor per distinct ancestor."""
     state = rbpf_init(models[0], net, particle_count, np.random.default_rng(8))
     reference = replace(state, rng=np.random.default_rng(8))
     for model, kalman, obs in zip(models, schedule, observations):
-        state, estimate = rbpf_step(state, obs, model, kalman)
+        with recording_steps() as record:
+            state, estimate = rbpf_step(state, obs, model, kalman)
         expected = reference_rbpf_step(reference, obs, model, kalman)
         reference = expected.state
-        np.testing.assert_array_equal(state.last_weights,
-                                      reference.last_weights)
+        (weights,), (latents,) = record.weights, record.latents
+        np.testing.assert_array_equal(weights, expected.weights)
+        np.testing.assert_array_equal(latents, expected.latents)
         keep, lineage = np.unique(expected.ancestors, return_inverse=True)
         np.testing.assert_array_equal(state.lineage, lineage)
         assert state.survivors.shape == (model.state_dim, keep.size)
@@ -222,7 +225,11 @@ class TestRbpf:
         model, net, state = _small_setup(particles=7)
         assert means(state).shape == (7, model.state_dim)
         np.testing.assert_array_equal(means(state), np.zeros_like(means(state)))
-        np.testing.assert_allclose(state.weights, 1 / 7)
+        assert state.particle_count == 7
+
+    def test_state_holds_only_the_population(self):
+        assert [f.name for f in fields(filters.RbpfState)] == [
+            "network", "survivors", "lineage", "rng"]
 
     def test_init_validation(self):
         model, net, _ = _small_setup()
@@ -263,9 +270,11 @@ class TestRbpf:
             reference = reference_rbpf_step(
                 replace(st_, rng=np.random.default_rng(seed)), obs, model,
                 kalman)
-            st_, _ = rbpf_step(st_, obs, model, kalman)
+            with recording_steps() as record:
+                st_, _ = rbpf_step(st_, obs, model, kalman)
             # whatever latents were drawn, every particle takes the one gain
-            innovations = st_.last_latent - predicted @ h.T
+            (latents,) = record.latents
+            innovations = latents - predicted @ h.T
             updated = predicted + innovations @ kalman.gain_t
             np.testing.assert_allclose(reference.means, updated, atol=1e-12)
             np.testing.assert_allclose(
@@ -275,26 +284,24 @@ class TestRbpf:
         model, net, state = _small_setup(particles=5)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         rng = np.random.default_rng(17)
-        # three distinct means shared by five particles, and unequal prior
-        # weights
+        # three distinct means shared by five particles
         survivors = rng.normal(0.0, 0.05, (model.state_dim, 3))
         lineage = np.array([0, 2, 1, 2, 0])
         means = survivors.T[lineage]
-        prior = rng.uniform(0.5, 1.5, 5)
-        prior /= prior.sum()
-        state = replace(state, survivors=survivors, lineage=lineage,
-                        weights=prior)
-        state, _ = rbpf_step(state, obs, model, _first_step(model, net))
+        state = replace(state, survivors=survivors, lineage=lineage)
+        with recording_steps() as record:
+            rbpf_step(state, obs, model, _first_step(model, net))
+        (weights,), (latents,) = record.weights, record.latents
 
         a = model.augmented_transition().toarray()
         p_pred = (a @ (10.0 * np.eye(model.state_dim)) @ a.T
                   + np.diag(model.process_variances()))
         p_pred = 0.5 * (p_pred + p_pred.T)
-        expected = prior.copy()
+        expected = np.full(5, 1 / 5)
         for m in range(5):
             predicted = GaussianBelief(mean=a @ means[m], cov=p_pred)
             for j in range(net.count):
-                z, w = state.last_latent[m, j], net.cell_half_width[j]
+                z, w = latents[m, j], net.cell_half_width[j]
                 log_obs = reference_log_likelihood(
                     obs[j] - w, obs[j] + w, z, net.noise_var[j],
                     net.detect_rate[j])
@@ -304,7 +311,7 @@ class TestRbpf:
                     / (net.levels[j] / (2.0 * net.scale[j])))
         expected /= expected.sum()
         assert np.ptp(expected) > 0.01     # the weights tell particles apart
-        np.testing.assert_allclose(state.last_weights, expected, rtol=1e-9)
+        np.testing.assert_allclose(weights, expected, rtol=1e-9)
 
     def test_estimate_is_weighted_mean_before_resampling(self):
         model, net, _ = _small_setup()
@@ -313,12 +320,14 @@ class TestRbpf:
         st_ = rbpf_init(model, net, 6, np.random.default_rng(5))
         reference = reference_rbpf_step(
             replace(st_, rng=np.random.default_rng(5)), obs, model, kalman)
-        st_, estimate = rbpf_step(st_, obs, model, kalman)
-        np.testing.assert_allclose(
-            estimate, st_.last_weights @ reference.means, atol=1e-14
-        )
-        # population was resampled to uniform weights afterwards
-        np.testing.assert_allclose(st_.weights, 1 / 6)
+        with recording_steps() as record:
+            st_, estimate = rbpf_step(st_, obs, model, kalman)
+        (weights,) = record.weights
+        np.testing.assert_allclose(estimate, weights @ reference.means,
+                                   atol=1e-14)
+        # the weights were not uniform, and the population was resampled
+        assert np.ptp(weights) > 0.0
+        assert st_.particle_count == 6
 
     def test_population_stays_state_major(self):
         model, net, state = _small_setup(particles=6)
@@ -368,14 +377,16 @@ class TestRbpf:
     def test_particles_snapshot(self):
         model, net, state = _small_setup(particles=4)
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        state, _ = rbpf_step(state, obs, model, _first_step(model, net))
+        with recording_steps() as record:
+            state, _ = rbpf_step(state, obs, model, _first_step(model, net))
         parts = particles(state)
         assert len(parts) == 4
         total = sum(p.weight for p in parts)
         assert total == pytest.approx(1.0)
         np.testing.assert_array_equal(parts[0].mean, means(state)[0])
         assert parts[0].strength == means(state)[0, -1]
-        assert state.last_latent.shape == (4, net.count)
+        (latents,) = record.latents
+        assert latents.shape == (4, net.count)
 
 
 # A mesh whose state fits in one covariance band, and one whose state spans
@@ -592,6 +603,9 @@ class TestCovarianceStep:
                 gain_schedule(models, net.H, bad)
         with pytest.raises(ValueError, match="scalar variance"):
             gain_schedule(models, net.H, np.eye(models[0].state_dim))
+        # no default of its own: the prior comes from the scenario's init_cov
+        with pytest.raises(ValueError, match="None"):
+            gain_schedule(models, net.H, None)
 
 
 class TestGainSchedule:
@@ -682,13 +696,15 @@ class TestEnkf:
     def test_init_validation(self):
         model, net, _ = _small_setup()
         with pytest.raises(ValueError, match="ensemble size"):
-            enkf_init(model, net, 1, np.random.default_rng(0))
+            enkf_init(model, net, 1, np.random.default_rng(0), cov=10.0)
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="covariance must be positive"):
                 enkf_init(model, net, 5, np.random.default_rng(0), cov=bad)
         with pytest.raises(ValueError, match="scalar variance"):
             enkf_init(model, net, 5, np.random.default_rng(0),
                       cov=np.eye(model.state_dim))
+        with pytest.raises(ValueError, match="None"):
+            enkf_init(model, net, 5, np.random.default_rng(0), cov=None)
 
     def test_isotropic_prior_members_equal_the_dense_root_draws(self, desk):
         _, scenario, _ = desk
@@ -802,7 +818,8 @@ class TestEnkf:
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
         outs = []
         for _ in range(2):
-            state = enkf_init(model, net, 12, np.random.default_rng(21))
+            state = enkf_init(model, net, 12, np.random.default_rng(21),
+                              cov=10.0)
             state, est = enkf_step(state, obs, model)
             outs.append(est)
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -812,7 +829,7 @@ class TestEnkf:
     def test_ensemble_stays_state_major(self):
         model, net, _ = _small_setup()
         obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        state = enkf_init(model, net, 12, np.random.default_rng(21))
+        state = enkf_init(model, net, 12, np.random.default_rng(21), cov=10.0)
         assert _state_major(state.members)
         for _ in range(2):
             state, _ = enkf_step(state, obs, model)
@@ -834,9 +851,10 @@ class TestEnkf:
     def test_steps_match_dense_reference_draw_for_draw(self):
         models, net = _time_varying_models()
         size, r_eff = 8, net.noise_var + net.cell_half_width ** 2 / 3.0
-        state = enkf_init(models[0], net, size, np.random.default_rng(3))
+        state = enkf_init(models[0], net, size, np.random.default_rng(3),
+                          cov=10.0)
         rng = np.random.default_rng(3)
-        members = enkf_init(models[0], net, size, rng).members
+        members = enkf_init(models[0], net, size, rng, cov=10.0).members
         for k, model in enumerate(models):
             obs = net.quantise(np.full(net.count, 0.05 * k))
             state, estimate = enkf_step(state, obs, model)
@@ -870,7 +888,7 @@ class TestEnkf:
 
     def test_step_wrong_observation_length(self):
         model, net, _ = _small_setup()
-        state = enkf_init(model, net, 5, np.random.default_rng(0))
+        state = enkf_init(model, net, 5, np.random.default_rng(0), cov=10.0)
         with pytest.raises(ValueError, match="observation"):
             enkf_step(state, np.zeros(net.count + 2), model)
 

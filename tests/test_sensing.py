@@ -376,6 +376,13 @@ class TestSensorNetwork:
         with pytest.raises(ValueError, match="6 fields"):
             load_sensor_layout(path, self.mesh)
 
+    def test_layout_file_non_number_names_the_file(self, tmp_path):
+        path = tmp_path / "sensors.txt"
+        path.write_text("0.2 0.2 2.0 100 1e-3 0.9\n0.5 x 2.0 100 1e-3 0.9\n")
+        with pytest.raises(ValueError) as exc:
+            load_sensor_layout(path, self.mesh)
+        assert str(exc.value).startswith(f"malformed sensor layout file {path}")
+
     @pytest.mark.parametrize("line,field", [
         ("0.5 0.5 2.0 2.5 1e-3 0.9", "levels"),
         ("0.5 0.5 2.0 inf 1e-3 0.9", "levels"),
