@@ -193,19 +193,28 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_SUMMARY_KEYS = ("config_hash", "estimator", "size", "aee", "runtime_total")
+_SUMMARY_KEYS = {"config_hash": (str,), "estimator": (str,), "size": (int,),
+                 "aee": (int, float), "runtime_total": (int, float)}
 
 
 def _load_summary(path) -> dict:
     """A summary JSON as ``estimate`` writes it; ``ValueError`` naming the
-    file unless it holds an object with every key ``compare`` reads."""
+    file unless it holds an object with every key ``compare`` reads, each
+    of its type (a bool is no number)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ValueError(f"summary file {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"summary file {path} is not a JSON object")
     missing = [key for key in _SUMMARY_KEYS if key not in doc]
     if missing:
         raise ValueError(f"summary file {path} lacks {', '.join(missing)}")
+    for key, types in _SUMMARY_KEYS.items():
+        if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+            raise ValueError(f"summary file {path}: {key} is {doc[key]!r}, "
+                             f"not {' or '.join(t.__name__ for t in types)}")
     return doc
 
 
@@ -216,7 +225,7 @@ def cmd_compare(args) -> int:
         doc = _load_summary(path)
         hashes.add(doc["config_hash"])
         rows.append(
-            (doc["estimator"], int(doc["size"]), float(doc["aee"]),
+            (doc["estimator"], doc["size"], float(doc["aee"]),
              float(doc["runtime_total"]))
         )
     if len(hashes) > 1:

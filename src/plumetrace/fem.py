@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plumetrace.mesh import MeshError, TriMesh, locate_points
+from plumetrace import mesh as meshmod
+from plumetrace.mesh import MeshError, TriMesh
 
 __all__ = [
     "GlobalSystem",
@@ -132,7 +133,7 @@ class _MeshTerms:
     def source_element(self, mesh: TriMesh, source) -> int:
         key = tuple(np.reshape(np.asarray(source, dtype=float), 2).tolist())
         if key not in self.sources:
-            element = int(locate_points(mesh, [key])[0][0])
+            element = int(meshmod.locate_points(mesh, [key])[0][0])
             if element < 0:
                 raise MeshError(f"source position {key} lies outside the mesh")
             self.sources[key] = element

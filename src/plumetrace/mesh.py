@@ -265,7 +265,8 @@ def _data_lines(path) -> list[str]:
 def _table(lines: list[str], width: int, dtype, message: str) -> np.ndarray:
     """Data lines of ``width`` values each as one array, parsed in one
     ``numpy.loadtxt`` pass; any other count on a line, even one that keeps
-    the total right, raises ``ValueError(message)``."""
+    the total right, raises ``ValueError(message)``, and a value that does
+    not convert raises ``ValueError`` quoting the first line holding one."""
     if not lines:
         return np.empty((0, width), dtype=dtype)
     try:
@@ -273,6 +274,11 @@ def _table(lines: list[str], width: int, dtype, message: str) -> np.ndarray:
     except ValueError:
         if any(len(line.split()) != width for line in lines):
             raise ValueError(message) from None
+        for line in lines:
+            try:
+                np.loadtxt([line], dtype=dtype, comments=None)
+            except ValueError:
+                raise ValueError(f"bad line {line!r}") from None
         raise
     if table.shape[1] != width:
         raise ValueError(message)

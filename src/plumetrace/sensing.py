@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import erf, log_ndtr
 
-from plumetrace.mesh import TriMesh, _data_lines, _table, locate_points
+from plumetrace import mesh as meshmod
+from plumetrace.mesh import TriMesh, _data_lines, _table
 
 __all__ = [
     "SensorNetwork",
@@ -141,7 +142,7 @@ def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (N, 2), got {positions.shape}")
-    elements, values = locate_points(mesh, positions)
+    elements, values = meshmod.locate_points(mesh, positions)
     if (elements < 0).any():
         j = int(np.argmax(elements < 0))
         p = positions[j]
@@ -176,7 +177,7 @@ def generate_positions(mesh: TriMesh, count: int, rng) -> np.ndarray:
         batch = rng.random((max(count, 64), 2))
         batch[:, 0] = xmin + batch[:, 0] * (xmax - xmin)
         batch[:, 1] = ymin + batch[:, 1] * (ymax - ymin)
-        inside = batch[locate_points(mesh, batch)[0] >= 0]
+        inside = batch[meshmod.locate_points(mesh, batch)[0] >= 0]
         accepted = np.concatenate(
             [accepted, inside[:count - accepted.shape[0]]])
     return accepted
@@ -236,7 +237,7 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
         bg = np.column_stack([gx.ravel(), gy.ravel()])[:remaining]
         parts.append(bg)
     positions = np.vstack(parts)[:count]
-    outside = locate_points(mesh, positions)[0] < 0
+    outside = meshmod.locate_points(mesh, positions)[0] < 0
     if outside.any():
         p = positions[np.argmax(outside)]
         raise ValueError(

@@ -62,6 +62,11 @@ def tiny_cfg(tmp_path):
     return path
 
 
+# a summary holding every key compare reads, each of its type
+_SUMMARY = {"estimator": "rbpf", "size": 5, "aee": 1.0, "runtime_total": 0.1,
+            "config_hash": "aaaa"}
+
+
 # one row per config-file key: section, key, raw value, field, parsed value
 ONE_KEY_CASES = [
     ("mesh", "file", "grid.txt", "mesh_file", "grid.txt"),
@@ -355,11 +360,24 @@ class TestPipeline:
         ({"estimator": "rbpf", "size": 5, "aee": 1.0, "config_hash": "aaaa"},
          "runtime_total"),
         ([1, 2], "not a JSON object"),
-    ], ids=["estimator-only", "no-runtime", "list"])
+        (b'{"estimator": "rbpf",\n', "not JSON"),
+        (b'{"estimator": "\xff"}', "not JSON"),
+        (dict(_SUMMARY, size=None), "size is None"),
+        (dict(_SUMMARY, size=True), "size is True"),
+        (dict(_SUMMARY, size=5.0), "size is 5.0"),
+        (dict(_SUMMARY, aee="x"), "aee is 'x'"),
+        (dict(_SUMMARY, runtime_total=False), "runtime_total is False"),
+        (dict(_SUMMARY, estimator=1), "estimator is 1"),
+        (dict(_SUMMARY, config_hash=["aaaa"]), "config_hash is ['aaaa']"),
+    ], ids=["estimator-only", "no-runtime", "list", "truncated", "not-utf8",
+            "size-null", "size-bool", "size-float", "aee-string",
+            "runtime-bool", "estimator-number", "hash-list"])
     def test_compare_rejects_malformed_summaries(self, doc, names, tmp_path,
                                                  capsys):
+        # bytes are the file's content, anything else its JSON
         path = tmp_path / "summary_rbpf.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else
+                         json.dumps(doc).encode())
         out = tmp_path / "out"
         assert main(["compare", "--out", str(out), str(path)]) == 2
         err = capsys.readouterr().err

@@ -389,7 +389,7 @@ class TestModelProvider:
             np.zeros_like(u)), tmp_path / "flow.txt")
         config = tiny_config(flow_kind="file",
                              flow_file=str(tmp_path / "flow.txt"),
-                             dt=1.0, steps=10)
+                             dt=1.0, steps=10, sensor_layout="fence")
         located = []
         locate = meshmod.locate_points
 
@@ -397,13 +397,16 @@ class TestModelProvider:
             located.append(np.array(points, dtype=float))
             return locate(mesh, points, tol)
 
-        for module in (meshmod, sensing, fem):
-            monkeypatch.setattr(module, "locate_points", counted)
+        # fem and sensing call the function through its module, so this one
+        # patch sees the source location and the fence placement
+        monkeypatch.setattr(meshmod, "locate_points", counted)
         scen = build_scenario(config)
         models = {id(scen.provider.model_at(k)) for k in range(config.steps)}
         assert len(models) == 5
         source = [list(config.source)]
         assert sum(np.array_equal(points, source) for points in located) == 1
+        assert any(np.array_equal(points, scen.network.positions)
+                   for points in located)
 
 
 class TestTrials:

@@ -377,11 +377,17 @@ class TestSensorNetwork:
             load_sensor_layout(path, self.mesh)
 
     def test_layout_file_non_number_names_the_file(self, tmp_path):
+        # and quotes the bad line: under a header, as save_sensor_layout
+        # writes, it is file line 3, which numpy's data-row index calls row 1
         path = tmp_path / "sensors.txt"
-        path.write_text("0.2 0.2 2.0 100 1e-3 0.9\n0.5 x 2.0 100 1e-3 0.9\n")
+        path.write_text("# x y scale levels noise_var detect_rate\n"
+                        "0.2 0.2 2.0 100 1e-3 0.9\n0.5 x 2.0 100 1e-3 0.9\n")
         with pytest.raises(ValueError) as exc:
             load_sensor_layout(path, self.mesh)
-        assert str(exc.value).startswith(f"malformed sensor layout file {path}")
+        message = str(exc.value)
+        assert message.startswith(f"malformed sensor layout file {path}")
+        assert "'0.5 x 2.0 100 1e-3 0.9'" in message
+        assert "row" not in message
 
     @pytest.mark.parametrize("line,field", [
         ("0.5 0.5 2.0 2.5 1e-3 0.9", "levels"),
