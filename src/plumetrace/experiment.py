@@ -15,9 +15,13 @@ estimator or its size therefore never changes the simulated truth.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import fcntl
 import functools
 import hashlib
 import json
+import multiprocessing
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -426,12 +430,126 @@ def run_filter(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
             f"observation log has {len(observations)} steps, the scenario "
             f"horizon is {config.steps}"
         )
-    (estimates,), _, _ = _filter_in_lockstep(scenario, [observations], [rng])
+    with _schedule_stream(scenario) as schedule:
+        (estimates,), _, _ = _filter_in_lockstep(scenario, [observations],
+                                                 [rng], schedule)
     return estimates
+
+
+# The particle filter's schedule steps in flight between the process that
+# computes them and the filter loop: the pipe's default 64 KiB holds less
+# than one desk step (142 KB)
+_PIPE_BYTES = 1 << 20
+# seconds the loop waits for the schedule's process to end before ending it
+_PRODUCER_GRACE = 5.0
+# the last byte of each frame the schedule's process sends
+_STEP, _ERROR = 0, 1
+
+
+@contextlib.contextmanager
+def _schedule_stream(scenario: Scenario):
+    """Under the particle filter, the steps of ``scenario.gain_schedule()``,
+    computed in a forked child process while the caller works; None under
+    the ensemble filter.
+
+    The models, each distinct model's transition and band plan, and the
+    schedule with its sensor plan are formed here, before the fork, so the
+    child inherits them and a bad ``H`` or ``init_cov`` raises at the
+    call.  The child sends each
+    step as one frame through a pipe of up to 1 MiB, so it runs ahead of
+    the reader by at most that and the step it is forming; the last step's
+    covariance is not sent.  A step the child fails to form raises here,
+    at that step, as the child raised it.  On leaving the block the pipe is
+    closed and the child ends, terminated if it does not end within
+    ``_PRODUCER_GRACE`` seconds.
+    """
+    if scenario.config.estimator != "rbpf":
+        yield None
+        return
+    schedule = scenario.gain_schedule()
+    for model in scenario.provider._cache.values():
+        filters._band_plan(model.augmented_transition())
+    shape = (scenario.state_dim, scenario.network.count)
+    # fork, not spawn: the child needs the models and plans, and the loop
+    # starts no thread before this
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_send_steps,
+                            args=(schedule, reader, writer, shape))
+    try:
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            with contextlib.suppress(OSError):      # a refusal keeps 64 KiB
+                fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        child.start()
+        writer.close()
+        del schedule
+        yield (_receive_step(reader, child, shape)
+               for _ in range(scenario.config.steps))
+    finally:
+        reader.close()
+        writer.close()
+        if child.pid is not None:
+            child.join(_PRODUCER_GRACE)
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
+            child.close()
+
+
+def _frame(shape: tuple) -> np.ndarray:
+    """A buffer for one step's frame: the ``shape`` values of ``gain_t.T``
+    and the ``shape[1]`` innovation variances, then the tag byte."""
+    return np.empty(8 * shape[1] * (shape[0] + 1) + 1, np.uint8)
+
+
+def _send_steps(schedule, reader, writer, shape: tuple) -> None:
+    """The schedule's child process: send each step of ``schedule``
+    through ``writer`` as a frame of ``gain_t.T``'s C-ordered values, for
+    ``shape`` its shape, then the innovation variances and the byte
+    ``_STEP``; or, for an exception, the exception pickled and ``_ERROR``.
+    """
+    reader.close()      # so that a write fails once the loop closes its end
+    count = shape[0] * shape[1]
+    frame = _frame(shape)
+    values = frame[:-1].view(np.float64)
+    frame[-1] = _STEP
+    try:
+        for step in schedule:
+            values[:count].reshape(shape)[...] = step.gain_t.T
+            values[count:] = step.innovation_var
+            writer.send_bytes(frame)
+    except Exception as exc:  # noqa: BLE001 - raised again by the reader
+        with contextlib.suppress(OSError):  # the loop has stopped reading
+            writer.send_bytes(pickle.dumps(exc) + bytes([_ERROR]))
+
+
+def _receive_step(reader, child, shape: tuple) -> filters.KalmanStep:
+    """The next step :func:`_send_steps` sends through ``reader``, its gain
+    laid out as LAPACK returns it (F-ordered), on which the estimates'
+    bytes depend; raises what the child raised in its place."""
+    count = shape[0] * shape[1]
+    frame = _frame(shape)
+    try:
+        size = reader.recv_bytes_into(frame)
+    except multiprocessing.BufferTooShort as exc:
+        message = exc.args[0]
+    except EOFError:
+        child.join(_PRODUCER_GRACE)
+        raise RuntimeError(
+            "the gain-schedule process ended without sending a step (exit "
+            f"code {child.exitcode})") from None
+    else:
+        message = frame[:size]
+    if message[-1] != _STEP:
+        raise pickle.loads(bytes(message[:-1]))
+    values = frame[:-1].view(np.float64)
+    return filters.KalmanStep(values[:count].reshape(shape).T,
+                              values[count:], None)
 
 
 def _filter_in_lockstep(
     scenario: Scenario, logs: Sequence[Sequence], rngs: Sequence,
+    schedule: Optional[Iterator[filters.KalmanStep]],
 ) -> tuple[list[np.ndarray], list[float], float]:
     """Run the configured estimator once per observation log, ``rngs``
     giving each filter's stream; the logs share one length, at most the
@@ -439,14 +557,15 @@ def _filter_in_lockstep(
 
     All filters advance together, one step at a time.  Each step's model
     is read once for every filter, and so is what each filter's step takes
-    in its fourth slot.  For the particle filter that is the step of the
-    streamed gain schedule, shared by every filter and dropped before the
-    next is computed.  For the ensemble filter it is each ensemble's draws,
-    which one worker thread fills one step ahead (see :func:`_draws_ahead`)
-    while this thread runs the step before; the thread ends with the loop,
-    on success or failure.  Returns each log's ``(K, C+1)`` estimates, the
-    seconds each filter spent in its steps, and the seconds spent waiting
-    for the fourth slots: computing schedule steps, or waiting for draws.
+    in its fourth slot.  For the particle filter that is the next step of
+    ``schedule``, a :func:`_schedule_stream`, shared by every filter and
+    dropped before the next is read.  For the ensemble filter it is each
+    ensemble's draws, which one worker thread fills one step ahead (see
+    :func:`_draws_ahead`) while this thread runs the step before; the
+    thread ends with the loop, on success or failure.  Returns each log's
+    ``(K, C+1)`` estimates, the seconds each filter spent in its steps, and
+    the seconds spent waiting for the fourth slots: for schedule steps, or
+    for draws.
     """
     config = scenario.config
     model = scenario.provider.model_at(0)
@@ -460,8 +579,7 @@ def _filter_in_lockstep(
                                         rng) for rng in rngs]
             step = filters.rbpf_step
             # a map holds no step once it has passed it on
-            slots = map(lambda kalman: (kalman,) * len(logs),
-                        scenario.gain_schedule())
+            slots = map(lambda kalman: (kalman,) * len(logs), schedule)
         else:
             states = [filters.enkf_init(model, scenario.network, config.size,
                                         rng, cov=config.init_cov)
@@ -575,32 +693,35 @@ def _run_batch(
     ``logs`` giving each trial's observation log or None to use the
     simulated one.
 
-    Every trial's truth is simulated first.  The estimator then runs in
-    lockstep groups (see :func:`_filter_in_lockstep`): one group of every
-    trial for the particle filter, so that they read one streamed gain
-    schedule, and groups of one trial for the ensemble filter, which in
-    lockstep would hold every trial's ensemble at once.  Returns the
-    results in the order of ``indices`` and the seconds spent producing
-    schedule steps, or, for the ensemble filter, waiting for draws.
+    The particle filter's schedule starts in its own process (see
+    :func:`_schedule_stream`) before every trial's truth is simulated, so
+    the two overlap.  The estimator then runs in lockstep groups (see
+    :func:`_filter_in_lockstep`): one group of every trial for the particle
+    filter, so that they read the one streamed schedule, and groups of one
+    trial for the ensemble filter, which in lockstep would hold every
+    trial's ensemble at once.  Returns the results in the order of
+    ``indices`` and the seconds the loop waited for schedule steps, or, for
+    the ensemble filter, for draws.
     """
     config = scenario.config
     truths, obs_logs, runtimes = [], [], []
-    for i, log in zip(indices, logs):
-        start = time.perf_counter()
-        truth_states, obs_log = _trial_log(scenario, i, log)
-        runtimes.append(time.perf_counter() - start)
-        truths.append(truth_states)
-        obs_logs.append(obs_log)
     stream = _ESTIMATOR_STREAMS[config.estimator]
     rngs = [_trial_rng(config, stream, i) for i in indices]
     width = len(indices) if config.estimator == "rbpf" else 1
     estimates, seconds, schedule_seconds = [], [], 0.0
-    for g in range(0, len(indices), width):
-        group, own, reading = _filter_in_lockstep(
-            scenario, obs_logs[g:g + width], rngs[g:g + width])
-        estimates += group
-        seconds += own
-        schedule_seconds += reading
+    with _schedule_stream(scenario) as schedule:
+        for i, log in zip(indices, logs):
+            start = time.perf_counter()
+            truth_states, obs_log = _trial_log(scenario, i, log)
+            runtimes.append(time.perf_counter() - start)
+            truths.append(truth_states)
+            obs_logs.append(obs_log)
+        for g in range(0, len(indices), width):
+            group, own, reading = _filter_in_lockstep(
+                scenario, obs_logs[g:g + width], rngs[g:g + width], schedule)
+            estimates += group
+            seconds += own
+            schedule_seconds += reading
     results = [_score(i, truth, est, runtime + own) for i, truth, est, runtime,
                own in zip(indices, truths, estimates, runtimes, seconds)]
     return results, schedule_seconds
@@ -608,11 +729,11 @@ def _run_batch(
 
 class TrialRun(list):
     """Trial results in trial order; ``runtime_schedule`` holds the seconds
-    spent producing the particle filter's gain-schedule steps, or the
-    ensemble filter's seconds spent waiting for its draws from the worker
-    thread, summed over the processes that ran the trials, which no
-    trial's ``runtime`` includes.  A trial's ``runtime`` is its truth
-    simulation plus its own estimator steps."""
+    the filter loop waited for the particle filter's gain-schedule steps
+    from the process computing them, or for the ensemble filter's draws
+    from the worker thread, summed over the processes that ran the trials,
+    which no trial's ``runtime`` includes.  A trial's ``runtime`` is its
+    truth simulation plus its own estimator steps."""
 
     runtime_schedule = 0.0
 
@@ -630,10 +751,10 @@ def run_trials(
     the trials are split into ``min(threads, trials)`` contiguous batches,
     one per worker process.  Each batch runs its trials through the one
     filter loop (see :func:`_run_batch`); under the particle filter it
-    streams its own gain schedule, so no process holds the schedule whole
-    and the parent builds none.  Results are ordered by trial index, and
-    every trial reseeds from the master seed, so the outcome does not
-    depend on the degree of parallelism.
+    streams its own gain schedule from a forked child process, so no
+    process holds the schedule whole and the parent builds none.  Results
+    are ordered by trial index, and every trial reseeds from the master
+    seed, so the outcome does not depend on the degree of parallelism.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -689,10 +810,9 @@ def write_summary_json(results: Sequence[TrialResult], path,
     """Aggregate summary: AEE, per-step error statistics, settings, seeds.
 
     ``runtime_total`` sums the per-trial runtimes; ``runtime_schedule`` is
-    the time spent producing gain-schedule steps, or for the ensemble
-    filter waiting for draws, that a :class:`TrialRun` carries (0 for a
-    plain list).  Returns the written document as a
-    dictionary.
+    the time the filter loop waited for gain-schedule steps, or for the
+    ensemble filter for draws, that a :class:`TrialRun` carries (0 for a
+    plain list).  Returns the written document as a dictionary.
     """
     errors = np.stack([r.errors for r in results])
     strengths = np.stack([r.strengths for r in results])

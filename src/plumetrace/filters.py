@@ -98,8 +98,10 @@ class GaussianBelief:
 class KalmanStep(NamedTuple):
     """The data-independent part of one Kalman step.
 
-    ``gain_t`` is the transposed gain ``K^T``, shape ``(sensors, state)``;
-    ``innovation_var`` the diagonal of the innovation covariance ``S``,
+    ``gain_t`` is the transposed gain ``K^T``, shape ``(sensors, state)``,
+    F-contiguous as LAPACK returns it: :func:`rbpf_step`'s products follow
+    that layout, and the estimates' bytes depend on it.
+    ``innovation_var`` is the diagonal of the innovation covariance ``S``,
     jitter included; ``cov`` the posterior covariance, ``None`` for a step
     of a :func:`gain_schedule` other than its last.
     """

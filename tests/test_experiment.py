@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -646,6 +650,128 @@ class TestTrials:
             compute_aee(results + short)
         expected = np.mean([r.aee_contribution for r in results])
         assert compute_aee(results) == pytest.approx(expected)
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail with ``TimeoutError`` if the block is still running after
+    ``seconds``: a read from a process that never answers would hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failing_at_call(count: int, fail):
+    """``filters._condition_lower`` that runs ``fail`` at its ``count``-th
+    call, the schedule's step ``count``, and then conditions as before."""
+    condition, calls = filters._condition_lower, []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == count:
+            fail()
+        return condition(*args)
+    return wrapped
+
+
+class TestScheduleProcess:
+    """The particle filter's schedule, computed in a forked child process."""
+
+    def test_streamed_steps_keep_the_gain_layout(self):
+        scenario = build_scenario(tiny_config(steps=4))
+        kept = list(scenario.gain_schedule())
+        with experiment._schedule_stream(scenario) as stream:
+            streamed = list(stream)
+        assert len(streamed) == len(kept)
+        for step, expected in zip(streamed, kept):
+            # rbpf_step's products follow the layout LAPACK gives the gain
+            assert expected.gain_t.flags.f_contiguous
+            assert step.gain_t.flags.f_contiguous
+            assert step.gain_t.T.tobytes() == expected.gain_t.T.tobytes()
+            assert (step.innovation_var.tobytes()
+                    == expected.innovation_var.tobytes())
+            assert step.cov is None
+
+    def test_no_process_outlives_the_loop(self):
+        config = tiny_config(steps=5)
+        with within(20):
+            assert len(run_trials(config)) == config.trials
+        assert multiprocessing.active_children() == []
+        scenario = build_scenario(config)
+        _, observations = simulate_trial(scenario, 0)
+        observations[3] = np.zeros(scenario.network.count + 1)
+        with within(20), pytest.raises(ValueError, match="observation"):
+            run_filter(scenario, observations,
+                       _trial_rng(config, STREAM_RBPF, 0))
+        assert multiprocessing.active_children() == []
+
+    def test_a_dropped_stream_ends_its_process(self):
+        # 48 desk steps of 142 KB fill the 1 MiB pipe, so the child is still
+        # sending when the reader stops; it ends at its next write, well
+        # before it would be terminated
+        scenario = build_scenario(ScenarioConfig(trials=1))
+        start = time.perf_counter()
+        with within(20), experiment._schedule_stream(scenario) as stream:
+            next(stream)
+            next(stream)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < experiment._PRODUCER_GRACE
+
+    def test_a_schedule_error_is_raised_as_the_child_raised_it(
+            self, monkeypatch):
+        def boom():
+            raise filters.FilterError("boom")
+
+        monkeypatch.setattr(filters, "_condition_lower",
+                            failing_at_call(4, boom))
+        steps = []
+        rbpf_step = filters.rbpf_step
+        monkeypatch.setattr(filters, "rbpf_step",
+                            lambda *args: steps.append(None) or rbpf_step(*args))
+        config = tiny_config(steps=6)
+        with within(20), pytest.raises(filters.FilterError, match="boom"):
+            run_trials(config)
+        # raised where step 4 was read, after every trial took steps 1-3
+        assert len(steps) == 3 * config.trials
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_named_by_its_exit_code(self, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os._exit(3)
+
+        monkeypatch.setattr(filters, "_condition_lower",
+                            failing_at_call(3, die))
+        with within(20), pytest.raises(RuntimeError, match="exit code 3"):
+            run_trials(tiny_config(steps=6))
+        assert multiprocessing.active_children() == []
+
+    def test_run_trials_holds_no_covariance(self):
+        config = ScenarioConfig(trials=1)
+        # fill the per-pattern caches the first run on a mesh leaves
+        run_trials(dataclasses.replace(config, steps=1))
+        tracemalloc.start()
+        try:
+            (result,) = run_trials(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = (result.truth.base.nbytes + result.estimates.nbytes
+                    + result.errors.nbytes)
+        n = result.estimates.shape[1]
+        # less than one n x n covariance: the child holds it.  Here stay the
+        # scenario (0.47 MB on desk), the particle arrays and one step's
+        # frame, 1.16 MB in all
+        assert peak - returned < 8 * n ** 2
 
 
 @pytest.fixture(scope="module")
