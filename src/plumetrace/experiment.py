@@ -245,11 +245,13 @@ class ModelProvider:
 
     Step ``k``, at ``k dt`` after the flow's first sample time, is driven by
     the last sample at or before it; ``velocities`` holds the samples'
-    ``(S, E, 2)`` element velocities.  Each model is built on first use.
+    ``(S, E, 2)`` element velocities.  Each model is built on first use,
+    the first interval's from ``first_system`` when the caller assembled
+    it already.
     """
 
     def __init__(self, mesh, flow, velocities, diffusivity, dt, field_noise,
-                 strength_walk, source):
+                 strength_walk, source, first_system=None):
         self._mesh = mesh
         self._diffusivity = diffusivity
         self._dt = dt
@@ -261,6 +263,7 @@ class ModelProvider:
         self._times = flow.sample_times
         self._velocities = velocities
         self._cache: dict[int, fem.DispersionModel] = {}
+        self._systems = {} if first_system is None else {0: first_system}
 
     def interval_index(self, step: int) -> int:
         t = self._times[0] + step * self._dt
@@ -269,7 +272,7 @@ class ModelProvider:
     def model_at(self, step: int) -> fem.DispersionModel:
         idx = self.interval_index(step)
         if idx not in self._cache:
-            system = fem.assemble(
+            system = self._systems.pop(idx, None) or fem.assemble(
                 self._mesh, self._velocities[idx], self._diffusivity,
                 source=self._source,
             )
@@ -294,9 +297,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     """Resolve a config into mesh, sensors and a model provider.
 
     Evaluates the element velocities of every flow sample in one call, for
-    the stability checks and the provider's models alike.  Chooses the
-    artificial diffusivity from the worst flow sample, resolves the
-    automatic time step from the first, and refuses an explicitly
+    the stability checks and the provider's models alike, and assembles
+    the first flow interval once for its stability report and model.
+    Chooses the artificial diffusivity from the worst flow sample, resolves
+    the automatic time step from the first, and refuses an explicitly
     configured unstable step unless ``force_dt`` is set.
     """
     config.validate()
@@ -313,7 +317,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         lam_eff += fem.artificial_diffusivity(grid, velocities,
                                               config.diffusivity)
 
-    report = fem.stability_report(grid, velocities[0], lam_eff)
+    # flow interval 0's system serves the report and the provider's model
+    first = fem.assemble(grid, velocities[0], lam_eff, source=config.source)
+    report = fem.stability_report(grid, velocities[0], lam_eff, system=first)
     if config.dt is None:
         dt = fem.default_time_step(report)
     else:
@@ -328,7 +334,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         network = sensing.load_sensor_layout(config.sensor_file, grid)
     else:
         if config.sensor_layout == "fence":
-            positions = sensing.fence_positions(
+            positions, located = sensing._fence_layout(
                 grid, config.source, config.sensor_count
             )
         else:
@@ -338,17 +344,19 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             positions = sensing.generate_positions(
                 grid, config.sensor_count, rng
             )
+            located = None
         network = sensing.SensorNetwork.build(
             grid, positions,
             noise_var=config.sensor_noise,
             detect_rate=config.detect_rate,
             scale=config.quantiser_scale,
             levels=config.quantiser_levels,
+            located=located,
         )
 
     provider = ModelProvider(
         grid, flow, velocities, lam_eff, dt, config.field_noise,
-        config.strength_walk, source=config.source,
+        config.strength_walk, source=config.source, first_system=first,
     )
     return Scenario(
         config=config, mesh=grid, network=network, provider=provider,
@@ -366,7 +374,9 @@ def draw_observation(
     detection indicators first, then measurement noise.
     """
     alpha = (rng.random(network.count) < network.detect_rate).astype(float)
-    noise = rng.normal(0.0, np.sqrt(network.noise_var))
+    # the bytes of rng.normal(0.0, noise_sd) but for a sign of zero, which
+    # the quantiser maps to the same level
+    noise = network.noise_sd * rng.standard_normal(network.count)
     y = alpha * (network.H @ state_vector) + noise
     return sensing.QuantisedObservation(
         values=network.quantise(y), detections=alpha, raw=y,
@@ -885,23 +895,66 @@ def write_observations_csv(
 ) -> None:
     """Observation log: one row per (trial, step, sensor) quantised value.
 
-    An empty ``logs``, or a trial whose log has no steps, raises
-    ``ValueError``: :func:`load_observations_csv` could not read the file
-    back.
+    The logs must be those of trials ``0..T-1``, each with the same number
+    of steps and each step one value per sensor, as
+    :func:`load_observations_csv` reads them back; any other ``logs``
+    raises ``ValueError`` naming the trial at fault.  Each distinct value,
+    told apart by its bits, is formatted once.
     """
-    if not logs:
-        raise ValueError("no observation logs to write")
-    for trial, log in logs.items():
-        if len(log) == 0:
-            raise ValueError(f"observation log of trial {trial} has no steps")
+    grid = _observation_grid(logs)
+    trials, steps, sensors = grid.shape
+    keys, index = np.unique(grid.reshape(-1).view(np.int64),
+                            return_inverse=True)
+    texts = np.array(["%.17g\n" % v for v in keys.view(np.float64).tolist()],
+                     dtype=object)[index].tolist()
+    cells = [f",{k},{j}," for k in range(1, steps + 1)
+             for j in range(sensors)]
+    count = len(cells)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config {config.scenario_hash()}\n")
         fh.write("trial,step,sensor,value\n")
-        for trial in sorted(logs):
-            for k, obs in enumerate(logs[trial], 1):
-                fh.writelines([
-                    "%d,%d,%d,%.17g\n" % (trial, k, j, v) for j, v in
-                    enumerate(np.asarray(obs.values, dtype=float).tolist())])
+        for trial in range(trials):
+            # the rows of one trial in one join: trial, ",step,sensor,",
+            # then the value's text and newline
+            row = [None] * (3 * count)
+            row[0::3] = [str(trial)] * count
+            row[1::3] = cells
+            row[2::3] = texts[trial * count:(trial + 1) * count]
+            fh.write("".join(row))
+
+
+def _observation_grid(logs) -> np.ndarray:
+    """The values of ``logs`` as one ``(T, K, N)`` array, trial ``t`` at
+    ``[t]``; a log :func:`load_observations_csv` could not read back raises
+    ``ValueError`` naming its trial."""
+    if not logs:
+        raise ValueError("no observation logs to write")
+    missing = [t for t in range(len(logs)) if t not in logs]
+    if missing:
+        raise ValueError(f"no observation log for trial {missing[0]}: the "
+                         f"{len(logs)} logs must be trials 0..{len(logs) - 1}")
+    grid = []
+    for trial in range(len(logs)):
+        log = [np.asarray(obs.values, dtype=float) for obs in logs[trial]]
+        if not log:
+            raise ValueError(f"observation log of trial {trial} has no steps")
+        if not grid:
+            steps, shape = len(log), log[0].shape
+            if len(shape) != 1 or not shape[0]:
+                raise ValueError(f"observation log of trial {trial} holds "
+                                 f"values of shape {shape} at step 1, not "
+                                 f"one per sensor")
+        elif len(log) != steps:
+            raise ValueError(f"observation log of trial {trial} has "
+                             f"{len(log)} steps, but trial 0 has {steps}")
+        for k, values in enumerate(log, 1):
+            if values.shape != shape:
+                raise ValueError(
+                    f"observation log of trial {trial} holds {values.size} "
+                    f"values at step {k}, but trial 0 holds {shape[0]} at "
+                    f"step 1")
+        grid.append(log)
+    return np.array(grid)
 
 
 def load_observations_csv(path) -> tuple[str, dict[int, np.ndarray]]:

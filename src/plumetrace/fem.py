@@ -474,12 +474,13 @@ def artificial_diffusivity(mesh: TriMesh, samples, diffusivity: float) -> float:
                for vel in samples)
 
 
-def stability_report(mesh: TriMesh, velocities,
-                     diffusivity: float) -> StabilityReport:
+def stability_report(mesh: TriMesh, velocities, diffusivity: float,
+                     system: Optional[GlobalSystem] = None) -> StabilityReport:
     """Diagnose explicit time integration for a mesh, flow and diffusivity.
 
     ``velocities`` are per-element, shape ``(E, 2)``, or a single vector.
-    The transport matrix is assembled here for the eigenvalue solve.
+    The eigenvalue solve reads ``system``, the assembled system of these
+    velocities and diffusivity whatever its source, or one assembled here.
     """
     vel = _element_velocities_array(mesh, velocities)
     lam = _finite("diffusivity", diffusivity, positive=False)
@@ -489,7 +490,8 @@ def stability_report(mesh: TriMesh, velocities,
     courant = float((h[moving] / speed[moving]).min()) if moving.any() else np.inf
     diffusion = float((h * h / (2.0 * lam)).min()) if lam > 0.0 else np.inf
 
-    system = assemble(mesh, vel, lam)
+    if system is None:
+        system = assemble(mesh, vel, lam)
     lambda_max = _lambda_max(system.mass, system.stiffness)
     critical = 2.0 / lambda_max if lambda_max > 0.0 else np.inf
     return StabilityReport(

@@ -124,14 +124,16 @@ class QuantisedObservation:
     raw: Optional[np.ndarray] = None
 
 
-def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
+def build_measurement_matrix(mesh: TriMesh, positions,
+                             located=None) -> np.ndarray:
     """Measurement operator of a static sensor set, shape ``(N, C + 1)``.
 
     Row j holds the shape-function values of the element containing sensor
     j, as :func:`~plumetrace.mesh.locate_points` finds them for all sensors
     in one pass, at that element's node columns; the final (strength)
     column is zero.  Rows therefore have at most three nonzeros summing to
-    one.
+    one.  ``located``, when given, is what ``locate_points`` returns for
+    ``positions``, which are then not located again.
 
     Raises
     ------
@@ -142,7 +144,9 @@ def build_measurement_matrix(mesh: TriMesh, positions) -> np.ndarray:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (N, 2), got {positions.shape}")
-    elements, values = meshmod.locate_points(mesh, positions)
+    if located is None:
+        located = meshmod.locate_points(mesh, positions)
+    elements, values = located
     if (elements < 0).any():
         j = int(np.argmax(elements < 0))
         p = positions[j]
@@ -198,6 +202,12 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
     pass; any outside the mesh raise, naming the first, as the measurement
     operator cannot interpolate there; keep the fence clear of the boundary.
     """
+    return _fence_layout(mesh, center, count)[0]
+
+
+def _fence_layout(mesh: TriMesh, center, count: int) -> tuple:
+    """:func:`fence_positions` and what ``locate_points`` returns for
+    them, one pass for the check and the measurement operator."""
     count = int(count)
     if count < 4:
         raise ValueError(f"a fence needs at least 4 sensors, got {count}")
@@ -237,14 +247,15 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
         bg = np.column_stack([gx.ravel(), gy.ravel()])[:remaining]
         parts.append(bg)
     positions = np.vstack(parts)[:count]
-    outside = meshmod.locate_points(mesh, positions)[0] < 0
+    located = meshmod.locate_points(mesh, positions)
+    outside = located[0] < 0
     if outside.any():
         p = positions[np.argmax(outside)]
         raise ValueError(
             f"fence sensor at ({p[0]:g}, {p[1]:g}) falls outside the "
             "mesh; move the fence away from the boundary"
         )
-    return positions
+    return positions, located
 
 
 def _per_sensor(values, count: int, name: str) -> np.ndarray:
@@ -268,7 +279,8 @@ class SensorNetwork:
         Measurement operator on the augmented state, shape ``(N, C + 1)``;
         ``H_csr`` is the same operator as a CSR matrix, which the filters use.
     noise_var : numpy.ndarray
-        Measurement noise variances, positive, shape ``(N,)``.
+        Measurement noise variances, positive, shape ``(N,)``; ``noise_sd``
+        holds their square roots.
     detect_rate : numpy.ndarray
         Probability that the signal term is present in each reading (misses
         occur with the complementary probability), in ``[0, 1]``.
@@ -314,16 +326,17 @@ class SensorNetwork:
 
     @classmethod
     def build(cls, mesh: TriMesh, positions, noise_var, detect_rate,
-              scale, levels) -> "SensorNetwork":
+              scale, levels, located=None) -> "SensorNetwork":
         """Construct the network for ``positions`` on ``mesh``.
 
-        Scalar parameters are broadcast to every sensor.
+        Scalar parameters are broadcast to every sensor; ``located`` is as
+        for :func:`build_measurement_matrix`.
         """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         n = positions.shape[0]
         return cls(
             positions=positions.copy(),
-            H=build_measurement_matrix(mesh, positions),
+            H=build_measurement_matrix(mesh, positions, located),
             noise_var=_per_sensor(noise_var, n, "noise_var"),
             detect_rate=_per_sensor(detect_rate, n, "detect_rate"),
             scale=_per_sensor(scale, n, "scale"),
@@ -339,6 +352,21 @@ class SensorNetwork:
         """``H`` as a CSR matrix, built on first use: each row has the few
         nonzeros of one sensor's shape functions."""
         return sp.csr_matrix(self.H)
+
+    @cached_property
+    def noise_sd(self) -> np.ndarray:
+        """Measurement noise standard deviations, ``sqrt(noise_var)``,
+        read-only and computed on first use."""
+        sd = np.sqrt(self.noise_var)
+        sd.setflags(write=False)
+        return sd
+
+    @cached_property
+    def _quantiser(self) -> tuple:
+        """``levels`` as floats, ``2 scale`` and the top level index, the
+        constants of :meth:`quantise`."""
+        return (self.levels.astype(float), 2.0 * self.scale,
+                (self.levels - 1).astype(float))
 
     @property
     def cell_half_width(self) -> np.ndarray:
@@ -358,10 +386,19 @@ class SensorNetwork:
         the range saturate to the nearest extreme level, and the upper
         boundary ``y = scale_j`` maps to the top level.
         """
-        y = np.asarray(y, dtype=float)
-        h = np.floor((y + self.scale) * self.levels / (2.0 * self.scale))
-        h = np.clip(h, 0, self.levels - 1)
-        return -self.scale + (2.0 * h + 1.0) * self.scale / self.levels
+        levels, width, top = self._quantiser
+        out = np.add(np.asarray(y, dtype=float), self.scale)
+        out *= levels
+        out /= width
+        np.floor(out, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.minimum(out, top, out=out)
+        out *= 2.0
+        out += 1.0
+        out *= self.scale
+        out /= levels
+        out -= self.scale       # -scale + x, bit for bit
+        return out
 
     def log_likelihood(self, y_hat, z) -> np.ndarray:
         """Log mixture likelihood of received levels, vectorised.

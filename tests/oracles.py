@@ -9,7 +9,8 @@ checked against ``mesh.locate_points``; scalar forms of the particle
 filter's latent proposal and predictive density, checked against closed
 forms; a one-sensor network through which the tests reach the quantiser
 and the likelihood kernel of ``SensorNetwork``, and the linear-domain cell
-mass taken through it; the tail-only form of the quantised log
+mass taken through it; the first forms of the quantiser, the observation
+draw and the observation log's rows, checked against their rewrites; the tail-only form of the quantised log
 likelihood, checked against that kernel; a dense linear model for the
 Kalman functions; the particle filter step over every particle copy,
 checked against the step over distinct means; a recorder of the weights
@@ -284,6 +285,37 @@ def one_sensor(scale, levels, noise_var=1.0, detect_rate=1.0) -> SensorNetwork:
         detect_rate=np.array([detect_rate], dtype=float),
         scale=np.array([scale], dtype=float),
         levels=np.array([levels], dtype=float))
+
+
+def reference_quantise(network: SensorNetwork, y) -> np.ndarray:
+    """``network.quantise(y)`` in its first form, every constant computed
+    at the call and the cell index clipped by ``np.clip`` on the integer
+    bounds ``0`` and ``levels - 1``."""
+    y = np.asarray(y, dtype=float)
+    scale, levels = network.scale, network.levels
+    h = np.floor((y + scale) * levels / (2.0 * scale))
+    h = np.clip(h, 0, levels - 1)
+    return -scale + (2.0 * h + 1.0) * scale / levels
+
+
+def reference_observation(network: SensorNetwork, state_vector, rng):
+    """The quantised values, raw readings and detections of
+    ``experiment.draw_observation`` in its first form, whose noise is
+    ``rng.normal(0.0, np.sqrt(noise_var))``, drawn after the detections."""
+    alpha = (rng.random(network.count) < network.detect_rate).astype(float)
+    noise = rng.normal(0.0, np.sqrt(network.noise_var))
+    y = alpha * (network.H @ state_vector) + noise
+    return reference_quantise(network, y), y, alpha
+
+
+def reference_observation_rows(logs) -> str:
+    """The data rows of ``experiment.write_observations_csv`` in their
+    first form, one ``"%d,%d,%d,%.17g"`` per reading, trials in order."""
+    return "".join(
+        "%d,%d,%d,%.17g\n" % (trial, k, j, v)
+        for trial in sorted(logs)
+        for k, obs in enumerate(logs[trial], 1)
+        for j, v in enumerate(np.asarray(obs.values, dtype=float).tolist()))
 
 
 def level_values(scale, levels) -> np.ndarray:

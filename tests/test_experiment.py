@@ -43,7 +43,11 @@ from plumetrace.experiment import (
     write_truth_csv,
 )
 
-from oracles import assert_same_csr
+from oracles import (
+    assert_same_csr,
+    level_values,
+    reference_observation_rows,
+)
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -401,16 +405,28 @@ class TestModelProvider:
             located.append(np.array(points, dtype=float))
             return locate(mesh, points, tol)
 
+        assembled = []
+        assemble = fem.assemble
+
+        def assembled_counted(*args, **kwargs):
+            assembled.append(kwargs.get("source"))
+            return assemble(*args, **kwargs)
+
         # fem and sensing call the function through its module, so this one
         # patch sees the source location and the fence placement
         monkeypatch.setattr(meshmod, "locate_points", counted)
+        monkeypatch.setattr(fem, "assemble", assembled_counted)
         scen = build_scenario(config)
         models = {id(scen.provider.model_at(k)) for k in range(config.steps)}
         assert len(models) == 5
         source = [list(config.source)]
         assert sum(np.array_equal(points, source) for points in located) == 1
-        assert any(np.array_equal(points, scen.network.positions)
-                   for points in located)
+        # the fence is located once, for its check and the operator alike
+        assert sum(np.array_equal(points, scen.network.positions)
+                   for points in located) == 1
+        # one system per flow interval: the stability report reads the
+        # first interval's, which its model is then built from
+        assert len(assembled) == 5
 
 
 class TestTrials:
@@ -1055,6 +1071,68 @@ class TestOutputs:
         with pytest.raises(ValueError, match="trial 1 .* no steps"):
             write_observations_csv({0: [sensing.QuantisedObservation(
                 np.zeros(2), np.ones(2, dtype=bool))], 1: []}, path, config)
+
+    @staticmethod
+    def observations(*steps):
+        """A trial's log, one step of the given values each."""
+        return [sensing.QuantisedObservation(np.array(v, dtype=float))
+                for v in steps]
+
+    # each log below was written without complaint, and then refused by
+    # load_observations_csv with the message in the comment
+    def test_observations_csv_rejects_trials_of_unequal_length(self,
+                                                               tmp_path):
+        # "no value for trial 1, step 3"
+        logs = {0: self.observations([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]),
+                1: self.observations([1.0, 2.0], [1.0, 2.0])}
+        with pytest.raises(ValueError, match="trial 1 has 2 steps, but "
+                                             "trial 0 has 3"):
+            write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+
+    def test_observations_csv_rejects_a_step_with_fewer_sensors(self,
+                                                                tmp_path):
+        # "no value for trial 0, step 2, sensor 2"
+        logs = {0: self.observations([1.0, 2.0, 3.0], [1.0, 2.0])}
+        with pytest.raises(ValueError, match="trial 0 holds 2 values at "
+                                             "step 2, but trial 0 holds 3"):
+            write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+
+    def test_observations_csv_rejects_a_gap_in_the_trials(self, tmp_path):
+        # "no value for trial 1"
+        logs = {0: self.observations([1.0]), 2: self.observations([1.0])}
+        with pytest.raises(ValueError, match="no observation log for "
+                                             "trial 1"):
+            write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                           st.integers(1, 4)),
+           data=st.data())
+    def test_observations_csv_matches_the_per_reading_form(
+            self, shape, data, tmp_path_factory):
+        """One text per distinct value, spread back to its readings, gives
+        the bytes of ``"%d,%d,%d,%.17g"`` per reading; repeated levels and
+        both signed zeros included."""
+        pool = [0.0, -0.0, *level_values(8.0, 5), math.nan, -math.inf]
+        trials, steps, sensors = shape
+        logs = {t: self.observations(*[
+            data.draw(st.lists(st.sampled_from(pool) | st.floats(),
+                               min_size=sensors, max_size=sensors))
+            for _ in range(steps)]) for t in range(trials)}
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        config = tiny_config()
+        write_observations_csv(logs, path, config)
+        assert path.read_text() == (f"# config {config.scenario_hash()}\n"
+                                    "trial,step,sensor,value\n"
+                                    + reference_observation_rows(logs))
+
+    def test_observations_csv_keeps_both_signed_zeros(self, tmp_path):
+        logs = {0: self.observations([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])}
+        write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+        rows = (tmp_path / "obs.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[3] for row in rows] == [
+            "0", "-0", "0", "-0", "1.5", "1.5"]
+        assert "".join(f"{row}\n" for row in rows) == \
+            reference_observation_rows(logs)
 
     def test_observations_round_trip(self, tmp_path):
         config = tiny_config(trials=2)

@@ -22,6 +22,8 @@ from oracles import (
     one_sensor,
     reference_log_cell_mass,
     reference_log_likelihood,
+    reference_observation,
+    reference_quantise,
 )
 
 scales = st.floats(0.5, 2000.0)
@@ -98,6 +100,93 @@ class TestQuantiser:
         # the upper boundary maps to the top level
         np.testing.assert_array_equal(q.quantise([10.0, -10.0, 2.0]),
                                       [1.5, -1.5, 1.5])
+
+
+def network_of(scale, levels, noise_var=None, detect_rate=1.0):
+    """A network of ``len(scale)`` sensors, each reading its own node of a
+    state with one node per sensor plus the strength."""
+    n = len(scale)
+    return SensorNetwork(
+        positions=np.zeros((n, 2)), H=np.eye(n, n + 1),
+        noise_var=np.ones(n) if noise_var is None else np.asarray(noise_var),
+        detect_rate=np.full(n, detect_rate),
+        scale=np.asarray(scale, dtype=float),
+        levels=np.asarray(levels, dtype=float))
+
+
+@st.composite
+def quantiser_readings(draw):
+    """A network of 1-4 sensors and an ``(M, N)`` array of its readings:
+    anywhere within three scales, on a cell edge, or at a range bound or
+    a signed zero."""
+    n = draw(st.integers(1, 4))
+    scale = draw(st.lists(scales, min_size=n, max_size=n))
+    levels = draw(st.lists(st.one_of(st.sampled_from([1, 2, 3]),
+                                     level_counts), min_size=n, max_size=n))
+
+    def reading(s, count):
+        return st.one_of(
+            st.floats(-3.0, 3.0).map(lambda f: f * s),
+            st.integers(0, count).map(lambda i: -s + 2.0 * s * i / count),
+            st.sampled_from([s, -s, 0.0, -0.0]))
+
+    rows = draw(st.integers(1, 5))
+    y = np.array([[draw(reading(s, c)) for s, c in zip(scale, levels)]
+                  for _ in range(rows)])
+    return network_of(scale, levels), y
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestQuantiserOracle:
+    """``quantise`` takes its constants from one cached tuple and clamps
+    in place; its bytes are those of the ``np.clip`` form."""
+
+    @given(quantiser_readings())
+    def test_arrays_lists_and_scalars(self, case):
+        network, y = case
+        for given_y in (y, y[0], y.tolist(), y[0].tolist(), float(y[0, 0])):
+            assert_same_bytes(network.quantise(given_y),
+                              reference_quantise(network, given_y))
+
+    def test_edges_bounds_and_one_level(self):
+        network = network_of([2.0, 3.0, 5.0], [4, 1, 7])
+        edges = np.array([-2.0 + i for i in range(5)])
+        y = np.stack([edges, 0.6 * edges, 2.5 * edges], axis=1)
+        y = np.vstack([y, [[1e300, -1e300, 5.0]], [[-0.0, 0.0, -5.0]]])
+        assert_same_bytes(network.quantise(y), reference_quantise(network, y))
+        # one level maps every reading to the range's centre
+        np.testing.assert_array_equal(network.quantise(y)[:, 1], 0.0)
+
+
+class TestObservationDrawOracle:
+    """``draw_observation`` scales standard normals by the cached
+    ``noise_sd``; its draws are those of ``rng.normal(0, sqrt(var))``."""
+
+    @given(seed=st.integers(0, 2 ** 63),
+           noise_var=st.lists(st.floats(1e-12, 1e4), min_size=1, max_size=8),
+           detect_rate=st.floats(0.0, 1.0))
+    def test_matches_the_normal_form(self, seed, noise_var, detect_rate):
+        n = len(noise_var)
+        network = network_of(np.full(n, 50.0), np.full(n, 1000), noise_var,
+                             detect_rate)
+        state = np.append(np.linspace(-40.0, 40.0, n), 1.0)
+        ob = draw_observation(network, state, np.random.default_rng(seed))
+        values, raw, alpha = reference_observation(
+            network, state, np.random.default_rng(seed))
+        assert_same_bytes(ob.values, values)
+        np.testing.assert_array_equal(ob.raw, raw)
+        np.testing.assert_array_equal(ob.detections, alpha)
+
+    def test_noise_sd_is_cached_and_read_only(self):
+        network = network_of([1.0, 1.0], [4, 4], noise_var=[4.0, 0.25])
+        np.testing.assert_array_equal(network.noise_sd, [2.0, 0.5])
+        assert network.noise_sd is network.noise_sd
+        with pytest.raises(ValueError, match="read-only"):
+            network.noise_sd[0] = 1.0
 
 
 class TestCellProbability:
