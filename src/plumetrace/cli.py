@@ -8,7 +8,8 @@ unknown sections or keys are rejected rather than silently ignored, and a
 scenario digest is embedded in every output so estimation against
 mismatched observations fails loudly.
 
-Exit codes: 0 on success, 2 on validation failure, 1 on runtime error.
+Exit codes: 0 on success, 2 on validation failure, 1 on runtime error,
+130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

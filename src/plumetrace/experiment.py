@@ -21,7 +21,10 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -446,55 +449,41 @@ def run_filter(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
     return estimates
 
 
-# The particle filter's schedule steps in flight between the process that
-# computes them and the filter loop: the pipe's default 64 KiB holds less
-# than one desk step (142 KB)
+# The frames a forked child sends stream a file's text or the particle
+# filter's schedule steps: the pipe's default 64 KiB holds less than one
+# desk step (142 KB)
 _PIPE_BYTES = 1 << 20
-# seconds the loop waits for the schedule's process to end before ending it
+# seconds the caller waits for a forked child to end before ending it
 _PRODUCER_GRACE = 5.0
-# the last byte of each frame the schedule's process sends
-_STEP, _ERROR = 0, 1
+# the last byte of each frame a forked child sends
+_DATA, _ERROR = 0, 1
 
 
 @contextlib.contextmanager
-def _schedule_stream(scenario: Scenario):
-    """Under the particle filter, the steps of ``scenario.gain_schedule()``,
-    computed in a forked child process while the caller works; None under
-    the ensemble filter.
+def _forked(name: str, target, *args):
+    """A child process ``name`` forked to run ``target(*args, writer)``, for
+    ``writer`` the sending end of a pipe of up to 1 MiB; yields the
+    receiving end and the child.
 
-    The models, each distinct model's transition and band plan, and the
-    schedule with its sensor plan are formed here, before the fork, so the
-    child inherits them and a bad ``H`` or ``init_cov`` raises at the
-    call.  The child sends each
-    step as one frame through a pipe of up to 1 MiB, so it runs ahead of
-    the reader by at most that and the step it is forming; the last step's
-    covariance is not sent.  A step the child fails to form raises here,
-    at that step, as the child raised it.  On leaving the block the pipe is
-    closed and the child ends, terminated if it does not end within
-    ``_PRODUCER_GRACE`` seconds.
+    The child ignores SIGINT, which the caller answers by leaving the
+    block; an exception it raises is sent as a frame of its pickle and
+    ``_ERROR``, which :func:`_receive` raises again.  On leaving the block
+    the pipe is closed, so the child ends at its next send, and it is
+    reaped, terminated if it does not end within ``_PRODUCER_GRACE``
+    seconds.
     """
-    if scenario.config.estimator != "rbpf":
-        yield None
-        return
-    schedule = scenario.gain_schedule()
-    for model in scenario.provider._cache.values():
-        filters._band_plan(model.augmented_transition())
-    shape = (scenario.state_dim, scenario.network.count)
-    # fork, not spawn: the child needs the models and plans, and the loop
-    # starts no thread before this
+    # fork, not spawn: the child needs the caller's objects
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
-    child = context.Process(target=_send_steps,
-                            args=(schedule, reader, writer, shape))
+    child = context.Process(target=_child_main, name=name,
+                            args=(target, args, reader, writer))
     try:
         if hasattr(fcntl, "F_SETPIPE_SZ"):
             with contextlib.suppress(OSError):      # a refusal keeps 64 KiB
                 fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         child.start()
         writer.close()
-        del schedule
-        yield (_receive_step(reader, child, shape)
-               for _ in range(scenario.config.steps))
+        yield reader, child
     finally:
         reader.close()
         writer.close()
@@ -506,31 +495,91 @@ def _schedule_stream(scenario: Scenario):
             child.close()
 
 
+def _child_main(target, args, reader, writer) -> None:
+    """The body of a :func:`_forked` child."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reader.close()      # so that a send fails once the caller closes its end
+    try:
+        target(*args, writer)
+    except Exception as exc:  # noqa: BLE001 - raised again by the caller
+        with contextlib.suppress(OSError):  # the caller has stopped reading
+            writer.send_bytes(pickle.dumps(exc) + bytes([_ERROR]))
+
+
+def _receive(reader, child, missing: str, frame=None) -> memoryview:
+    """The payload of the next frame a :func:`_forked` child sends through
+    ``reader``, read into ``frame`` if given; raises what the child raised
+    in its place, and ``RuntimeError`` saying it ended without sending
+    ``missing`` if it ended without a frame."""
+    try:
+        if frame is None:
+            message = memoryview(reader.recv_bytes())
+        else:
+            message = memoryview(frame)[:reader.recv_bytes_into(frame)]
+    except multiprocessing.BufferTooShort as exc:
+        message = memoryview(exc.args[0])
+    except EOFError:
+        child.join(_PRODUCER_GRACE)
+        raise RuntimeError(
+            f"the {child.name} process ended without sending {missing} "
+            f"(exit code {child.exitcode})") from None
+    if message[-1] != _DATA:
+        raise pickle.loads(message[:-1])
+    return message[:-1]
+
+
+@contextlib.contextmanager
+def _schedule_stream(scenario: Scenario):
+    """Under the particle filter, the steps of ``scenario.gain_schedule()``,
+    computed in a forked child process (see :func:`_forked`) while the
+    caller works; None under the ensemble filter.
+
+    The models, each distinct model's transition and band plan, and the
+    schedule with its sensor plan are formed here, before the fork, so the
+    child inherits them and a bad ``H`` or ``init_cov`` raises at the
+    call.  The child sends each step as one frame, so it runs ahead of the
+    reader by at most the pipe's 1 MiB and the step it is forming; the
+    last step's covariance is not sent.  A step the child fails to form
+    raises here, at that step, as the child raised it.  With other threads
+    alive, which a fork could find holding a lock, the schedule is yielded
+    as it is, computed as it is read.
+    """
+    if scenario.config.estimator != "rbpf":
+        yield None
+        return
+    schedule = scenario.gain_schedule()
+    if threading.active_count() > 1:
+        yield schedule
+        return
+    for model in scenario.provider._cache.values():
+        filters._band_plan(model.augmented_transition())
+    shape = (scenario.state_dim, scenario.network.count)
+    with _forked("gain-schedule", _send_steps, schedule,
+                 shape) as (reader, child):
+        del schedule
+        yield (_receive_step(reader, child, shape)
+               for _ in range(scenario.config.steps))
+
+
 def _frame(shape: tuple) -> np.ndarray:
     """A buffer for one step's frame: the ``shape`` values of ``gain_t.T``
     and the ``shape[1]`` innovation variances, then the tag byte."""
     return np.empty(8 * shape[1] * (shape[0] + 1) + 1, np.uint8)
 
 
-def _send_steps(schedule, reader, writer, shape: tuple) -> None:
+def _send_steps(schedule, shape: tuple, writer) -> None:
     """The schedule's child process: send each step of ``schedule``
     through ``writer`` as a frame of ``gain_t.T``'s C-ordered values, for
     ``shape`` its shape, then the innovation variances and the byte
-    ``_STEP``; or, for an exception, the exception pickled and ``_ERROR``.
-    """
-    reader.close()      # so that a write fails once the loop closes its end
+    ``_DATA``."""
     count = shape[0] * shape[1]
     frame = _frame(shape)
     values = frame[:-1].view(np.float64)
-    frame[-1] = _STEP
-    try:
-        for step in schedule:
-            values[:count].reshape(shape)[...] = step.gain_t.T
-            values[count:] = step.innovation_var
-            writer.send_bytes(frame)
-    except Exception as exc:  # noqa: BLE001 - raised again by the reader
-        with contextlib.suppress(OSError):  # the loop has stopped reading
-            writer.send_bytes(pickle.dumps(exc) + bytes([_ERROR]))
+    frame[-1] = _DATA
+    for step in schedule:
+        values[:count].reshape(shape)[...] = step.gain_t.T
+        values[count:] = step.innovation_var
+        writer.send_bytes(frame)
 
 
 def _receive_step(reader, child, shape: tuple) -> filters.KalmanStep:
@@ -539,19 +588,7 @@ def _receive_step(reader, child, shape: tuple) -> filters.KalmanStep:
     bytes depend; raises what the child raised in its place."""
     count = shape[0] * shape[1]
     frame = _frame(shape)
-    try:
-        size = reader.recv_bytes_into(frame)
-    except multiprocessing.BufferTooShort as exc:
-        message = exc.args[0]
-    except EOFError:
-        child.join(_PRODUCER_GRACE)
-        raise RuntimeError(
-            "the gain-schedule process ended without sending a step (exit "
-            f"code {child.exitcode})") from None
-    else:
-        message = frame[:size]
-    if message[-1] != _STEP:
-        raise pickle.loads(bytes(message[:-1]))
+    _receive(reader, child, "a step", frame)
     values = frame[:-1].view(np.float64)
     return filters.KalmanStep(values[:count].reshape(shape).T,
                               values[count:], None)
@@ -859,7 +896,13 @@ def write_truth_csv(trajectories: dict[int, np.ndarray], path,
     configured stride and the strength last.
 
     Every trajectory must be a ``(steps, C + 1)`` array with the same
-    ``C``; otherwise a ``ValueError`` names the trial at fault.
+    ``C``; otherwise a ``ValueError`` names the trial at fault.  A file of
+    at least ``_SPLIT_VALUES`` values is formatted on two cores when two
+    are usable and no other thread is alive: a forked child (see
+    :func:`_forked`) formats the second half of the rows while this
+    process writes the first, then copies the child's text behind it.
+    Both halves go through one row format, so the bytes do not depend on
+    the split.
     """
     if not trajectories:
         raise ValueError("no trajectories to write")
@@ -874,19 +917,81 @@ def write_truth_csv(trajectories: dict[int, np.ndarray], path,
             raise ValueError(
                 f"trajectory of trial {trial} has {states.shape[1]} columns, "
                 f"but trial {first} has {arrays[first].shape[1]}")
-    nodes = range(0, arrays[first].shape[1] - 1, config.node_stride)
+    stride = config.node_stride
+    nodes = range(0, arrays[first].shape[1] - 1, stride)
     # one format per row; "%.17g" writes the same 17 significant digits as
     # format(x, ".17g"), so every value reads back bit for bit
     row = "%d,%d," + ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
+    rows = sum(len(states) for states in arrays.values())
+    half = rows // 2
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config {config.scenario_hash()}\n")
         cols = ",".join(f"c_{i}" for i in nodes)
         fh.write(f"trial,step,{cols},strength\n")
-        for trial, states in arrays.items():
+        if not (half and rows * (len(nodes) + 1) >= _SPLIT_VALUES
+                and _usable_cores() > 1
+                and threading.active_count() == 1):
+            fh.writelines(_truth_rows(row, arrays, stride, 0, rows))
+            return
+        with _forked("truth-writing", _send_text, _truth_rows(
+                row, arrays, stride, half, rows)) as (reader, child):
+            fh.writelines(_truth_rows(row, arrays, stride, 0, half))
+            fh.flush()
+            while text := _receive(reader, child, "every row"):
+                fh.buffer.write(text)
+
+
+# Values a truth file must hold before its second half is formatted in a
+# forked child.  From an 80 MB process on 2 cores the fork, the copy of the
+# child's text and the reaping cost about 5 ms over half the inline time
+# (0.45-0.51 us a value), and the split broke even near 20,000 values
+_SPLIT_VALUES = 20_000
+# characters of text a forked child sends per frame: the most of it the
+# caller holds at once
+_TEXT_FRAME = 1 << 16
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot
+    tell."""
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+
+
+def _truth_rows(row: str, arrays: dict, stride: int, start: int,
+                stop: int) -> Iterator[str]:
+    """The text of rows ``start`` to ``stop`` (excluded) of a truth file's
+    data, counted through the trajectories ``arrays`` in order: ``row``
+    formatted with the trial, the step, every ``stride``-th nodal value and
+    the strength."""
+    for trial, states in arrays.items():
+        lo, hi = max(start, 0), min(stop, len(states))
+        if lo < hi:
             picked = np.column_stack(
-                [states[:, :-1:config.node_stride], states[:, -1]])
-            for k, values in enumerate(picked):
-                fh.write(row % (trial, k, *values.tolist()))
+                [states[lo:hi, :-1:stride], states[lo:hi, -1]])
+            for k, values in enumerate(picked, lo):
+                yield row % (trial, k, *values.tolist())
+        start -= len(states)
+        stop -= len(states)
+
+
+def _send_text(lines: Iterator[str], writer) -> None:
+    """A child's sender of ``lines``: formed whole first, so that forming
+    them never waits for the reader, then sent as frames of about
+    ``_TEXT_FRAME`` characters, ended by an empty frame."""
+    frames, frame, size = [], [], 0
+    tag = chr(_DATA)
+    for line in lines:
+        frame.append(line)
+        size += len(line)
+        if size >= _TEXT_FRAME:
+            frames.append("".join(frame + [tag]).encode("utf-8"))
+            frame, size = [], 0
+    if frame:
+        frames.append("".join(frame + [tag]).encode("utf-8"))
+    for text in frames:
+        writer.send_bytes(text)
+    writer.send_bytes(bytes([_DATA]))
 
 
 def write_observations_csv(
@@ -897,8 +1002,9 @@ def write_observations_csv(
 
     The logs must be those of trials ``0..T-1``, each with the same number
     of steps and each step one value per sensor, as
-    :func:`load_observations_csv` reads them back; any other ``logs``
-    raises ``ValueError`` naming the trial at fault.  Each distinct value,
+    :func:`load_observations_csv` reads them back, and every value
+    finite; any other ``logs`` raises ``ValueError`` naming the trial at
+    fault, and for a value its step and sensor.  Each distinct value,
     told apart by its bits, is formatted once.
     """
     grid = _observation_grid(logs)
@@ -926,7 +1032,8 @@ def write_observations_csv(
 def _observation_grid(logs) -> np.ndarray:
     """The values of ``logs`` as one ``(T, K, N)`` array, trial ``t`` at
     ``[t]``; a log :func:`load_observations_csv` could not read back raises
-    ``ValueError`` naming its trial."""
+    ``ValueError`` naming its trial, and for a non-finite value its step
+    and sensor."""
     if not logs:
         raise ValueError("no observation logs to write")
     missing = [t for t in range(len(logs)) if t not in logs]
@@ -954,7 +1061,14 @@ def _observation_grid(logs) -> np.ndarray:
                     f"values at step {k}, but trial 0 holds {shape[0]} at "
                     f"step 1")
         grid.append(log)
-    return np.array(grid)
+    grid = np.array(grid)
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        trial, k, sensor = np.unravel_index(np.argmax(bad), grid.shape)
+        raise ValueError(f"observation log of trial {trial} holds "
+                         f"{grid[trial, k, sensor]} at step {k + 1}, sensor "
+                         f"{sensor}: values must be finite")
+    return grid
 
 
 def load_observations_csv(path) -> tuple[str, dict[int, np.ndarray]]:

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plumetrace import filters, flowfield, mesh as meshmod
+from plumetrace import experiment, filters, flowfield, mesh as meshmod
 from plumetrace.cli import load_config, main
 from plumetrace.experiment import ScenarioConfig, run_trials
 
@@ -422,6 +426,92 @@ class TestPipeline:
             assert main(["estimate", "--threads", threads] + args) == 0
             estimates.append((out / "estimates_rbpf.csv").read_bytes())
         assert estimates[0] == estimates[1]
+
+    @pytest.mark.parametrize("command,name", [
+        ("estimate", "run_trials"),
+        ("simulate", "write_truth_csv"),
+    ])
+    def test_an_interrupt_exits_130_with_one_line(self, command, name,
+                                                  tiny_cfg, tmp_path,
+                                                  monkeypatch, capsys):
+        args = ["--config", str(tiny_cfg), "--out", str(tmp_path / "out")]
+        assert main(["simulate"] + args) == 0
+        capsys.readouterr()
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, name, interrupt)
+        assert main([command] + args) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_an_interrupt_beside_the_truth_writer_leaves_no_child(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        # the truth file's second half is formatted in a forked child, here
+        # whatever its size; this process is interrupted in its own half
+        monkeypatch.setattr(experiment, "_SPLIT_VALUES", 0)
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
+        truth_rows, halves = experiment._truth_rows, []
+
+        def interrupted(row, arrays, stride, start, stop):
+            halves.append(start)
+            lines = truth_rows(row, arrays, stride, start, stop)
+            if start:
+                return lines
+
+            def first_then_interrupt():
+                yield next(lines)
+                raise KeyboardInterrupt
+            return first_then_interrupt()
+
+        monkeypatch.setattr(experiment, "_truth_rows", interrupted)
+        assert main(["simulate", "--config", str(tiny_cfg),
+                     "--out", str(tmp_path / "out")]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert halves == [4, 0]           # the child's half, then this one's
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_ctrl_c_beside_the_truth_writer_prints_one_line(self, tiny_cfg,
+                                                            tmp_path):
+        """SIGINT to the command's process group, as Ctrl-C sends it, while
+        the forked child formats its half of truth.csv: the child ignores
+        it, and the command ends with one line and exit code 130, leaving
+        no process of its group behind."""
+        script = textwrap.dedent("""
+            import os, signal, sys, time
+            from plumetrace import cli, experiment
+
+            experiment._SPLIT_VALUES = 0
+            experiment._usable_cores = lambda: 2
+            truth_rows = experiment._truth_rows
+
+            def rows(row, arrays, stride, start, stop):
+                lines = truth_rows(row, arrays, stride, start, stop)
+
+                def child_half():
+                    time.sleep(1.0)          # interrupted in here
+                    yield from lines
+
+                def own_half():
+                    time.sleep(0.2)          # the child is sleeping
+                    os.killpg(0, signal.SIGINT)
+                    yield from lines
+                return child_half() if start else own_half()
+
+            experiment._truth_rows = rows
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        with subprocess.Popen(
+                [sys.executable, "-c", script, "simulate", "--config",
+                 str(tiny_cfg), "--out", str(tmp_path / "out")],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True, start_new_session=True) as command:
+            _, err = command.communicate(timeout=60)
+        assert (command.returncode, err) == (130, "interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(command.pid, 0)
 
     def test_simulate_rejects_threads(self, tiny_cfg, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plumetrace import experiment, fem, filters, flowfield, sensing
 from plumetrace import mesh as meshmod
@@ -1104,6 +1104,19 @@ class TestOutputs:
                                              "trial 1"):
             write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
 
+    # "bad row '1,2,1,nan'" and the like
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_observations_csv_rejects_a_non_finite_value(self, value,
+                                                         tmp_path):
+        logs = {0: self.observations([1.0, 2.0], [1.0, 2.0]),
+                1: self.observations([1.0, 2.0], [1.0, value])}
+        path = tmp_path / "obs.csv"
+        with pytest.raises(ValueError, match=f"trial 1 holds {value} at "
+                                             f"step 2, sensor 1: values must "
+                                             f"be finite"):
+            write_observations_csv(logs, path, tiny_config())
+        assert not path.exists()
+
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
                            st.integers(1, 4)),
            data=st.data())
@@ -1112,10 +1125,11 @@ class TestOutputs:
         """One text per distinct value, spread back to its readings, gives
         the bytes of ``"%d,%d,%d,%.17g"`` per reading; repeated levels and
         both signed zeros included."""
-        pool = [0.0, -0.0, *level_values(8.0, 5), math.nan, -math.inf]
+        pool = [0.0, -0.0, *level_values(8.0, 5), 5e-324, -1e308]
         trials, steps, sensors = shape
+        finite = st.floats(allow_nan=False, allow_infinity=False)
         logs = {t: self.observations(*[
-            data.draw(st.lists(st.sampled_from(pool) | st.floats(),
+            data.draw(st.lists(st.sampled_from(pool) | finite,
                                min_size=sensors, max_size=sensors))
             for _ in range(steps)]) for t in range(trials)}
         path = tmp_path_factory.mktemp("obs") / "obs.csv"
@@ -1221,6 +1235,144 @@ class TestOutputs:
             load_observations_csv(path)
 
 
+def assert_no_child_left():
+    """No child process of this one is alive or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedTruthWriter:
+    """``write_truth_csv`` with the second half of the rows formatted in a
+    forked child, forced here for files of any size and core count."""
+
+    @staticmethod
+    def force_split(patch) -> list:
+        """Force the split under ``patch``; the list returned names the
+        children forked."""
+        patch.setattr(experiment, "_SPLIT_VALUES", 0)
+        patch.setattr(experiment, "_usable_cores", lambda: 2)
+        forked, names = experiment._forked, []
+
+        def counted(*args):
+            names.append(args[0])
+            return forked(*args)
+        patch.setattr(experiment, "_forked", counted)
+        return names
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        return self.force_split(monkeypatch)
+
+    @staticmethod
+    def written(trajectories, config, path) -> bytes:
+        write_truth_csv(trajectories, path, config)
+        return path.read_bytes()
+
+    def inline(self, trajectories, config, path, monkeypatch) -> bytes:
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_SPLIT_VALUES", math.inf)
+            return self.written(trajectories, config, path)
+
+    @pytest.mark.parametrize("lengths,stride,split", [
+        ([1], 1, False),            # one row: nothing to split
+        ([5], 1, True),             # odd rows
+        ([6], 1, True),             # even rows
+        ([3, 4, 2], 1, True),       # the halves meet inside trial 1
+        ([4, 4], 7, True),
+    ])
+    def test_split_bytes_equal_the_inline_bytes(self, forks, lengths, stride,
+                                                split, tmp_path, monkeypatch):
+        rng = np.random.default_rng(len(lengths) + stride)
+        trajectories = {t: rng.normal(size=(n, 26))
+                        for t, n in enumerate(lengths)}
+        config = tiny_config(node_stride=stride)
+        expected = self.inline(trajectories, config, tmp_path / "inline.csv",
+                               monkeypatch)
+        assert forks == []
+        assert self.written(trajectories, config,
+                            tmp_path / "split.csv") == expected
+        assert forks == ["truth-writing"] * split
+        assert_no_child_left()
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5),
+                           st.integers(2, 6), st.integers(1, 3)),
+           data=st.data())
+    def test_split_bytes_equal_the_inline_bytes_for_any_shape(
+            self, shape, data, tmp_path_factory):
+        trials, steps, columns, stride = shape
+        trajectories = {t: np.array(data.draw(st.lists(
+            st.lists(csv_floats, min_size=columns, max_size=columns),
+            min_size=steps, max_size=steps))) for t in range(trials)}
+        config = tiny_config(node_stride=stride)
+        out = tmp_path_factory.mktemp("split")
+        inline = self.written(trajectories, config, out / "inline.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            forks = self.force_split(patch)
+            split = self.written(trajectories, config, out / "split.csv")
+        assert split == inline
+        assert len(forks) == (trials * steps > 1)
+        assert_no_child_left()
+
+    def test_a_child_error_is_raised_as_the_child_raised_it(
+            self, forks, tmp_path, monkeypatch):
+        def fail(lines, writer):
+            raise filters.FilterError("the child failed")
+
+        monkeypatch.setattr(experiment, "_send_text", fail)
+        with within(20), pytest.raises(filters.FilterError,
+                                       match="the child failed"):
+            write_truth_csv({0: np.ones((4, 3))}, tmp_path / "truth.csv",
+                            tiny_config())
+        assert forks == ["truth-writing"]
+        assert_no_child_left()
+
+    def test_a_child_that_stops_short_is_named_by_its_exit_code(
+            self, forks, tmp_path, monkeypatch):
+        def stop(lines, writer):
+            writer.send_bytes(b"0,2,1,1\n" + bytes([experiment._DATA]))
+            os._exit(3)
+
+        monkeypatch.setattr(experiment, "_send_text", stop)
+        with within(20), pytest.raises(RuntimeError, match="exit code 3"):
+            write_truth_csv({0: np.ones((4, 2))}, tmp_path / "truth.csv",
+                            tiny_config())
+        assert_no_child_left()
+
+    def test_no_fork_beside_another_thread(self, forks, tmp_path,
+                                           monkeypatch):
+        config = tiny_config(trials=2)
+        scenario = build_scenario(config)
+        trajectories = {t: simulate_trial(scenario, t)[0]
+                        for t in range(config.trials)}
+        forked_truth = self.written(trajectories, config,
+                                    tmp_path / "forked.csv")
+        forked_estimates = [r.estimates.tobytes()
+                            for r in run_trials(config)]
+        assert forks == ["truth-writing", "gain-schedule"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                            refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        parked = threading.Event()
+        helper = threading.Thread(target=parked.wait)
+        helper.start()
+        try:
+            assert self.written(trajectories, config,
+                                tmp_path / "inline.csv") == forked_truth
+            assert [r.estimates.tobytes()
+                    for r in run_trials(config)] == forked_estimates
+        finally:
+            parked.set()
+            helper.join(5)
+        assert not helper.is_alive()
+        assert forks == ["truth-writing", "gain-schedule"]
+
+
 # every float, with the edge cases named so a derandomised run always
 # tries them
 csv_floats = st.one_of(
@@ -1234,13 +1386,16 @@ csv_floats = st.one_of(
 @given(values=st.lists(csv_floats, min_size=2, max_size=6))
 def test_csv_fields_are_17_significant_digits(values, tmp_path_factory):
     """Each writer's float fields are ``format(x, ".17g")``, which reads back
-    bit for bit for every finite ``x``."""
+    bit for bit for every finite ``x``; the observations writer, which
+    refuses a non-finite value, is given the finite ones."""
     config = tiny_config()
     out = tmp_path_factory.mktemp("fields")
     array = np.array(values)
+    finite = [x for x in values if math.isfinite(x)] or [0.0]
     write_truth_csv({0: array[None, :]}, out / "truth.csv", config)
-    write_observations_csv({0: [sensing.QuantisedObservation(array)]},
-                           out / "observations.csv", config)
+    write_observations_csv(
+        {0: [sensing.QuantisedObservation(np.array(finite))]},
+        out / "observations.csv", config)
     estimates = np.column_stack([np.zeros_like(array), array])
     write_results_csv([TrialResult(0, estimates, estimates, array, 0.0, 0.0)],
                       out / "results.csv", config)
@@ -1248,14 +1403,15 @@ def test_csv_fields_are_17_significant_digits(values, tmp_path_factory):
     observation_rows = (out / "observations.csv").read_text().splitlines()[2:]
     result_rows = (out / "results.csv").read_text().splitlines()[2:]
     written = {
-        "truth": truth_row.split(",")[2:],
-        "observations": [row.split(",")[3] for row in observation_rows],
-        "errors": [row.split(",")[2] for row in result_rows],
-        "strengths": [row.split(",")[3] for row in result_rows],
+        "truth": (truth_row.split(",")[2:], values),
+        "observations": ([row.split(",")[3] for row in observation_rows],
+                         finite),
+        "errors": ([row.split(",")[2] for row in result_rows], values),
+        "strengths": ([row.split(",")[3] for row in result_rows], values),
     }
-    for name, fields in written.items():
-        assert fields == [format(x, ".17g") for x in values], name
-        for x, text in zip(values, fields):
+    for name, (fields, source) in written.items():
+        assert fields == [format(x, ".17g") for x in source], name
+        for x, text in zip(source, fields):
             if math.isfinite(x):
                 assert float(text).hex() == x.hex(), (name, text)
 
