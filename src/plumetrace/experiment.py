@@ -17,16 +17,17 @@ from __future__ import annotations
 import bisect
 import contextlib
 import fcntl
-import functools
 import hashlib
 import json
 import multiprocessing
 import os
-import pickle
+import shutil
 import signal
+import sys
+import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -449,34 +450,33 @@ def run_filter(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
     return estimates
 
 
-# The frames a forked child sends stream a file's text or the particle
-# filter's schedule steps: the pipe's default 64 KiB holds less than one
-# desk step (142 KB)
+# A forked child's items stream the particle filter's schedule steps: the
+# pipe's default 64 KiB holds less than one desk step (142 KB)
 _PIPE_BYTES = 1 << 20
 # seconds the caller waits for a forked child to end before ending it
 _PRODUCER_GRACE = 5.0
-# the last byte of each frame a forked child sends
-_DATA, _ERROR = 0, 1
 
 
 @contextlib.contextmanager
-def _forked(name: str, target, *args):
-    """A child process ``name`` forked to run ``target(*args, writer)``, for
-    ``writer`` the sending end of a pipe of up to 1 MiB; yields the
-    receiving end and the child.
+def _forked(name: str, items, *args):
+    """A child process ``name`` forked to send each item of ``items(*args)``
+    through a pipe of up to 1 MiB; yields the receiving end and the child,
+    for :func:`_receive`.
 
-    The child ignores SIGINT, which the caller answers by leaving the
-    block; an exception it raises is sent as a frame of its pickle and
-    ``_ERROR``, which :func:`_receive` raises again.  On leaving the block
-    the pipe is closed, so the child ends at its next send, and it is
-    reaped, terminated if it does not end within ``_PRODUCER_GRACE``
-    seconds.
+    The child sends an item as ``(True, item)`` and an exception it raises
+    as ``(False, exc)``.  It ignores SIGINT, which the caller answers by
+    leaving the block, and SIGTERM ends it through its ``finally`` blocks,
+    so a child it forked itself ends with it.  Leaving the block closes the
+    pipe and reaps the child: a child still sending ends at its next send,
+    and one that has not ended within ``_PRODUCER_GRACE`` seconds, or at
+    once when an exception leaves the block, is terminated.
     """
     # fork, not spawn: the child needs the caller's objects
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
     child = context.Process(target=_child_main, name=name,
-                            args=(target, args, reader, writer))
+                            args=(items, args, reader, writer))
+    grace = 0.0
     try:
         if hasattr(fcntl, "F_SETPIPE_SZ"):
             with contextlib.suppress(OSError):      # a refusal keeps 64 KiB
@@ -484,48 +484,46 @@ def _forked(name: str, target, *args):
         child.start()
         writer.close()
         yield reader, child
+        grace = _PRODUCER_GRACE
     finally:
         reader.close()
         writer.close()
         if child.pid is not None:
-            child.join(_PRODUCER_GRACE)
+            child.join(grace)
             if child.exitcode is None:
                 child.terminate()
                 child.join()
             child.close()
 
 
-def _child_main(target, args, reader, writer) -> None:
+def _child_main(items, args, reader, writer) -> None:
     """The body of a :func:`_forked` child."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # SIGTERM exits through the finally blocks, which end a child of this one
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     reader.close()      # so that a send fails once the caller closes its end
     try:
-        target(*args, writer)
+        for item in items(*args):
+            writer.send((True, item))
     except Exception as exc:  # noqa: BLE001 - raised again by the caller
         with contextlib.suppress(OSError):  # the caller has stopped reading
-            writer.send_bytes(pickle.dumps(exc) + bytes([_ERROR]))
+            writer.send((False, exc))
 
 
-def _receive(reader, child, missing: str, frame=None) -> memoryview:
-    """The payload of the next frame a :func:`_forked` child sends through
-    ``reader``, read into ``frame`` if given; raises what the child raised
-    in its place, and ``RuntimeError`` saying it ended without sending
-    ``missing`` if it ended without a frame."""
+def _receive(reader, child, missing: str):
+    """The next item a :func:`_forked` child sends through ``reader``;
+    raises what the child raised in its place, and ``RuntimeError`` saying
+    it ended without sending ``missing`` if it ended without an item."""
     try:
-        if frame is None:
-            message = memoryview(reader.recv_bytes())
-        else:
-            message = memoryview(frame)[:reader.recv_bytes_into(frame)]
-    except multiprocessing.BufferTooShort as exc:
-        message = memoryview(exc.args[0])
+        sent, item = reader.recv()
     except EOFError:
         child.join(_PRODUCER_GRACE)
         raise RuntimeError(
             f"the {child.name} process ended without sending {missing} "
             f"(exit code {child.exitcode})") from None
-    if message[-1] != _DATA:
-        raise pickle.loads(message[:-1])
-    return message[:-1]
+    if not sent:
+        raise item
+    return item
 
 
 @contextlib.contextmanager
@@ -534,15 +532,16 @@ def _schedule_stream(scenario: Scenario):
     computed in a forked child process (see :func:`_forked`) while the
     caller works; None under the ensemble filter.
 
-    The models, each distinct model's transition and band plan, and the
-    schedule with its sensor plan are formed here, before the fork, so the
-    child inherits them and a bad ``H`` or ``init_cov`` raises at the
-    call.  The child sends each step as one frame, so it runs ahead of the
-    reader by at most the pipe's 1 MiB and the step it is forming; the
-    last step's covariance is not sent.  A step the child fails to form
-    raises here, at that step, as the child raised it.  With other threads
-    alive, which a fork could find holding a lock, the schedule is yielded
-    as it is, computed as it is read.
+    The models and the schedule with its sensor and band plans are formed
+    here, before the fork, so the child inherits them and a bad ``H`` or
+    ``init_cov`` raises at the call.  The child sends each step as it is,
+    its gain laid out as LAPACK returns it (F-ordered, which pickling
+    keeps and the estimates' bytes depend on), but without the last step's
+    covariance; it runs ahead of the reader by at most the pipe's 1 MiB
+    and the step it is forming.  A step the child fails to form raises
+    here, at that step, as the child raised it.  With other threads alive,
+    which a fork could find holding a lock, the schedule is yielded as it
+    is, computed as it is read.
     """
     if scenario.config.estimator != "rbpf":
         yield None
@@ -551,47 +550,17 @@ def _schedule_stream(scenario: Scenario):
     if threading.active_count() > 1:
         yield schedule
         return
-    for model in scenario.provider._cache.values():
-        filters._band_plan(model.augmented_transition())
-    shape = (scenario.state_dim, scenario.network.count)
-    with _forked("gain-schedule", _send_steps, schedule,
-                 shape) as (reader, child):
+    with _forked("gain-schedule", _sent_steps, schedule) as (reader, child):
         del schedule
-        yield (_receive_step(reader, child, shape)
+        yield (_receive(reader, child, "a step")
                for _ in range(scenario.config.steps))
 
 
-def _frame(shape: tuple) -> np.ndarray:
-    """A buffer for one step's frame: the ``shape`` values of ``gain_t.T``
-    and the ``shape[1]`` innovation variances, then the tag byte."""
-    return np.empty(8 * shape[1] * (shape[0] + 1) + 1, np.uint8)
-
-
-def _send_steps(schedule, shape: tuple, writer) -> None:
-    """The schedule's child process: send each step of ``schedule``
-    through ``writer`` as a frame of ``gain_t.T``'s C-ordered values, for
-    ``shape`` its shape, then the innovation variances and the byte
-    ``_DATA``."""
-    count = shape[0] * shape[1]
-    frame = _frame(shape)
-    values = frame[:-1].view(np.float64)
-    frame[-1] = _DATA
+def _sent_steps(schedule) -> Iterator[filters.KalmanStep]:
+    """The schedule child's items: the steps of ``schedule``, none with its
+    covariance."""
     for step in schedule:
-        values[:count].reshape(shape)[...] = step.gain_t.T
-        values[count:] = step.innovation_var
-        writer.send_bytes(frame)
-
-
-def _receive_step(reader, child, shape: tuple) -> filters.KalmanStep:
-    """The next step :func:`_send_steps` sends through ``reader``, its gain
-    laid out as LAPACK returns it (F-ordered), on which the estimates'
-    bytes depend; raises what the child raised in its place."""
-    count = shape[0] * shape[1]
-    frame = _frame(shape)
-    _receive(reader, child, "a step", frame)
-    values = frame[:-1].view(np.float64)
-    return filters.KalmanStep(values[:count].reshape(shape).T,
-                              values[count:], None)
+        yield step._replace(cov=None)
 
 
 def _filter_in_lockstep(
@@ -774,6 +743,11 @@ def _run_batch(
     return results, schedule_seconds
 
 
+def _batch_results(*args) -> Iterator[tuple]:
+    """A worker's one item: :func:`_run_batch` of ``args``."""
+    yield _run_batch(*args)
+
+
 class TrialRun(list):
     """Trial results in trial order; ``runtime_schedule`` holds the seconds
     the filter loop waited for the particle filter's gain-schedule steps
@@ -794,30 +768,35 @@ def run_trials(
 
     ``observations`` maps each trial index to an observation log that
     replaces the simulated one (e.g. read from file).  The scenario is
-    built once.  One process runs every trial as one batch; with more,
-    the trials are split into ``min(threads, trials)`` contiguous batches,
-    one per worker process.  Each batch runs its trials through the one
-    filter loop (see :func:`_run_batch`); under the particle filter it
-    streams its own gain schedule from a forked child process, so no
-    process holds the schedule whole and the parent builds none.  Results
-    are ordered by trial index, and every trial reseeds from the master
-    seed, so the outcome does not depend on the degree of parallelism.
+    built once.  The trials are split into ``min(threads, trials)``
+    contiguous batches, each run by a worker process forked through
+    :func:`_forked`, whose one item is the batch's results; one batch, and
+    every trial beside another live thread, runs in this process instead.
+    Each batch runs its trials through the one filter loop (see
+    :func:`_run_batch`); under the particle filter it streams its own gain
+    schedule from a forked child process, so no process holds the schedule
+    whole and with workers this process builds none.  An error or an
+    interrupt here ends every worker still running, and its child, at once.
+    Results are ordered by trial index, and every trial reseeds from the
+    master seed, so the outcome does not depend on the degree of
+    parallelism.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     logs = [None if observations is None else observations[i]
             for i in range(config.trials)]
     scenario = build_scenario(config)
-    if threads == 1:
+    workers = min(threads, config.trials)
+    if workers == 1 or threading.active_count() > 1:
         batches = [_run_batch(scenario, range(config.trials), logs)]
     else:
-        workers = min(threads, config.trials)
         bounds = [config.trials * w // workers for w in range(workers + 1)]
-        spans = list(zip(bounds, bounds[1:]))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(
-                functools.partial(_run_batch, scenario),
-                [range(a, b) for a, b in spans], [logs[a:b] for a, b in spans]))
+        with contextlib.ExitStack() as stack:
+            children = [stack.enter_context(_forked(
+                "trial-batch", _batch_results, scenario, range(a, b),
+                logs[a:b])) for a, b in zip(bounds, bounds[1:])]
+            batches = [_receive(reader, child, "its results")
+                       for reader, child in children]
     results = TrialRun(r for batch, _ in batches for r in batch)
     results.runtime_schedule = sum(seconds for _, seconds in batches)
     return results
@@ -899,10 +878,10 @@ def write_truth_csv(trajectories: dict[int, np.ndarray], path,
     ``C``; otherwise a ``ValueError`` names the trial at fault.  A file of
     at least ``_SPLIT_VALUES`` values is formatted on two cores when two
     are usable and no other thread is alive: a forked child (see
-    :func:`_forked`) formats the second half of the rows while this
-    process writes the first, then copies the child's text behind it.
-    Both halves go through one row format, so the bytes do not depend on
-    the split.
+    :func:`_forked`) writes the second half of the rows into an unnamed
+    temporary file beside ``path`` while this process writes the first,
+    then copies the child's file behind it.  Both halves go through one
+    row format, so the bytes do not depend on the split.
     """
     if not trajectories:
         raise ValueError("no trajectories to write")
@@ -933,12 +912,16 @@ def write_truth_csv(trajectories: dict[int, np.ndarray], path,
                 and threading.active_count() == 1):
             fh.writelines(_truth_rows(row, arrays, stride, 0, rows))
             return
-        with _forked("truth-writing", _send_text, _truth_rows(
-                row, arrays, stride, half, rows)) as (reader, child):
+        folder = os.path.dirname(os.path.abspath(path))
+        with tempfile.TemporaryFile("w+", encoding="utf-8",
+                                    dir=folder) as part, _forked(
+                "truth-writing", _write_rows, part, _truth_rows(
+                    row, arrays, stride, half, rows)) as (reader, child):
             fh.writelines(_truth_rows(row, arrays, stride, 0, half))
+            _receive(reader, child, "every row")
             fh.flush()
-            while text := _receive(reader, child, "every row"):
-                fh.buffer.write(text)
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, fh.buffer)
 
 
 # Values a truth file must hold before its second half is formatted in a
@@ -946,9 +929,6 @@ def write_truth_csv(trajectories: dict[int, np.ndarray], path,
 # child's text and the reaping cost about 5 ms over half the inline time
 # (0.45-0.51 us a value), and the split broke even near 20,000 values
 _SPLIT_VALUES = 20_000
-# characters of text a forked child sends per frame: the most of it the
-# caller holds at once
-_TEXT_FRAME = 1 << 16
 
 
 def _usable_cores() -> int:
@@ -975,23 +955,12 @@ def _truth_rows(row: str, arrays: dict, stride: int, start: int,
         stop -= len(states)
 
 
-def _send_text(lines: Iterator[str], writer) -> None:
-    """A child's sender of ``lines``: formed whole first, so that forming
-    them never waits for the reader, then sent as frames of about
-    ``_TEXT_FRAME`` characters, ended by an empty frame."""
-    frames, frame, size = [], [], 0
-    tag = chr(_DATA)
-    for line in lines:
-        frame.append(line)
-        size += len(line)
-        if size >= _TEXT_FRAME:
-            frames.append("".join(frame + [tag]).encode("utf-8"))
-            frame, size = [], 0
-    if frame:
-        frames.append("".join(frame + [tag]).encode("utf-8"))
-    for text in frames:
-        writer.send_bytes(text)
-    writer.send_bytes(bytes([_DATA]))
+def _write_rows(part, lines: Iterator[str]) -> Iterator[None]:
+    """The truth writer's child: writes ``lines`` into the file ``part``;
+    its one item, None, says they are all written."""
+    part.writelines(lines)
+    part.flush()
+    yield None
 
 
 def write_observations_csv(

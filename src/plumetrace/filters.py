@@ -331,14 +331,18 @@ def gain_schedule(
     step carries its posterior covariance.  A bad ``h`` or ``init_cov``
     raises here, at the call, not at the first step.
 
-    ``h`` is dense or sparse; its sensor plan is built once, and each run
-    of steps that share a model forms its row-band operators once, on the
-    band plan of its transition's sparsity pattern.  The n x n covariance
-    is allocated at the first step.
+    ``h`` is dense or sparse; its sensor plan, and the band plan of each
+    distinct model's transition, are formed here, so a process forked
+    after the call inherits them.  Each run of steps that share a model
+    forms its row-band operators once, on its band plan.  The n x n
+    covariance is allocated at the first step.
     """
     h = sp.csr_matrix(
         h if sp.issparse(h) else np.atleast_2d(np.asarray(h, dtype=float)))
-    return _recursion(models, _sensor_plan(h), _prior_variance(init_cov))
+    sensors, variance = _sensor_plan(h), _prior_variance(init_cov)
+    for model in {id(model): model for model in models}.values():
+        _band_plan(model.augmented_transition())
+    return _recursion(models, sensors, variance)
 
 
 def _recursion(models: Sequence, sensors: tuple,

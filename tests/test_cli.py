@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,59 @@ class TestPipeline:
                 text=True, start_new_session=True) as command:
             _, err = command.communicate(timeout=60)
         assert (command.returncode, err) == (130, "interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(command.pid, 0)
+
+    def test_ctrl_c_beside_the_trial_workers_prints_one_line(self, tmp_path):
+        """SIGINT to the command's process group, as Ctrl-C sends it, while
+        one of two ``--threads`` workers waits on its schedule process and
+        the other is done: the command ends them without waiting for their
+        work, with one line and exit code 130, leaving no process of its
+        group behind."""
+        config = tmp_path / "long.cfg"
+        config.write_text(TINY_CFG.replace("steps = 3", "steps = 20"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(out)]) == 0
+        sent = tmp_path / "sent.txt"
+        script = textwrap.dedent("""
+            import os, signal, sys, time
+            from plumetrace import cli, experiment, filters
+
+            run_batch = experiment._run_batch
+            condition = filters._condition_lower
+            second, steps = [], []
+
+            def batch(scenario, indices, logs):
+                second.append(indices[0] != 0)
+                return run_batch(scenario, indices, logs)
+
+            def slow(*args):
+                if second[0]:       # the second worker's schedule process
+                    steps.append(None)
+                    if len(steps) == 3:     # the first worker is done
+                        with open(sys.argv[1], "w") as fh:
+                            fh.write(repr(time.time()))
+                        os.killpg(0, signal.SIGINT)
+                    time.sleep(1.0)     # 20 steps outlast the test's bound
+                return condition(*args)
+
+            experiment._run_batch = batch
+            filters._condition_lower = slow
+            sys.exit(cli.main(sys.argv[2:]))
+        """)
+        with subprocess.Popen(
+                [sys.executable, "-c", script, str(sent), "estimate",
+                 "--threads", "2", "--config", str(config),
+                 "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True, start_new_session=True) as command:
+            _, err = command.communicate(timeout=60)
+        ended = time.time()
+        assert (command.returncode, err) == (130, "interrupted\n")
+        # the second worker's schedule had 17 s left to run, and a worker
+        # is given 5 s to end by itself
+        assert ended - float(sent.read_text()) < 4.0
         with pytest.raises(ProcessLookupError):
             os.killpg(command.pid, 0)
 

@@ -485,26 +485,18 @@ class TestTrials:
                 assert s.truth.tobytes() == p.truth.tobytes()
 
     def test_run_trials_opens_no_more_workers_than_trials(self, monkeypatch):
-        opened = []
+        forked, opened = experiment._forked, []
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+        def counted(*args):
+            opened.append(args[0])
+            return forked(*args)
 
         config = tiny_config(trials=2)
         serial = run_trials(config)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiment, "_forked", counted)
         pooled = run_trials(config, threads=8)
-        assert opened == [2]
+        # the workers fork their schedule processes, which this one never sees
+        assert opened == ["trial-batch"] * 2
         assert [r.trial for r in pooled] == [0, 1]
         for s, p in zip(serial, pooled):
             assert s.estimates.tobytes() == p.estimates.tobytes()
@@ -757,6 +749,27 @@ class TestScheduleProcess:
         # raised where step 4 was read, after every trial took steps 1-3
         assert len(steps) == 3 * config.trials
         assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_is_raised_as_the_worker_raised_it(
+            self, monkeypatch):
+        def boom():
+            raise filters.FilterError("boom")
+
+        run_batch = experiment._run_batch
+
+        def second_fails(scenario, indices, logs):
+            if indices[0]:
+                # in the second worker, whose schedule process, forked
+                # next, fails at step 4
+                filters._condition_lower = failing_at_call(4, boom)
+            return run_batch(scenario, indices, logs)
+
+        monkeypatch.setattr(experiment, "_run_batch", second_fails)
+        with within(20), pytest.raises(filters.FilterError) as raised:
+            run_trials(tiny_config(steps=6, trials=4), threads=2)
+        assert type(raised.value) is filters.FilterError
+        assert str(raised.value) == "boom"
+        assert_no_child_left()
 
     def test_a_child_that_dies_is_named_by_its_exit_code(self, monkeypatch):
         parent = os.getpid()
@@ -1317,28 +1330,32 @@ class TestForkedTruthWriter:
 
     def test_a_child_error_is_raised_as_the_child_raised_it(
             self, forks, tmp_path, monkeypatch):
-        def fail(lines, writer):
+        def fail(part, lines):
             raise filters.FilterError("the child failed")
 
-        monkeypatch.setattr(experiment, "_send_text", fail)
+        monkeypatch.setattr(experiment, "_write_rows", fail)
         with within(20), pytest.raises(filters.FilterError,
                                        match="the child failed"):
             write_truth_csv({0: np.ones((4, 3))}, tmp_path / "truth.csv",
                             tiny_config())
         assert forks == ["truth-writing"]
         assert_no_child_left()
+        # the child's file had no name
+        assert list(tmp_path.iterdir()) == [tmp_path / "truth.csv"]
 
     def test_a_child_that_stops_short_is_named_by_its_exit_code(
             self, forks, tmp_path, monkeypatch):
-        def stop(lines, writer):
-            writer.send_bytes(b"0,2,1,1\n" + bytes([experiment._DATA]))
+        def stop(part, lines):
+            part.write(next(lines))
+            part.flush()
             os._exit(3)
 
-        monkeypatch.setattr(experiment, "_send_text", stop)
+        monkeypatch.setattr(experiment, "_write_rows", stop)
         with within(20), pytest.raises(RuntimeError, match="exit code 3"):
             write_truth_csv({0: np.ones((4, 2))}, tmp_path / "truth.csv",
                             tiny_config())
         assert_no_child_left()
+        assert list(tmp_path.iterdir()) == [tmp_path / "truth.csv"]
 
     def test_no_fork_beside_another_thread(self, forks, tmp_path,
                                            monkeypatch):
@@ -1364,8 +1381,9 @@ class TestForkedTruthWriter:
         try:
             assert self.written(trajectories, config,
                                 tmp_path / "inline.csv") == forked_truth
-            assert [r.estimates.tobytes()
-                    for r in run_trials(config)] == forked_estimates
+            for threads in (1, 2):
+                assert [r.estimates.tobytes() for r in run_trials(
+                    config, threads=threads)] == forked_estimates
         finally:
             parked.set()
             helper.join(5)

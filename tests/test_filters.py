@@ -596,6 +596,13 @@ class TestCovarianceStep:
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
+    def test_schedule_forms_the_band_plans_at_the_call(self):
+        # so a process forked after the call, before any step, inherits them
+        models, net = _time_varying_models(steps=3, cells=THREE_BANDS)
+        filters._plan_of_pattern.cache_clear()
+        gain_schedule(models, net.H, 3.0)
+        assert filters._plan_of_pattern.cache_info().currsize == 1
+
     def test_schedule_rejects_a_non_positive_prior(self):
         models, net = _time_varying_models(steps=1)
         for bad in (-1.0, 0.0, np.nan):
