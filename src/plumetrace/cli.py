@@ -18,12 +18,13 @@ import argparse
 import configparser
 import dataclasses
 import json
+import signal
 import sys
 from pathlib import Path
 
 from plumetrace import experiment, fem, mesh as meshmod, sensing
 
-__all__ = ["main", "load_config"]
+__all__ = ["main", "run", "load_config"]
 
 
 def load_config(path) -> experiment.ScenarioConfig:
@@ -333,5 +334,16 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> int:
+    """The console entry: :func:`main` on the command line's arguments,
+    then Ctrl-C is ignored.  A Ctrl-C that lands after ``main`` has
+    returned, while the interpreter waits for its threads at exit, then
+    neither prints a traceback nor changes the exit code.  ``main`` itself
+    leaves the SIGINT handler alone, for callers in the same process."""
+    code = main()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -404,10 +404,21 @@ def kf_update(
 
 
 def latent_transition_logpdf(z, mean, variance):
-    """Log density of ``z`` under a scalar Gaussian, vectorised."""
+    """Log density of ``z`` under a scalar Gaussian, vectorised.
+
+    Every pass of ``-0.5 (log(2 pi variance) + (z - mean)**2 / variance)``
+    over the broadcast shape writes one result buffer; no argument is
+    written."""
     z = np.asarray(z, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    return -0.5 * (np.log(2.0 * np.pi * variance) + (z - mean) ** 2 / variance)
+    out = np.empty(np.broadcast_shapes(z.shape, np.shape(mean),
+                                       variance.shape))
+    np.subtract(z, mean, out=out)
+    np.square(out, out=out)
+    out /= variance
+    out += np.log(2.0 * np.pi * variance)
+    out *= -0.5
+    return out[()]
 
 
 def normalise_weights(log_weights) -> np.ndarray:
@@ -543,19 +554,23 @@ def rbpf_step(
     lineage = state.lineage
     ax = model.augmented_transition() @ state.survivors
     z_pred = (h @ ax)[:, lineage].T
+    # each latent is (y_hat - half) + 2 half u for its uniform draw u, formed
+    # in the draws' buffer, which then takes the innovations z - z_pred
     half = net.cell_half_width
-    draws = state.rng.random((state.particle_count, net.count))
-    z = (y_hat - half) + 2.0 * half * draws
+    z = state.rng.random((state.particle_count, net.count))
+    z *= 2.0 * half
+    z += y_hat - half
 
     log_trans = latent_transition_logpdf(z, z_pred, kalman.innovation_var)
-    log_obs = net.log_likelihood(y_hat, z)
+    log_w = net.log_likelihood(y_hat, z)
+    log_w += log_trans
+    log_w -= net.proposal_log_density
     # every particle enters with weight 1/M; this scalar is bit for bit each
     # entry of np.log(np.full(M, 1/M)), which -np.log(M) is not for every M
-    log_w = np.log(1.0 / state.particle_count) + (
-        log_obs + log_trans - net.proposal_log_density).sum(axis=-1)
-    weights = normalise_weights(log_w)
+    weights = normalise_weights(np.log(1.0 / state.particle_count)
+                                + log_w.sum(axis=-1))
 
-    innovations = z - z_pred
+    innovations = np.subtract(z, z_pred, out=z)
     gain = kalman.gain_t.T
     estimate = (ax @ np.bincount(lineage, weights, minlength=ax.shape[1])
                 + gain @ (innovations.T @ weights))

@@ -9,6 +9,12 @@ network quantises its readings (:meth:`SensorNetwork.quantise`) and gives
 the log likelihood of a received level that the particle filter weights
 with (:meth:`SensorNetwork.log_likelihood`), which stays finite far into
 the Gaussian tails.
+
+The likelihood takes a cell that straddles its latent on the unreflected
+standardised bounds, in place, and reflects only the tail cells.  This gives
+the bits of reflecting every cell, because scipy's ``erf`` is odd bit for
+bit and negation and subtraction are exact under a sign flip:
+``erf(-a) - erf(-b) == erf(b) - erf(a)``.
 """
 
 from __future__ import annotations
@@ -36,65 +42,79 @@ __all__ = [
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _log_gauss_cell_mass(lo, hi, mean, var) -> np.ndarray:
-    """``log(P(lo <= X < hi))`` for ``X ~ N(mean, var)``, stable in far tails.
+def _log_gauss_cell_mass(lo, hi, mean, sd) -> np.ndarray:
+    """``log(P(lo <= X < hi))`` for ``X ~ N(mean, sd**2)``, stable in far
+    tails.
 
-    Both standardised bounds are first reflected so that ``a + b <= 0``.
-    Each cell then takes one of two exact forms:
+    The bounds are standardised once, to ``a, b``.  Each cell then takes
+    one of two exact forms:
 
     - a cell that straddles the mean (``a < 0 < b``) has mass
       ``(erf(b/sqrt2) - erf(a/sqrt2)) / 2``, a sum of two non-negative terms,
       so it loses no precision to cancellation and has no tail to lose;
-    - a cell with both bounds in the lower tail (``b <= 0``) takes the
-      difference of CDFs from ``log_ndtr``, which keeps full precision there,
-      through ``expm1``, so cells tens of standard deviations from the mean
-      still produce finite logs.
+    - any other cell is reflected into the lower tail (``b <= 0``) and takes
+      the difference of CDFs from ``log_ndtr``, which keeps full precision
+      there, through ``expm1``, so cells tens of standard deviations from
+      the mean still produce finite logs.
 
     Infinite bounds give the corresponding tail mass.
     """
-    return _log_cell_mass(*_reflected_bounds(lo, hi, mean, var))
+    return _log_cell_mass(*_standardised(lo, hi, mean, sd))
 
 
-def _reflected_bounds(lo, hi, mean, var):
-    """Standardised bounds ``a, b`` of the cell, reflected about the mean
-    (``a, b -> -b, -a``) when ``a + b > 0``; both have the broadcast shape."""
-    sd = np.sqrt(var)
-    a = (np.asarray(lo, dtype=float) - mean) / sd
-    b = (np.asarray(hi, dtype=float) - mean) / sd
-    return np.minimum(a, -b), np.minimum(b, -a)
+def _standardised(lo, hi, mean, sd):
+    """Fresh arrays ``(lo - mean) / sd`` and ``(hi - mean) / sd``; ``sd``
+    broadcasts to the shape of ``lo - mean``."""
+    a, b = (np.subtract(bound, mean, dtype=float) for bound in (lo, hi))
+    a /= sd
+    b /= sd
+    return a, b
 
 
 def _by_cell_kind(straddles, straddling, tail, *arrays):
     """``straddling(*arrays)`` where ``straddles`` holds, ``tail(*arrays)``
     elsewhere; each form is evaluated on its own cells only.  The arrays
-    share the shape of ``straddles``."""
+    broadcast to the shape of ``straddles``; the first two have that
+    shape, and the straddling form may write them."""
     if straddles.all():             # a particle population's detection cells
         return straddling(*arrays)
     out = np.empty(straddles.shape)
     rest = ~straddles
+    arrays = [np.broadcast_to(x, straddles.shape) for x in arrays]
     out[straddles] = straddling(*(x[straddles] for x in arrays))
     out[rest] = tail(*(x[rest] for x in arrays))
     return out
 
 
 def _log_cell_mass(a, b):
-    """``log(Phi(b) - Phi(a))`` for reflected bounds, ``a + b <= 0``."""
-    return _by_cell_kind(b > 0.0, _log_straddling_mass, _log_tail_mass, a, b)
+    """``log(Phi(b) - Phi(a))`` for standardised bounds ``a <= b``."""
+    return _by_cell_kind((a < 0.0) & (b > 0.0), _log_straddling_mass,
+                         _log_tail_mass, a, b)
 
 
 def _straddling_mass(a, b):
     """``Phi(b) - Phi(a)`` for ``a < 0 < b``: half the sum of the
-    non-negative terms ``erf(b/sqrt2)`` and ``-erf(a/sqrt2)``."""
-    return 0.5 * (erf(b * _SQRT_HALF) - erf(a * _SQRT_HALF))
+    non-negative terms ``erf(b/sqrt2)`` and ``-erf(a/sqrt2)``, formed in
+    ``b``; ``a`` is overwritten too."""
+    for x in (b, a):
+        x *= _SQRT_HALF
+        erf(x, out=x)
+    b -= a
+    b *= 0.5
+    return b
 
 
 def _log_straddling_mass(a, b):
+    mass = _straddling_mass(a, b)
     with np.errstate(divide="ignore"):
-        return np.log(_straddling_mass(a, b))
+        return np.log(mass, out=mass)
 
 
 def _log_tail_mass(a, b):
-    """``log(Phi(b) - Phi(a))`` for ``a <= b <= 0``."""
+    """``log(Phi(b) - Phi(a))`` for a cell that does not straddle the
+    mean, with its bounds first reflected about it (``a, b -> -b, -a``)
+    where ``a + b > 0``, so that both lie in the lower tail."""
+    a, b = np.minimum(a, -b), np.minimum(b, -a)
     log_hi = log_ndtr(b)
     diff = log_ndtr(a) - log_hi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -103,9 +123,11 @@ def _log_tail_mass(a, b):
 
 
 def _straddling_mixture(a, b, miss, log_miss, detect_rate):
-    mixed = detect_rate * _straddling_mass(a, b) + miss
+    mixed = _straddling_mass(a, b)
+    mixed *= detect_rate
+    mixed += miss
     with np.errstate(divide="ignore"):
-        return np.log(mixed)
+        return np.log(mixed, out=mixed)
 
 
 def _tail_mixture(a, b, miss, log_miss, detect_rate):
@@ -368,14 +390,21 @@ class SensorNetwork:
         return (self.levels.astype(float), 2.0 * self.scale,
                 (self.levels - 1).astype(float))
 
-    @property
+    @cached_property
     def cell_half_width(self) -> np.ndarray:
-        return self.scale / self.levels
+        """Half-width of each sensor's quantisation cell, ``scale / levels``,
+        read-only and computed on first use."""
+        half = self.scale / self.levels
+        half.setflags(write=False)
+        return half
 
-    @property
+    @cached_property
     def proposal_log_density(self) -> np.ndarray:
-        """Log density of a uniform draw over one quantisation cell."""
-        return np.log(self.levels / (2.0 * self.scale))
+        """Log density of a uniform draw over one quantisation cell,
+        read-only and computed on first use."""
+        density = np.log(self.levels / (2.0 * self.scale))
+        density.setflags(write=False)
+        return density
 
     def quantise(self, y) -> np.ndarray:
         """Quantise readings; the last axis indexes sensors.
@@ -419,18 +448,25 @@ class SensorNetwork:
         Every other cell, each cell of a sensor with ``p = 0`` included,
         keeps the ``log_ndtr`` form and goes through ``logaddexp``, which
         gives exactly ``log_miss`` when ``p = 0``.
+
+        The bounds are standardised once, into two fresh arrays of the
+        result's shape; a straddling cell's mass is formed in them in place,
+        and the result is the second of them.  Only the other cells are
+        reflected into the lower tail.  A straddling cell's bounds are not
+        reflected, and its mass has the bits the reflected bounds would give:
+        scipy's ``erf`` is odd bit for bit (``erf(-x) == -erf(x)``), and
+        negation, like ``(-u) - (-v) == v - u``, is exact.
         """
         y_hat = np.asarray(y_hat, dtype=float)
         w = self.cell_half_width
         lo, hi = y_hat - w, y_hat + w
-        log_miss = _log_gauss_cell_mass(lo, hi, 0.0, self.noise_var)
-        miss = (1.0 - self.detect_rate) * np.exp(log_miss)   # unbroadcast
-        a, b = _reflected_bounds(lo, hi, np.asarray(z, dtype=float),
-                                 self.noise_var)
-        arrays = np.broadcast_arrays(a, b, miss, log_miss, self.detect_rate)
-        straddles = (arrays[1] > 0.0) & (arrays[4] > 0.0)
+        sd, p = self.noise_sd, self.detect_rate
+        log_miss = _log_gauss_cell_mass(lo, hi, 0.0, sd)
+        miss = (1.0 - p) * np.exp(log_miss)         # unbroadcast
+        a, b = _standardised(lo, hi, z, sd)
+        straddles = (a < 0.0) & (b > 0.0) & (p > 0.0)
         return _by_cell_kind(straddles, _straddling_mixture, _tail_mixture,
-                             *arrays)
+                             a, b, miss, log_miss, p)
 
 
 def save_sensor_layout(network: SensorNetwork, path) -> None:

@@ -10,8 +10,10 @@ filter's latent proposal and predictive density, checked against closed
 forms; a one-sensor network through which the tests reach the quantiser
 and the likelihood kernel of ``SensorNetwork``, and the linear-domain cell
 mass taken through it; the first forms of the quantiser, the observation
-draw and the observation log's rows, checked against their rewrites; the tail-only form of the quantised log
-likelihood, checked against that kernel; a dense linear model for the
+draw and the observation log's rows, checked against their rewrites; the
+tail-only form of the quantised log likelihood, checked against that
+kernel; the kernel's reflected form and the latent density's one-line
+form, whose bytes the kernels must reproduce; a dense linear model for the
 Kalman functions; the particle filter step over every particle copy,
 checked against the step over distinct means; a recorder of the weights
 and latents each filter step computes; the conditional means and
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import log_ndtr
+from scipy.special import erf, log_ndtr
 
 from plumetrace import filters
 from plumetrace.filters import (
@@ -363,6 +365,72 @@ def reference_log_likelihood(lo, hi, z, var, detect_rate):
             np.log(detect_rate) + reference_log_cell_mass(lo, hi, z, var),
             np.log1p(-detect_rate) + reference_log_cell_mass(lo, hi, 0.0, var),
         )
+
+
+def reflected_log_likelihood(network: SensorNetwork, y_hat, z):
+    """``network.log_likelihood(y_hat, z)`` in its reflected form: every
+    cell's standardised bounds are first reflected about the latent
+    (``a, b -> -b, -a`` where ``a + b > 0``), a straddling cell of a sensor
+    with ``p > 0`` mixes in linear space and every other cell through
+    ``logaddexp`` on ``log_ndtr`` cell masses.  Its bytes are the kernel's
+    bytes."""
+    def reflected(lo, hi, mean, var):
+        sd = np.sqrt(var)
+        a = (np.asarray(lo, dtype=float) - mean) / sd
+        b = (np.asarray(hi, dtype=float) - mean) / sd
+        return np.minimum(a, -b), np.minimum(b, -a)
+
+    def by_cell_kind(straddles, straddling, tail, *arrays):
+        if straddles.all():
+            return straddling(*arrays)
+        out = np.empty(straddles.shape)
+        rest = ~straddles
+        out[straddles] = straddling(*(x[straddles] for x in arrays))
+        out[rest] = tail(*(x[rest] for x in arrays))
+        return out
+
+    def mass(a, b):
+        return 0.5 * (erf(b * np.sqrt(0.5)) - erf(a * np.sqrt(0.5)))
+
+    def log_mass(a, b):
+        return by_cell_kind(b > 0.0, log_straddling, log_tail, a, b)
+
+    def log_straddling(a, b):
+        with np.errstate(divide="ignore"):
+            return np.log(mass(a, b))
+
+    def log_tail(a, b):
+        log_hi = log_ndtr(b)
+        diff = log_ndtr(a) - log_hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = log_hi + np.log(-np.expm1(diff))
+        return np.where(diff < 0.0, out, -np.inf)
+
+    def straddling_mixture(a, b, miss, log_miss, p):
+        with np.errstate(divide="ignore"):
+            return np.log(p * mass(a, b) + miss)
+
+    def tail_mixture(a, b, miss, log_miss, p):
+        with np.errstate(divide="ignore"):
+            return np.logaddexp(np.log(p) + log_mass(a, b),
+                                np.log1p(-p) + log_miss)
+
+    y_hat = np.asarray(y_hat, dtype=float)
+    w = network.scale / network.levels
+    lo, hi = y_hat - w, y_hat + w
+    log_miss = log_mass(*reflected(lo, hi, 0.0, network.noise_var))
+    miss = (1.0 - network.detect_rate) * np.exp(log_miss)
+    a, b = reflected(lo, hi, np.asarray(z, dtype=float), network.noise_var)
+    arrays = np.broadcast_arrays(a, b, miss, log_miss, network.detect_rate)
+    straddles = (arrays[1] > 0.0) & (arrays[4] > 0.0)
+    return by_cell_kind(straddles, straddling_mixture, tail_mixture, *arrays)
+
+
+def reference_latent_logpdf(z, mean, variance):
+    """``filters.latent_transition_logpdf`` in its one-line form."""
+    z = np.asarray(z, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    return -0.5 * (np.log(2.0 * np.pi * variance) + (z - mean) ** 2 / variance)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -566,6 +567,41 @@ class TestPipeline:
         assert ended - float(sent.read_text()) < 4.0
         with pytest.raises(ProcessLookupError):
             os.killpg(command.pid, 0)
+
+    def test_ctrl_c_after_main_returned_is_ignored(self):
+        """SIGINT to the command's process group after ``main`` has
+        returned, while the interpreter waits at exit for a thread that is
+        still sleeping: the command, run as ``python -m plumetrace.cli``
+        runs it, prints nothing to stderr and exits with ``main``'s code."""
+        script = textwrap.dedent("""
+            import runpy, threading, time
+
+            def linger():
+                while threading.main_thread().is_alive():
+                    time.sleep(0.01)
+                print("returned", flush=True)
+                time.sleep(1.0)             # interrupted in here
+
+            threading.Thread(target=linger).start()
+            runpy.run_module("plumetrace.cli", run_name="__main__")
+        """)
+        with subprocess.Popen(
+                [sys.executable, "-c", script, "mesh", "--rect", "0", "0",
+                 "10", "10", "--nx", "4", "--ny", "4", "--diffusivity",
+                 "0.02", "--flow-u", "0.05", "--dt", "1"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True) as command:
+            lines = []
+            for line in command.stdout:
+                lines.append(line)
+                if line == "returned\n":
+                    os.killpg(command.pid, signal.SIGINT)
+                    break
+            _, err = command.communicate(timeout=60)
+        assert lines[-1] == "returned\n"
+        assert (command.returncode, err) == (0, "")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'plumetrace = "plumetrace.cli:run"' in pyproject.read_text()
 
     def test_simulate_rejects_threads(self, tiny_cfg, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1064,6 +1064,21 @@ class TestOutputs:
                    .hexdigest() for name in self.GRIDDED_DIGESTS}
         assert digests == self.GRIDDED_DIGESTS
 
+    # sha256 of estimates_rbpf.csv from the desk config at 1000 particles,
+    # one trial of 8 steps: the likelihood kernel, the latent density and
+    # the weights at the population size of the benchmark's particles run
+    DESK_PARTICLES_DIGEST = ("d5e164b98f880796eff5bb165c55c0b4"
+                             "c42a8eb283e4f0f82343a4cd33fbb751")
+
+    def test_desk_run_at_1000_particles_is_pinned(self, tmp_path):
+        config = dataclasses.replace(
+            load_config(Path(__file__).resolve().parents[1] / "configs"
+                        / "desk.cfg"), size=1000, trials=1, steps=8)
+        path = tmp_path / "estimates_rbpf.csv"
+        write_results_csv(run_trials(config), path, config)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.DESK_PARTICLES_DIGEST)
+
     def test_truth_csv_rejects_bad_trajectories(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "truth.csv"

@@ -38,6 +38,7 @@ from oracles import (
     particles,
     propose_latent,
     recording_steps,
+    reference_latent_logpdf,
     reference_log_likelihood,
     reference_rbpf_step,
 )
@@ -136,6 +137,23 @@ class TestLatentDensities:
         assert latent_transition_logpdf(z, mean, var) == pytest.approx(
             expected, abs=1e-10
         )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["population",
+                                                        "sensors", "scalar"]))
+    def test_logpdf_has_the_one_line_form_bytes(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        size = {"population": (7, 4), "sensors": (4,), "scalar": ()}[shape]
+        z = rng.normal(0.0, 3.0, size)
+        mean = rng.normal(0.0, 3.0, size)
+        var = rng.uniform(1e-4, 10.0, size[-1:])
+        given_args = [x.copy() for x in (z, mean, var)]
+        out = latent_transition_logpdf(z, mean, var)
+        expected = reference_latent_logpdf(z, mean, var)
+        assert type(out) is type(expected)
+        assert np.shape(out) == np.shape(expected)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+        for arg, before in zip((z, mean, var), given_args):
+            assert arg.tobytes() == before.tobytes()
 
     def test_density_projects_belief_through_sensor_row(self):
         belief = GaussianBelief(mean=np.array([1.0, 2.0]),

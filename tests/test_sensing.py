@@ -24,6 +24,7 @@ from oracles import (
     reference_log_likelihood,
     reference_observation,
     reference_quantise,
+    reflected_log_likelihood,
 )
 
 scales = st.floats(0.5, 2000.0)
@@ -357,6 +358,37 @@ class TestSimulateMeasurement:
         np.testing.assert_array_equal(obs.detections, alpha)
 
 
+@st.composite
+def likelihood_cases(draw):
+    """A network of 1-5 sensors, some never detecting (``p = 0``), one
+    received level per sensor and latents of one of three shapes: an
+    ``(M, N)`` population drawn in the received cells, one row at each
+    cell's ``lo`` and one at ``nextafter(hi, lo)``, with some latents moved
+    50-60 standard deviations outside their cell; one ``(N,)`` row of them;
+    or one scalar latent."""
+    n = draw(st.integers(1, 5))
+    sensors = st.lists(st.tuples(
+        st.floats(0.5, 30.0), st.sampled_from([1, 7, 400, 10_000]),
+        st.floats(0.01, 10.0),
+        st.one_of(st.sampled_from([0.0, 0.85, 1.0]), st.floats(0.0, 1.0))),
+        min_size=n, max_size=n)
+    scale, levels, cells_per_sd, rate = map(np.array, zip(*draw(sensors)))
+    w = scale / levels
+    sd = 2.0 * w / cells_per_sd
+    network = network_of(scale, levels, sd * sd, rate)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y_hat = -scale + (2.0 * rng.integers(0, levels) + 1.0) * scale / levels
+    lo, hi = y_hat - w, y_hat + w
+    z = np.vstack([lo, np.nextafter(hi, lo),
+                   lo + (hi - lo) * rng.random((draw(st.integers(1, 6)), n))])
+    far = rng.random(z.shape) < draw(st.sampled_from([0.0, 0.3]))
+    out = (50.0 + 10.0 * rng.random(z.shape)) * sd
+    z[far] = np.where(rng.random(z.shape) < 0.5, lo - out, hi + out)[far]
+    shape = draw(st.sampled_from(["population", "sensors", "scalar"]))
+    z = {"population": z, "sensors": z[-1], "scalar": float(z[-1, 0])}[shape]
+    return network, y_hat, z
+
+
 class TestSensorNetwork:
     def setup_method(self):
         self.mesh = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 4, 4)
@@ -394,6 +426,29 @@ class TestSensorNetwork:
                                     5e-3, 0.85)
                 expected = sensor.log_likelihood(y_hat[j], z[m, j])[0]
                 assert out[m, j] == pytest.approx(expected, abs=1e-12)
+
+    @given(likelihood_cases())
+    @settings(max_examples=300)
+    def test_log_likelihood_has_the_reflected_form_bytes(self, case):
+        network, y_hat, z = case
+        given_z = np.array(z)
+        out = network.log_likelihood(y_hat, z)
+        assert_same_bytes(out, reflected_log_likelihood(network, y_hat, z))
+        assert np.array(z).tobytes() == given_z.tobytes()
+
+    def test_cell_constants_are_cached_read_only_and_their_formulas(self):
+        network = network_of([1.0, 24.0, 3.5], [4, 10_000, 7])
+        formulas = {
+            "cell_half_width": network.scale / network.levels,
+            "proposal_log_density": np.log(network.levels
+                                           / (2.0 * network.scale)),
+        }
+        for name, formula in formulas.items():
+            value = getattr(network, name)
+            assert value is getattr(network, name)
+            assert_same_bytes(value, formula)
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 1.0
 
     def test_log_likelihood_on_particle_draws_matches_the_reference(self):
         # latents drawn uniformly in each received cell, as the particle
