@@ -73,18 +73,14 @@ def load_config(path) -> experiment.ScenarioConfig:
     return config
 
 
-def _apply_overrides(config: experiment.ScenarioConfig, args) -> None:
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "force", False):
-        config.force_dt = True
-
-
 def _load_or_default(args) -> experiment.ScenarioConfig:
     config = (
         load_config(args.config) if args.config else experiment.ScenarioConfig()
     )
-    _apply_overrides(config, args)
+    if args.seed is not None:
+        config.seed = args.seed
+    config.force_dt = args.force
+    config.validate()
     return config
 
 
@@ -149,8 +145,9 @@ def cmd_simulate(args) -> int:
 
     trajectories, logs = {}, {}
     for trial in range(config.trials):
-        trajectories[trial], logs[trial] = experiment.simulate_trial(
+        trajectories[trial], readings = experiment.simulate_trial(
             scenario, trial)
+        logs[trial] = readings.values
     experiment.write_truth_csv(trajectories, out / "truth.csv", config)
     experiment.write_observations_csv(logs, out / "observations.csv", config)
     sensing.save_sensor_layout(scenario.network, out / "sensors.txt")

@@ -194,6 +194,8 @@ class ScenarioConfig:
             raise ValueError("initial covariance must be positive")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.node_stride < 1:
             raise ValueError("node stride must be at least 1")
 
@@ -331,7 +333,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         if not report.approves(dt) and not config.force_dt:
             raise ValueError(
                 f"time step {dt:g} exceeds the stable limit "
-                f"{report.critical_dt:g}; set force_dt to run anyway"
+                f"{report.critical_dt:g}; set force_dt (the command "
+                f"line's --force) to run anyway"
             )
 
     if config.sensor_file:
@@ -389,7 +392,7 @@ def draw_observation(
 
 def simulate_ground_truth(
     scenario: Scenario, rng
-) -> tuple[np.ndarray, list[sensing.QuantisedObservation]]:
+) -> tuple[np.ndarray, sensing.QuantisedObservation]:
     """Simulate the true trajectory and its quantised observation log.
 
     The truth holds the source strength constant (the random walk is the
@@ -397,22 +400,24 @@ def simulate_ground_truth(
     process noise each step.  Per step the draw order is field noise, then
     detection indicators, then measurement noise.
 
-    Returns the state trajectory as an ``(K + 1, C + 1)`` array (initial
-    state first) and the list of ``K`` observations, taken after each step.
+    Returns the ``(K + 1, C + 1)`` state trajectory (initial state first)
+    and the readings after each step, one observation of ``(K, N)`` arrays.
     """
     config = scenario.config
     n = scenario.mesh.node_count
     states = np.zeros((config.steps + 1, n + 1))
     states[0, -1] = config.strength
-    observations: list[sensing.QuantisedObservation] = []
+    shape = (config.steps, scenario.network.count)
+    values, detections, raw = (np.empty(shape) for _ in range(3))
     field_sd = np.sqrt(config.field_noise)
     noise = np.zeros(n + 1)            # the strength increment stays zero
     for k in range(config.steps):
         model = scenario.provider.model_at(k)
         noise[:-1] = rng.normal(0.0, field_sd, n)
         states[k + 1] = fem.step(model, states[k], noise)
-        observations.append(draw_observation(scenario.network, states[k + 1], rng))
-    return states, observations
+        obs = draw_observation(scenario.network, states[k + 1], rng)
+        values[k], detections[k], raw[k] = obs.values, obs.detections, obs.raw
+    return states, sensing.QuantisedObservation(values, detections, raw)
 
 
 def _trial_rng(config: ScenarioConfig, stream: int, trial: int):
@@ -423,8 +428,8 @@ def _trial_rng(config: ScenarioConfig, stream: int, trial: int):
 
 def simulate_trial(
     scenario: Scenario, trial: int
-) -> tuple[np.ndarray, list[sensing.QuantisedObservation]]:
-    """Trial ``trial``'s truth and observation log, drawn from its truth
+) -> tuple[np.ndarray, sensing.QuantisedObservation]:
+    """Trial ``trial``'s truth and readings, drawn from its truth
     stream ``(seed, STREAM_TRUTH, trial)``; see :func:`simulate_ground_truth`.
     """
     return simulate_ground_truth(
@@ -432,8 +437,8 @@ def simulate_trial(
 
 
 def run_filter(scenario: Scenario, observations: Sequence, rng) -> np.ndarray:
-    """Run the configured estimator over an observation log; returns
-    ``(K, C+1)`` estimates.
+    """Run the configured estimator over a ``(K, N)`` observation log, or
+    any sequence of ``(N,)`` rows; returns ``(K, C+1)`` estimates.
 
     The log may be no longer than the configured horizon, over which the
     particle filter's gain schedule runs.
@@ -668,20 +673,19 @@ class TrialResult:
         return self.errors.shape[0]
 
 
-def _trial_log(scenario: Scenario, trial: int,
-               observations: Optional[Sequence]) -> tuple[np.ndarray, list]:
-    """Trial ``trial``'s truth states and the log its estimator reads:
-    ``observations`` after a length check, or else the simulated readings'
-    quantised values, all a filter reads of them."""
-    truth_states, obs_log = simulate_trial(scenario, trial)
-    if observations is None:
-        return truth_states, [obs.values for obs in obs_log]
-    if len(observations) != scenario.config.steps:
-        raise ValueError(
-            f"observation log has {len(observations)} steps, config "
-            f"expects {scenario.config.steps}"
-        )
-    return truth_states, list(observations)
+def _log_array(trial: int, log, shape=None) -> np.ndarray:
+    """Trial ``trial``'s observation log as a float array, of ``shape`` if
+    given; ``ValueError`` naming the trial if numpy cannot make one of it
+    (a ragged list) or it has another shape."""
+    try:
+        log = np.asarray(log, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"observation log of trial {trial} is not a "
+                         f"(steps, sensors) array: {exc}") from None
+    if shape is not None and log.shape != shape:
+        raise ValueError(f"observation log of trial {trial} has shape "
+                         f"{log.shape}, config expects {shape}")
+    return log
 
 
 def _score(trial: int, truth_states: np.ndarray, estimates: np.ndarray,
@@ -703,11 +707,11 @@ def _score(trial: int, truth_states: np.ndarray, estimates: np.ndarray,
 
 def _run_batch(
     scenario: Scenario, indices: Sequence[int],
-    logs: Sequence[Optional[Sequence]],
+    logs: Sequence[Optional[np.ndarray]],
 ) -> tuple[list[TrialResult], float]:
     """Trials ``indices`` of ``scenario`` under the configured estimator,
-    ``logs`` giving each trial's observation log or None to use the
-    simulated one.
+    ``logs`` giving each trial's ``(K, N)`` observation log or None to use
+    the simulated readings' quantised values, all a filter reads of them.
 
     The particle filter's schedule starts in its own process (see
     :func:`_schedule_stream`) before every trial's truth is simulated, so
@@ -728,10 +732,10 @@ def _run_batch(
     with _schedule_stream(scenario) as schedule:
         for i, log in zip(indices, logs):
             start = time.perf_counter()
-            truth_states, obs_log = _trial_log(scenario, i, log)
+            truth_states, readings = simulate_trial(scenario, i)
             runtimes.append(time.perf_counter() - start)
             truths.append(truth_states)
-            obs_logs.append(obs_log)
+            obs_logs.append(readings.values if log is None else log)
         for g in range(0, len(indices), width):
             group, own, reading = _filter_in_lockstep(
                 scenario, obs_logs[g:g + width], rngs[g:g + width], schedule)
@@ -762,12 +766,13 @@ class TrialRun(list):
 def run_trials(
     config: ScenarioConfig,
     threads: int = 1,
-    observations: Optional[Mapping[int, Sequence]] = None,
+    observations: Optional[Mapping[int, np.ndarray]] = None,
 ) -> TrialRun:
     """Run all configured trials, in one process or across ``threads``.
 
-    ``observations`` maps each trial index to an observation log that
-    replaces the simulated one (e.g. read from file).  The scenario is
+    ``observations`` maps each trial index to a ``(steps, sensors)``
+    observation log that replaces the simulated one (e.g. read from file);
+    another shape is refused before anything forks.  The scenario is
     built once.  The trials are split into ``min(threads, trials)``
     contiguous batches, each run by a worker process forked through
     :func:`_forked`, whose one item is the batch's results; one batch, and
@@ -783,9 +788,11 @@ def run_trials(
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    logs = [None if observations is None else observations[i]
-            for i in range(config.trials)]
     scenario = build_scenario(config)
+    shape = (config.steps, scenario.network.count)
+    logs = [None if observations is None
+            else _log_array(i, observations[i], shape)
+            for i in range(config.trials)]
     workers = min(threads, config.trials)
     if workers == 1 or threading.active_count() > 1:
         batches = [_run_batch(scenario, range(config.trials), logs)]
@@ -964,17 +971,15 @@ def _write_rows(part, lines: Iterator[str]) -> Iterator[None]:
 
 
 def write_observations_csv(
-    logs: dict[int, Sequence[sensing.QuantisedObservation]], path,
-    config: ScenarioConfig,
+    logs: Mapping[int, np.ndarray], path, config: ScenarioConfig,
 ) -> None:
     """Observation log: one row per (trial, step, sensor) quantised value.
 
-    The logs must be those of trials ``0..T-1``, each with the same number
-    of steps and each step one value per sensor, as
-    :func:`load_observations_csv` reads them back, and every value
-    finite; any other ``logs`` raises ``ValueError`` naming the trial at
-    fault, and for a value its step and sensor.  Each distinct value,
-    told apart by its bits, is formatted once.
+    The logs must be those of trials ``0..T-1``, each a ``(K, N)`` array
+    of the same shape, as :func:`load_observations_csv` returns them, and
+    every value finite; any other ``logs`` raises ``ValueError`` naming
+    the trial at fault, and for a value its step and sensor.  Each
+    distinct value, told apart by its bits, is formatted once.
     """
     grid = _observation_grid(logs)
     trials, steps, sensors = grid.shape
@@ -1009,27 +1014,22 @@ def _observation_grid(logs) -> np.ndarray:
     if missing:
         raise ValueError(f"no observation log for trial {missing[0]}: the "
                          f"{len(logs)} logs must be trials 0..{len(logs) - 1}")
-    grid = []
-    for trial in range(len(logs)):
-        log = [np.asarray(obs.values, dtype=float) for obs in logs[trial]]
-        if not log:
+    grid = [_log_array(trial, logs[trial]) for trial in range(len(logs))]
+    for trial, log in enumerate(grid):
+        if not log.ndim or not len(log):
             raise ValueError(f"observation log of trial {trial} has no steps")
-        if not grid:
-            steps, shape = len(log), log[0].shape
-            if len(shape) != 1 or not shape[0]:
-                raise ValueError(f"observation log of trial {trial} holds "
-                                 f"values of shape {shape} at step 1, not "
-                                 f"one per sensor")
-        elif len(log) != steps:
+        if not trial and (log.ndim != 2 or not log.shape[1]):
+            raise ValueError(f"observation log of trial {trial} holds "
+                             f"values of shape {log.shape[1:]} at step 1, "
+                             f"not one per sensor")
+        if len(log) != len(grid[0]):
             raise ValueError(f"observation log of trial {trial} has "
-                             f"{len(log)} steps, but trial 0 has {steps}")
-        for k, values in enumerate(log, 1):
-            if values.shape != shape:
-                raise ValueError(
-                    f"observation log of trial {trial} holds {values.size} "
-                    f"values at step {k}, but trial 0 holds {shape[0]} at "
-                    f"step 1")
-        grid.append(log)
+                             f"{len(log)} steps, but trial 0 has "
+                             f"{len(grid[0])}")
+        if log.shape != grid[0].shape:
+            raise ValueError(f"observation log of trial {trial} holds "
+                             f"{log[0].size} values at step 1, but trial 0 "
+                             f"holds {grid[0].shape[1]} at step 1")
     grid = np.array(grid)
     bad = ~np.isfinite(grid)
     if bad.any():

@@ -50,7 +50,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +59,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtri
 
 from plumetrace.fem import DispersionModel
-from plumetrace.sensing import QuantisedObservation, SensorNetwork
+from plumetrace.sensing import SensorNetwork
 
 __all__ = [
     "FilterError",
@@ -458,10 +458,9 @@ def multinomial_resample(weights, rng, size: Optional[int] = None) -> np.ndarray
 
 
 def _observed_values(observation, net: SensorNetwork) -> np.ndarray:
-    """The quantised values of ``observation``, a
-    :class:`QuantisedObservation` or an array, checked to supply one value
-    per sensor of ``net``."""
-    y_hat = np.asarray(getattr(observation, "values", observation), dtype=float)
+    """The quantised values of ``observation``, one step's ``(N,)`` array,
+    checked to supply one value per sensor of ``net``."""
+    y_hat = np.asarray(observation, dtype=float)
     if y_hat.shape != (net.count,):
         raise ValueError(
             f"observation must supply {net.count} values, got {y_hat.shape}"
@@ -528,7 +527,7 @@ def rbpf_init(
 
 def rbpf_step(
     state: RbpfState,
-    observation: Union[QuantisedObservation, np.ndarray],
+    observation: np.ndarray,
     model: DispersionModel,
     kalman: KalmanStep,
 ) -> tuple[RbpfState, np.ndarray]:
@@ -706,7 +705,7 @@ def enkf_update(
 
 def enkf_step(
     state: EnsembleState,
-    observation: Union[QuantisedObservation, np.ndarray],
+    observation: np.ndarray,
     model: DispersionModel,
     draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[EnsembleState, np.ndarray]:

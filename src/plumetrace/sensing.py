@@ -139,7 +139,9 @@ def _tail_mixture(a, b, miss, log_miss, detect_rate):
 
 @dataclass(frozen=True)
 class QuantisedObservation:
-    """One network reading: quantised values plus simulation-only truth."""
+    """Quantised values plus simulation-only truth (detections, raw
+    readings) of one reading, ``(N,)``, or of one trial's log, ``(K, N)``:
+    the sensors are on the last axis."""
 
     values: np.ndarray
     detections: Optional[np.ndarray] = None

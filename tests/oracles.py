@@ -316,8 +316,8 @@ def reference_observation_rows(logs) -> str:
     return "".join(
         "%d,%d,%d,%.17g\n" % (trial, k, j, v)
         for trial in sorted(logs)
-        for k, obs in enumerate(logs[trial], 1)
-        for j, v in enumerate(np.asarray(obs.values, dtype=float).tolist()))
+        for k, values in enumerate(logs[trial], 1)
+        for j, v in enumerate(np.asarray(values, dtype=float).tolist()))
 
 
 def level_values(scale, levels) -> np.ndarray:

@@ -257,11 +257,11 @@ def test_criterion_08_particle_filter_collapses_to_kalman_without_noise(
         quantiser_levels=10_000_000,
     )
     scenario = build_scenario(config)
-    truth, observations = simulate_ground_truth(
+    truth, readings = simulate_ground_truth(
         scenario, _trial_rng(config, STREAM_TRUTH, 0)
     )
     estimates = run_filter(
-        scenario, observations, _trial_rng(config, STREAM_RBPF, 0)
+        scenario, readings.values, _trial_rng(config, STREAM_RBPF, 0)
     )
     model = scenario.provider.model_at(0)
     linear = LinearModel(a=model.augmented_transition().toarray(),
@@ -358,11 +358,11 @@ def test_criterion_12_outputs_are_byte_reproducible(
     scenario = build_scenario(desk_config)
     obs_bytes = []
     for tag in ("a", "b"):
-        _, observations = simulate_ground_truth(
+        _, readings = simulate_ground_truth(
             scenario, _trial_rng(desk_config, STREAM_TRUTH, 0)
         )
         path = tmp_path / f"observations_{tag}.csv"
-        write_observations_csv({0: observations}, path, desk_config)
+        write_observations_csv({0: readings.values}, path, desk_config)
         obs_bytes.append(path.read_bytes())
     identical.append(obs_bytes[0] == obs_bytes[1])
     _report(

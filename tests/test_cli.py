@@ -723,3 +723,91 @@ class TestPipeline:
                      "--out", str(other)]) == 0
         assert ((base / "observations.csv").read_bytes()
                 != (other / "observations.csv").read_bytes())
+
+    @pytest.mark.parametrize("how", ["flag", "key"])
+    def test_a_negative_seed_is_refused_by_name(self, how, tiny_cfg,
+                                                tmp_path, capsys):
+        flags = ["--seed", "-1"] if how == "flag" else []
+        if how == "key":
+            tiny_cfg.write_text(TINY_CFG.replace("seed = 11", "seed = -1"))
+        out = tmp_path / "out"
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(tiny_cfg), *flags,
+                         "--out", str(out)]) == 2
+            assert "seed must be non-negative, got -1" in \
+                capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_unstable_step_names_force_and_runs_with_it(self, tmp_path,
+                                                           capsys):
+        text = (CONFIG_DIR / "desk.cfg").read_text()
+        for old, new in (("\ndt = 18.0 ", "\ndt = 30.0 "),
+                         ("\nsteps = 48\n", "\nsteps = 2\n"),
+                         ("\ntrials = 20\n", "\ntrials = 1\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "unstable.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        args = ["--config", str(cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 2
+        err = capsys.readouterr().err
+        assert "time step 30 exceeds the stable limit" in err
+        assert "--force" in err
+        assert not out.exists()
+        assert main(["simulate", "--force"] + args) == 0
+        assert (out / "observations.csv").is_file()
+        assert main(["estimate"] + args) == 2
+        assert "--force" in capsys.readouterr().err
+        assert main(["estimate", "--force"] + args) == 0
+        assert (out / "estimates_rbpf.csv").is_file()
+
+    def test_a_runtime_error_exits_1(self, tiny_cfg, tmp_path, monkeypatch,
+                                     capsys):
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+
+        def fail(*a, **kw):
+            raise filters.FilterError("weights collapsed")
+
+        monkeypatch.setattr(experiment, "run_trials", fail)
+        capsys.readouterr()
+        assert main(["estimate"] + args) == 1
+        assert capsys.readouterr().err == "runtime error: weights collapsed\n"
+        assert not (out / "estimates_rbpf.csv").exists()
+
+    def test_a_mesh_file_gives_the_rectangle_run(self, tmp_path):
+        # the mesh command's file of the desk rectangle: a short desk run
+        # writes the same bytes from it but for each file's config digest
+        mesh = tmp_path / "mesh.txt"
+        assert main(["mesh", "--rect", "0", "0", "1000", "1000", "--nx", "20",
+                     "--ny", "20", "--out", str(mesh)]) == 0
+        text = (CONFIG_DIR / "desk.cfg").read_text()
+        rect = "x0 = 0\ny0 = 0\nx1 = 1000\ny1 = 1000\nnx = 20\nny = 20\n"
+        for old, new in (("\nsteps = 48\n", "\nsteps = 4\n"),
+                         ("\ntrials = 20\n", "\ntrials = 2\n"),
+                         ("[mesh]\n" + rect, "[mesh]\nfile = MESH\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        names = ("truth.csv", "observations.csv", "sensors.txt",
+                 "estimates_rbpf.csv")
+        written = {}
+        for kind, cfg_text in (("rect", text.replace("file = MESH\n", rect)),
+                               ("file", text.replace("MESH", str(mesh)))):
+            cfg = tmp_path / f"{kind}.cfg"
+            cfg.write_text(cfg_text)
+            args = ["--config", str(cfg), "--out", str(tmp_path / kind)]
+            assert main(["simulate"] + args) == 0
+            assert main(["estimate"] + args) == 0
+            written[kind] = {name: (tmp_path / kind / name).read_bytes()
+                             for name in names}
+        rect, file = written["rect"], written["file"]
+        assert file.pop("sensors.txt") == rect.pop("sensors.txt")
+        for name in rect:
+            (rect_digest, rect_rows), (file_digest, file_rows) = (
+                data.split(b"\n", 1) for data in (rect[name], file[name]))
+            assert rect_digest.startswith(b"# config ")
+            assert file_digest.startswith(b"# config ")
+            assert rect_digest != file_digest
+            assert rect_rows == file_rows

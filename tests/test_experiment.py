@@ -143,6 +143,7 @@ class TestConfigValidation:
         (dict(flow_center=(0.0, math.nan)), "flow_center must be finite"),
         (dict(init_cov=math.inf), "init_cov must be finite"),
         (dict(steps=0), "step count must be at least 1"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
     ])
     def test_rejects_bad_values(self, overrides, match):
         config = dataclasses.replace(ScenarioConfig(), **overrides)
@@ -313,13 +314,14 @@ class TestGroundTruth:
     def test_shapes_and_constant_strength(self):
         config = tiny_config(strength=2.5)
         scen = build_scenario(config)
-        states, obs = simulate_ground_truth(
+        states, readings = simulate_ground_truth(
             scen, _trial_rng(config, STREAM_TRUTH, 0)
         )
+        obs = readings.values
         assert states.shape == (config.steps + 1, scen.state_dim)
         np.testing.assert_array_equal(states[:, -1], 2.5)
         assert len(obs) == config.steps
-        assert all(o.values.shape == (5,) for o in obs)
+        assert all(o.shape == (5,) for o in obs)
 
     def test_trial_draws_from_its_truth_stream(self):
         config = tiny_config()
@@ -328,9 +330,8 @@ class TestGroundTruth:
             build_scenario(config), _trial_rng(config, STREAM_TRUTH, 0)
         )
         np.testing.assert_array_equal(s1, s2)
-        for a, b in zip(o1, o2):
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.detections, b.detections)
+        np.testing.assert_array_equal(o1.values, o2.values)
+        np.testing.assert_array_equal(o1.detections, o2.detections)
 
     def test_draw_observation_detection_limits(self):
         scen = build_scenario(tiny_config())
@@ -459,11 +460,25 @@ class TestTrials:
         with pytest.raises(ValueError, match="observation log"):
             run_trials(config, observations={0: [np.zeros(5)] * 2})
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_observation_override_sensor_count_checked_before_a_fork(
+            self, threads, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("forked for a log of the wrong shape")
+
+        monkeypatch.setattr(experiment, "_forked", refuse)
+        config = tiny_config(trials=2)
+        logs = {0: np.zeros((config.steps, 5)),
+                1: np.zeros((config.steps, 6))}
+        with pytest.raises(ValueError, match=r"trial 1 has shape \(3, 6\), "
+                                             r"config expects \(3, 5\)"):
+            run_trials(config, threads, observations=logs)
+
     def test_observation_override_used(self):
         config = tiny_config(trials=1)
         scen = build_scenario(config)
         _, obs = simulate_ground_truth(scen, _trial_rng(config, STREAM_TRUTH, 0))
-        arrays = [o.values for o in obs]
+        arrays = obs.values
         (direct,) = run_trials(config)
         (replayed,) = run_trials(config, observations={0: arrays})
         np.testing.assert_array_equal(direct.estimates, replayed.estimates)
@@ -509,7 +524,7 @@ class TestTrials:
         for trial in logs:
             _, obs = simulate_ground_truth(
                 scen, _trial_rng(config, STREAM_TRUTH, trial))
-            logs[trial] = np.stack([o.values for o in obs])
+            logs[trial] = obs.values
         for threads in (1, 2):
             replayed = run_trials(config, threads, observations=logs)
             for d, r in zip(direct, replayed):
@@ -538,7 +553,8 @@ class TestTrials:
         assert [r.trial for r in streamed] == [0, 1, 2]
         schedule = list(scenario.gain_schedule())
         for result in streamed:
-            truth, observations = simulate_trial(scenario, result.trial)
+            truth, readings = simulate_trial(scenario, result.trial)
+            observations = readings.values
             estimates = experiment.run_filter(
                 scenario, observations,
                 _trial_rng(config, STREAM_RBPF, result.trial))
@@ -604,11 +620,12 @@ class TestTrials:
     def test_run_filter_refuses_a_log_beyond_the_horizon(self, estimator):
         config = tiny_config(estimator=estimator, trials=1)
         scenario = build_scenario(config)
-        _, observations = simulate_trial(scenario, 0)
+        observations = simulate_trial(scenario, 0)[1].values
         stream = STREAM_RBPF if estimator == "rbpf" else STREAM_ENKF
         rng = _trial_rng(config, stream, 0)
         with pytest.raises(ValueError, match="horizon"):
-            run_filter(scenario, observations + observations[:1], rng)
+            run_filter(scenario, np.concatenate([observations,
+                                                 observations[:1]]), rng)
         estimates = run_filter(scenario, observations, rng)
         assert estimates.shape == (config.steps, scenario.state_dim)
 
@@ -713,7 +730,7 @@ class TestScheduleProcess:
             assert len(run_trials(config)) == config.trials
         assert multiprocessing.active_children() == []
         scenario = build_scenario(config)
-        _, observations = simulate_trial(scenario, 0)
+        observations = list(simulate_trial(scenario, 0)[1].values)
         observations[3] = np.zeros(scenario.network.count + 1)
         with within(20), pytest.raises(ValueError, match="observation"):
             run_filter(scenario, observations,
@@ -807,8 +824,7 @@ class TestScheduleProcess:
 def desk_enkf():
     """The desk scenario under the ensemble filter and trial 0's log."""
     scenario = build_scenario(ScenarioConfig(estimator="enkf", trials=1))
-    _, observations = simulate_trial(scenario, 0)
-    return scenario, observations
+    return scenario, simulate_trial(scenario, 0)[1].values
 
 
 # what the benchmark tracer wraps: every function in these modules'
@@ -858,7 +874,7 @@ class TestEnsembleDrawsAhead:
         assert len(run_trials(config)) == config.trials
         assert threading.active_count() == before
         scenario = build_scenario(config)
-        _, observations = simulate_trial(scenario, 0)
+        observations = list(simulate_trial(scenario, 0)[1].values)
         observations[3] = np.zeros(scenario.network.count + 1)
         with pytest.raises(ValueError, match="observation"):
             run_filter(scenario, observations,
@@ -1005,7 +1021,8 @@ class TestOutputs:
         scen = build_scenario(config)
         trajectories, logs = {}, {}
         for trial in range(config.trials):
-            trajectories[trial], logs[trial] = simulate_trial(scen, trial)
+            trajectories[trial], readings = simulate_trial(scen, trial)
+            logs[trial] = readings.values
         write_truth_csv(trajectories, tmp_path / "truth.csv", config)
         write_truth_csv(trajectories, tmp_path / "truth_stride7.csv",
                         dataclasses.replace(config, node_stride=7))
@@ -1053,7 +1070,8 @@ class TestOutputs:
         scen = build_scenario(config)
         trajectories, logs = {}, {}
         for trial in range(config.trials):
-            trajectories[trial], logs[trial] = simulate_trial(scen, trial)
+            trajectories[trial], readings = simulate_trial(scen, trial)
+            logs[trial] = readings.values
         write_truth_csv(trajectories, "truth.csv", config)
         write_observations_csv(logs, "observations.csv", config)
         for estimator in ("rbpf", "enkf"):
@@ -1097,14 +1115,13 @@ class TestOutputs:
         with pytest.raises(ValueError, match="no observation logs"):
             write_observations_csv({}, path, config)
         with pytest.raises(ValueError, match="trial 1 .* no steps"):
-            write_observations_csv({0: [sensing.QuantisedObservation(
-                np.zeros(2), np.ones(2, dtype=bool))], 1: []}, path, config)
+            write_observations_csv({0: np.zeros((1, 2)), 1: []}, path,
+                                   config)
 
     @staticmethod
     def observations(*steps):
         """A trial's log, one step of the given values each."""
-        return [sensing.QuantisedObservation(np.array(v, dtype=float))
-                for v in steps]
+        return np.array(steps, dtype=float)
 
     # each log below was written without complaint, and then refused by
     # load_observations_csv with the message in the comment
@@ -1119,11 +1136,25 @@ class TestOutputs:
 
     def test_observations_csv_rejects_a_step_with_fewer_sensors(self,
                                                                 tmp_path):
-        # "no value for trial 0, step 2, sensor 2"
-        logs = {0: self.observations([1.0, 2.0, 3.0], [1.0, 2.0])}
-        with pytest.raises(ValueError, match="trial 0 holds 2 values at "
-                                             "step 2, but trial 0 holds 3"):
+        # "no value for trial 0, step 2, sensor 2"; a ragged list, which
+        # numpy cannot make a (steps, sensors) array of
+        logs = {0: [[1.0, 2.0, 3.0], [1.0, 2.0]]}
+        with pytest.raises(ValueError, match=r"trial 0 is not a \(steps, "
+                                             r"sensors\) array"):
             write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+
+    def test_observations_csv_rejects_a_trial_with_another_sensor_count(
+            self, tmp_path):
+        # "no value for trial 1, step 1, sensor 2"
+        logs = {0: self.observations([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+                1: self.observations([1.0, 2.0], [1.0, 2.0])}
+        with pytest.raises(ValueError, match="trial 1 holds 2 values at "
+                                             "step 1, but trial 0 holds 3"):
+            write_observations_csv(logs, tmp_path / "obs.csv", tiny_config())
+        with pytest.raises(ValueError, match=r"trial 0 holds values of shape "
+                                             r"\(\) at step 1"):
+            write_observations_csv({0: np.zeros(3)}, tmp_path / "obs.csv",
+                                   tiny_config())
 
     def test_observations_csv_rejects_a_gap_in_the_trials(self, tmp_path):
         # "no value for trial 1"
@@ -1184,15 +1215,23 @@ class TestOutputs:
             _, obs = simulate_ground_truth(
                 scen, _trial_rng(config, STREAM_TRUTH, trial)
             )
-            logs[trial] = obs
+            logs[trial] = obs.values
         path = tmp_path / "observations.csv"
         write_observations_csv(logs, path, config)
         got_hash, arrays = load_observations_csv(path)
         assert got_hash == config.scenario_hash()
         assert sorted(arrays) == [0, 1]
         for trial, obs in logs.items():
-            expected = np.stack([o.values for o in obs])
-            np.testing.assert_array_equal(arrays[trial], expected)
+            np.testing.assert_array_equal(arrays[trial], obs)
+
+    def test_observations_csv_writes_back_what_it_reads(
+            self, observation_file, tmp_path):
+        config_hash, logs = load_observations_csv(observation_file)
+        config = tiny_config(trials=2)
+        assert config_hash == config.scenario_hash()
+        path = tmp_path / "again.csv"
+        write_observations_csv(logs, path, config)
+        assert path.read_bytes() == observation_file.read_bytes()
 
     @pytest.fixture
     def observation_file(self, tmp_path):
@@ -1200,7 +1239,7 @@ class TestOutputs:
         scen = build_scenario(config)
         logs = {
             trial: simulate_ground_truth(
-                scen, _trial_rng(config, STREAM_TRUTH, trial))[1]
+                scen, _trial_rng(config, STREAM_TRUTH, trial))[1].values
             for trial in range(config.trials)
         }
         path = tmp_path / "observations.csv"
@@ -1427,7 +1466,7 @@ def test_csv_fields_are_17_significant_digits(values, tmp_path_factory):
     finite = [x for x in values if math.isfinite(x)] or [0.0]
     write_truth_csv({0: array[None, :]}, out / "truth.csv", config)
     write_observations_csv(
-        {0: [sensing.QuantisedObservation(np.array(finite))]},
+        {0: np.array([finite])},
         out / "observations.csv", config)
     estimates = np.column_stack([np.zeros_like(array), array])
     write_results_csv([TrialResult(0, estimates, estimates, array, 0.0, 0.0)],

@@ -27,7 +27,7 @@ from plumetrace.filters import (
     rbpf_step,
 )
 from plumetrace.mesh import TriMesh, build_structured_mesh
-from plumetrace.sensing import QuantisedObservation, SensorNetwork
+from plumetrace.sensing import SensorNetwork
 
 from oracles import (
     LinearModel,
@@ -78,9 +78,9 @@ def _first_step(model, net):
 def desk():
     config = experiment.ScenarioConfig()
     scenario = experiment.build_scenario(config)
-    _, observations = experiment.simulate_ground_truth(
+    _, readings = experiment.simulate_ground_truth(
         scenario, np.random.default_rng(5))
-    return config, scenario, observations
+    return config, scenario, readings.values
 
 
 def _state_major(population):
@@ -354,17 +354,6 @@ class TestRbpf:
         for kalman in gain_schedule([model, model], net.H, 10.0):
             state, _ = rbpf_step(state, obs, model, kalman)
             assert state.survivors.flags.c_contiguous
-
-    def test_accepts_observation_object_and_array(self):
-        model, net, _ = _small_setup()
-        obs = net.quantise(np.array([0.1, 0.0, -0.2]))
-        st_a = rbpf_init(model, net, 4, np.random.default_rng(2))
-        st_b = rbpf_init(model, net, 4, np.random.default_rng(2))
-        kalman = _first_step(model, net)
-        _, est_a = rbpf_step(st_a, QuantisedObservation(values=obs), model,
-                             kalman)
-        _, est_b = rbpf_step(st_b, obs, model, kalman)
-        np.testing.assert_array_equal(est_a, est_b)
 
     def test_wrong_observation_length(self):
         model, net, state = _small_setup()
@@ -699,9 +688,9 @@ class TestGainSchedule:
             "from plumetrace import experiment\n"
             f"config = experiment.ScenarioConfig(size={size})\n"
             "scenario = experiment.build_scenario(config)\n"
-            "_, observations = experiment.simulate_ground_truth(\n"
+            "_, readings = experiment.simulate_ground_truth(\n"
             "    scenario, np.random.default_rng(5))\n"
-            "estimates = experiment.run_filter(scenario, observations,\n"
+            "estimates = experiment.run_filter(scenario, readings.values,\n"
             "                                  np.random.default_rng(0))\n"
             "print(hashlib.sha256(estimates.tobytes()).hexdigest())\n"
         )
@@ -811,7 +800,7 @@ class TestEnkf:
         state, _ = enkf_step(state, observations[0], model)
         members = state.members
         r_eff = net.noise_var + net.cell_half_width ** 2 / 3.0
-        y = observations[1].values
+        y = observations[1]
         pert = np.random.default_rng(7).standard_normal(
             (size, net.count)) * np.sqrt(r_eff)
         out = enkf_update(members, net.H_csr, r_eff, y, pert)
@@ -902,9 +891,9 @@ class TestEnkf:
             "from plumetrace import experiment\n"
             "config = experiment.ScenarioConfig(size=30, estimator='enkf')\n"
             "scenario = experiment.build_scenario(config)\n"
-            "_, observations = experiment.simulate_ground_truth(\n"
+            "_, readings = experiment.simulate_ground_truth(\n"
             "    scenario, np.random.default_rng(5))\n"
-            "estimates = experiment.run_filter(scenario, observations,\n"
+            "estimates = experiment.run_filter(scenario, readings.values,\n"
             "                                  np.random.default_rng(0))\n"
             "print(hashlib.sha256(estimates.tobytes()).hexdigest())\n"
         )

@@ -455,11 +455,10 @@ class TestSensorNetwork:
         # filter draws them, plus the two cell edges
         scenario = experiment.build_scenario(experiment.ScenarioConfig())
         net = scenario.network
-        _, observations = experiment.simulate_trial(scenario, 0)
+        _, readings = experiment.simulate_trial(scenario, 0)
         w = net.cell_half_width
         rng = np.random.default_rng(11)
-        for obs in observations[::16]:
-            y = obs.values
+        for y in readings.values[::16]:
             z = np.vstack([(y - w) + 2.0 * w * rng.random((1000, net.count)),
                            y - w, y + w])
             assert_log_close(
