@@ -113,6 +113,9 @@ def cmd_mesh(args) -> int:
     preview = _given(args, "--flow-u", "--flow-v", "--dt")
     if preview and args.diffusivity is None:
         raise ValueError(f"--diffusivity is required by {', '.join(preview)}")
+    if hasattr(args, "dt") and not 0.0 < args.dt < float("inf"):
+        # the step a config may hold (ScenarioConfig.validate)
+        raise ValueError(f"--dt must be finite and positive, got {args.dt:g}")
     if args.infile:
         grid = meshmod.load_mesh(args.infile)
     else:

@@ -29,6 +29,7 @@ operator ``M^-1 N``, each byte for byte what the scipy expressions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -390,6 +391,13 @@ def step(model: DispersionModel, x, noise=None) -> np.ndarray:
     return out
 
 
+# ``approves`` takes the norm bound B as proof when dt * B * (1 + margin) <= 2.
+# ARPACK stops at a residual of tol * |lambda| (tol 1e-10), which can put its
+# |lambda| above B by at most sqrt(n) * tol relative, and B's sums round by
+# far less: this margin covers both up to 1e8 nodes.
+_NORM_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Explicit-integration diagnostics for a model configuration.
@@ -401,21 +409,49 @@ class StabilityReport:
     ``peclet`` holds the per-element cell Peclet numbers ``|v| h / (2 lam)``
     and ``artificial_diffusivity`` the smallest uniform addition to the
     diffusivity that brings every element to Pe <= 1.
+
+    ``lambda_max`` and ``critical_dt`` are computed on first read, by one
+    ARPACK solve on the kept operator ``M^-1 N``, and then kept; a report
+    whose caller reads neither never runs the solve.
     """
 
-    lambda_max: float
-    critical_dt: float
     courant_dt: float
     diffusion_dt: float
     peclet: np.ndarray
     artificial_diffusivity: float
+    _operator: sp.csr_matrix = field(repr=False, compare=False)
+
+    @cached_property
+    def lambda_max(self) -> float:
+        return _lambda_max(self._operator)
+
+    @cached_property
+    def critical_dt(self) -> float:
+        return 2.0 / self.lambda_max if self.lambda_max > 0.0 else np.inf
+
+    @cached_property
+    def _norm_bound(self) -> float:
+        """``min(||M^-1 N||_1, ||M^-1 N||_inf)``: no eigenvalue of ``M^-1 N``
+        is larger in magnitude."""
+        return min(spla.norm(self._operator, 1),
+                   spla.norm(self._operator, np.inf))
 
     @property
     def max_peclet(self) -> float:
         return float(self.peclet.max())
 
     def approves(self, dt: float) -> bool:
-        """Whether ``dt`` is a stable explicit step for this model."""
+        """Whether ``dt`` is a stable explicit step for this model:
+        ``0 < dt <= critical_dt``, to a relative 1e-12.
+
+        A step within the norm bound, ``dt * B * (1 + 1e-6) <= 2`` with
+        ``B = min(||M^-1 N||_1, ||M^-1 N||_inf)``, is approved without the
+        eigenvalue; any other step reads ``critical_dt``.  The bound is at
+        least ``lambda_max``, so it approves no step that ``critical_dt``
+        refuses.
+        """
+        if 0.0 < dt and dt * self._norm_bound * (1.0 + _NORM_MARGIN) <= 2.0:
+            return True
         return 0.0 < dt <= self.critical_dt * (1.0 + 1e-12)
 
 
@@ -428,12 +464,11 @@ def _lambda_operator(mass: sp.spmatrix, stiffness: sp.spmatrix) -> sp.csr_matrix
     return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
-def _lambda_max(mass: sp.spmatrix, stiffness: sp.spmatrix) -> float:
-    """Dominant eigenvalue magnitude of ``M^-1 N`` by implicitly restarted
-    Arnoldi (ARPACK); ``ArpackNoConvergence`` if it does not converge.
-    ARPACK's iterates depend on the operator's storage order, so it is
-    always given the canonical one."""
-    operator = _lambda_operator(mass, stiffness)
+def _lambda_max(operator: sp.csr_matrix) -> float:
+    """Dominant eigenvalue magnitude of the canonical operator ``M^-1 N``
+    by implicitly restarted Arnoldi (ARPACK); ``ArpackNoConvergence`` if it
+    does not converge.  ARPACK's iterates depend on the operator's storage
+    order, so it is always given the canonical one."""
     if operator.nnz == 0:
         return 0.0  # ARPACK rejects the all-zero operator
     n = operator.shape[0]
@@ -479,8 +514,12 @@ def stability_report(mesh: TriMesh, velocities, diffusivity: float,
     """Diagnose explicit time integration for a mesh, flow and diffusivity.
 
     ``velocities`` are per-element, shape ``(E, 2)``, or a single vector.
-    The eigenvalue solve reads ``system``, the assembled system of these
-    velocities and diffusivity whatever its source, or one assembled here.
+    The report keeps the operator ``M^-1 N`` of ``system``, the assembled
+    system of these velocities and diffusivity whatever its source, or of
+    one assembled here.  The classical bounds and Peclet numbers are
+    computed now; the eigenvalue solve waits for the first read of
+    ``lambda_max`` or ``critical_dt``, which ``approves`` skips for a step
+    within the norm bound.
     """
     vel = _element_velocities_array(mesh, velocities)
     lam = _finite("diffusivity", diffusivity, positive=False)
@@ -492,15 +531,12 @@ def stability_report(mesh: TriMesh, velocities, diffusivity: float,
 
     if system is None:
         system = assemble(mesh, vel, lam)
-    lambda_max = _lambda_max(system.mass, system.stiffness)
-    critical = 2.0 / lambda_max if lambda_max > 0.0 else np.inf
     return StabilityReport(
-        lambda_max=lambda_max,
-        critical_dt=critical,
         courant_dt=courant,
         diffusion_dt=diffusion,
         peclet=peclet,
         artificial_diffusivity=lam_star,
+        _operator=_lambda_operator(system.mass, system.stiffness),
     )
 
 

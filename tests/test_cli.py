@@ -248,6 +248,15 @@ class TestMeshCommand:
         assert captured.out == ""
         assert f"--diffusivity is required by {named}" in captured.err
 
+    @pytest.mark.parametrize("dt", ["0", "-5", "nan", "inf"])
+    def test_preview_refuses_a_step_no_config_may_hold(self, dt, capsys):
+        code = main(["mesh", "--rect", "0", "0", "1000", "1000",
+                     "--diffusivity", "25", "--dt", dt])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--dt must be finite and positive, got {dt}" in captured.err
+
     @pytest.mark.parametrize("flags, named", [
         (["--rect", "0", "0", "2", "1"], "--rect"),
         (["--nx", "4"], "--nx"),

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 from plumetrace import experiment, fem
@@ -479,6 +480,51 @@ class TestStability:
         assert not report.approves(1.01 * report.critical_dt)
         assert not report.approves(0.0)
         assert not report.approves(-1.0)
+
+    @pytest.mark.parametrize("case", [
+        ((0, 0, 1, 1, 6, 6), (0.03, 0.01), 1e-3),
+        ((0, 0, 1, 1, 5, 5), (0.0, 0.0), 1e-3),
+        ((0, 0, 1000, 1000, 10, 10), (0.02, 0.0), 25.0),
+        ((0, 0, 1000, 1000, 8, 8), (-0.05, 0.3), 0.0),
+        "rotation",    # its dominant eigenvalues are a complex pair
+    ])
+    def test_norm_bound_never_changes_a_decision(self, case):
+        if case == "rotation":
+            mesh = build_structured_mesh(0, 0, 1000, 1000, 20, 20)
+            [velocities] = element_velocities(
+                RigidRotationFlow(center=(500.0, 500.0), omega=0.01), mesh)
+            lam = 1.0
+        else:
+            rect, velocities, lam = case
+            mesh = build_structured_mesh(*rect)
+        system = assemble(mesh, velocities, lam)
+        exact = 2.0 / _dense_lambda_max(system)
+        bound = 2.0 / stability_report(mesh, velocities, lam)._norm_bound
+        assert bound <= exact
+        factors = [0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
+                   1.0 + 1e-6, 1.1, 2.0]
+        steps = [f * edge for f in factors for edge in (bound, exact)]
+        certified = 0
+        for dt in [0.0, -exact, np.inf, np.nan, *steps]:
+            if abs(dt / exact - 1.0) <= 1e-8:
+                continue
+            report = stability_report(mesh, velocities, lam, system=system)
+            assert report.approves(dt) == (0.0 < dt <= exact), dt
+            certified += "lambda_max" not in report.__dict__
+        assert certified >= 3    # the steps up to 2/B (1 + 1e-6)
+
+    def test_norm_bound_approves_desk_without_the_eigenvalue(self,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigenvalue solve ran")
+
+        monkeypatch.setattr(spla, "eigs", refuse)
+        desk = experiment.build_scenario(load_config(DESK_CONFIG))
+        assert desk.dt == 18.0
+        assert "_operator" not in repr(desk.report)
+        monkeypatch.undo()
+        assert desk.report.lambda_max.hex() == "0x1.546d555d7edcbp-4"
+        assert desk.report.critical_dt == 2.0 / desk.report.lambda_max
 
     def test_default_time_step(self):
         mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
