@@ -113,9 +113,17 @@ def cmd_mesh(args) -> int:
     preview = _given(args, "--flow-u", "--flow-v", "--dt")
     if preview and args.diffusivity is None:
         raise ValueError(f"--diffusivity is required by {', '.join(preview)}")
+    # the values a config may hold (ScenarioConfig.validate)
     if hasattr(args, "dt") and not 0.0 < args.dt < float("inf"):
-        # the step a config may hold (ScenarioConfig.validate)
         raise ValueError(f"--dt must be finite and positive, got {args.dt:g}")
+    lam = args.diffusivity
+    if lam is not None and not 0.0 <= lam < float("inf"):
+        raise ValueError(
+            f"--diffusivity must be finite and non-negative, got {lam:g}")
+    flow = (getattr(args, "flow_u", 0.0), getattr(args, "flow_v", 0.0))
+    for flag, value in zip(("--flow-u", "--flow-v"), flow):
+        if not abs(value) < float("inf"):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
     if args.infile:
         grid = meshmod.load_mesh(args.infile)
     else:
@@ -125,10 +133,8 @@ def cmd_mesh(args) -> int:
         grid = meshmod.build_structured_mesh(
             x0, y0, x1, y1, getattr(args, "nx", 10), getattr(args, "ny", 10))
     print(f"nodes {grid.node_count}  elements {grid.element_count}")
-    if args.diffusivity is not None:
-        report = fem.stability_report(
-            grid, (getattr(args, "flow_u", 0.0), getattr(args, "flow_v", 0.0)),
-            args.diffusivity)
+    if lam is not None:
+        report = fem.stability_report(grid, flow, lam)
         _print_stability(report)
         if hasattr(args, "dt"):
             verdict = "stable" if report.approves(args.dt) else "UNSTABLE"

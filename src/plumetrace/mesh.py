@@ -92,6 +92,7 @@ class TriMesh:
         self._corners = np.stack([p1, p2, p3], axis=1)  # (E, 3, 2)
         self._centroids = self._corners.mean(axis=1)
         self._centroids.setflags(write=False)
+        self._boxes = {}    # locate_points' padded element boxes, per tol
         self._check_overlap()
 
     def _check_overlap(self) -> None:
@@ -203,22 +204,9 @@ def build_structured_mesh(
 _LOCATE_CHUNK = 1 << 20
 
 
-def locate_points(mesh: TriMesh, points, tol: float = 1e-10):
-    """Find the element containing each of the ``(P, 2)`` points.
-
-    A point is accepted by an element when all three shape-function values
-    are at least ``-tol``, so points on shared edges or nodes belong to
-    every adjacent element; the lowest element index wins.  The formula
-    runs only on (point, element) pairs whose element bounding box, padded
-    so that no pair the test accepts is dropped, holds the point.
-
-    Returns the ``(P,)`` element indices, ``-1`` for a point outside the
-    mesh, and the ``(P, 3)`` shape values there (``NaN`` for a point
-    outside).
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must have shape (P, 2), got {points.shape}")
+def _element_boxes(mesh: TriMesh, tol: float) -> tuple:
+    """Each element's bounding box ``(x_lo, y_lo, x_hi, y_hi)``, padded so
+    that no point whose shape values are all ``>= -tol`` lies outside it."""
     c = mesh._corners
     lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]).T    # (2, E)
     hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]).T
@@ -230,8 +218,35 @@ def locate_points(mesh: TriMesh, points, tol: float = 1e-10):
     eps = np.finfo(float).eps
     pad = 2.0 * side * (tol + 16.0 * eps * side * side / mesh.areas)
     pad = pad + 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
-    (x_lo, y_lo), (x_hi, y_hi) = (np.ascontiguousarray(bound)
-                                  for bound in (lo - pad, hi + pad))
+    boxes = tuple(np.ascontiguousarray(bound)
+                  for bound in (*(lo - pad), *(hi + pad)))
+    for bound in boxes:
+        bound.setflags(write=False)
+    return boxes
+
+
+def locate_points(mesh: TriMesh, points, tol: float = 1e-10):
+    """Find the element containing each of the ``(P, 2)`` points.
+
+    A point is accepted by an element when all three shape-function values
+    are at least ``-tol``, so points on shared edges or nodes belong to
+    every adjacent element; the lowest element index wins.  The formula
+    runs only on (point, element) pairs whose element bounding box, padded
+    so that no pair the test accepts is dropped, holds the point; the
+    padded boxes are computed once per mesh and ``tol`` and kept on the
+    mesh.
+
+    Returns the ``(P,)`` element indices, ``-1`` for a point outside the
+    mesh, and the ``(P, 3)`` shape values there (``NaN`` for a point
+    outside).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (P, 2), got {points.shape}")
+    tol = float(tol)
+    if tol not in mesh._boxes:
+        mesh._boxes[tol] = _element_boxes(mesh, tol)
+    x_lo, y_lo, x_hi, y_hi = mesh._boxes[tol]
 
     count = points.shape[0]
     elements = np.full(count, -1, dtype=np.int64)

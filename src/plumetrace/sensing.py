@@ -211,7 +211,7 @@ def generate_positions(mesh: TriMesh, count: int, rng) -> np.ndarray:
     return accepted
 
 
-def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
+def _fence_layout(mesh: TriMesh, center, count: int) -> tuple:
     """Deterministic monitoring array around a known release point.
 
     Builds concentric square rings of sensors centred on ``center`` with
@@ -222,16 +222,13 @@ def fence_positions(mesh: TriMesh, center, count: int) -> np.ndarray:
     structured mesh whose node spacing matches the element diameter and
     with ``center`` on a node, every ring sensor lands exactly on a node.
 
-    All positions are located in one :func:`~plumetrace.mesh.locate_points`
-    pass; any outside the mesh raise, naming the first, as the measurement
-    operator cannot interpolate there; keep the fence clear of the boundary.
+    Returns the ``(count, 2)`` positions and what
+    :func:`~plumetrace.mesh.locate_points` returns for them: all are
+    located in one pass, which serves both the check and the measurement
+    operator.  Any position outside the mesh raises, naming the first, as
+    the measurement operator cannot interpolate there; keep the fence
+    clear of the boundary.
     """
-    return _fence_layout(mesh, center, count)[0]
-
-
-def _fence_layout(mesh: TriMesh, center, count: int) -> tuple:
-    """:func:`fence_positions` and what ``locate_points`` returns for
-    them, one pass for the check and the measurement operator."""
     count = int(count)
     if count < 4:
         raise ValueError(f"a fence needs at least 4 sensors, got {count}")

@@ -257,6 +257,24 @@ class TestMeshCommand:
         assert captured.out == ""
         assert f"--dt must be finite and positive, got {dt}" in captured.err
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--diffusivity", "-1", "finite and non-negative"),
+        ("--diffusivity", "inf", "finite and non-negative"),
+        ("--diffusivity", "nan", "finite and non-negative"),
+        ("--flow-u", "nan", "finite"),
+        ("--flow-u", "inf", "finite"),
+        ("--flow-v", "-inf", "finite"),
+    ])
+    def test_preview_refuses_values_no_config_may_hold(self, flag, value,
+                                                       rule, capsys):
+        flags = {"--diffusivity": "25", flag: value}
+        code = main(["mesh", "--rect", "0", "0", "1000", "1000",
+                     *(f"{name}={given}" for name, given in flags.items())])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be {rule}, got {value}" in captured.err
+
     @pytest.mark.parametrize("flags, named", [
         (["--rect", "0", "0", "2", "1"], "--rect"),
         (["--nx", "4"], "--nx"),

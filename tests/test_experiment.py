@@ -241,6 +241,33 @@ class TestBuildScenario:
         assert_same_csr(spin.provider.model_at(5).transition,
                         _transition(spin, rotation))
 
+    @pytest.mark.parametrize("layout", ["fence", "random"])
+    def test_each_build_computes_its_mesh_boxes_once(self, layout,
+                                                     monkeypatch):
+        located, computed = [], []
+        locate, boxes = meshmod.locate_points, meshmod._element_boxes
+
+        def locate_counted(mesh, points, tol=1e-10):
+            located.append(mesh)
+            return locate(mesh, points, tol)
+
+        def boxes_counted(mesh, tol):
+            computed.append(mesh)
+            return boxes(mesh, tol)
+
+        monkeypatch.setattr(meshmod, "locate_points", locate_counted)
+        monkeypatch.setattr(meshmod, "_element_boxes", boxes_counted)
+        config = tiny_config(sensor_layout=layout)
+        first = build_scenario(config)
+        # the source, then the sensors, on the build's one mesh
+        assert len(located) >= 2
+        assert all(mesh is first.mesh for mesh in located)
+        assert len(computed) == 1 and computed[0] is first.mesh
+        # a second build makes its own mesh, and its own boxes
+        second = build_scenario(config)
+        assert len(computed) == 2 and computed[1] is second.mesh
+        assert second.mesh is not first.mesh
+
     def test_file_flow(self, tmp_path):
         xs = np.array([-1.0, 5.0, 11.0])
         ys = np.array([-1.0, 11.0])

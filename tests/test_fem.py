@@ -499,7 +499,12 @@ class TestStability:
             mesh = build_structured_mesh(*rect)
         system = assemble(mesh, velocities, lam)
         exact = 2.0 / _dense_lambda_max(system)
-        bound = 2.0 / stability_report(mesh, velocities, lam)._norm_bound
+        report = stability_report(mesh, velocities, lam)
+        operator = report._operator
+        assert report._norm_bound == pytest.approx(
+            min(spla.norm(operator, 1), spla.norm(operator, np.inf)),
+            rel=1e-14, abs=0.0)
+        bound = 2.0 / report._norm_bound
         assert bound <= exact
         factors = [0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
                    1.0 + 1e-6, 1.1, 2.0]
@@ -512,6 +517,37 @@ class TestStability:
             assert report.approves(dt) == (0.0 < dt <= exact), dt
             certified += "lambda_max" not in report.__dict__
         assert certified >= 3    # the steps up to 2/B (1 + 1e-6)
+
+    def test_all_zero_operator_approves_every_positive_step(self):
+        mesh = build_structured_mesh(0, 0, 1, 1, 4, 4)
+        report = stability_report(mesh, (0.0, 0.0), 0.0)
+        assert report._operator.nnz == 0
+        assert report._norm_bound == 0.0
+        for dt in (1e-300, 1.0, 1e300):
+            assert report.approves(dt), dt
+        assert "lambda_max" not in report.__dict__
+        assert report.approves(np.inf)
+        for dt in (0.0, -1.0, np.nan):
+            assert not report.approves(dt), dt
+
+    def test_norm_bound_over_empty_rows(self):
+        # no diffusion and no flow over the top half: the nodes there, last
+        # in the numbering, have empty rows and columns
+        mesh = build_structured_mesh(0, 0, 1000, 1000, 8, 8)
+        velocities = np.where(mesh.centroids[:, 1:] < 500.0, (0.05, -0.02),
+                              0.0)
+        report = stability_report(mesh, velocities, 0.0)
+        operator = report._operator
+        counts = np.diff(operator.indptr)
+        assert (counts[-10:] == 0).all() and (counts > 0).any()
+        dense = np.abs(operator.toarray())
+        expected = min(dense.sum(axis=0).max(), dense.sum(axis=1).max())
+        assert expected > 0.0
+        assert report._norm_bound == pytest.approx(expected, rel=1e-14,
+                                                   abs=0.0)
+        assert report._norm_bound == pytest.approx(
+            min(spla.norm(operator, 1), spla.norm(operator, np.inf)),
+            rel=1e-14, abs=0.0)
 
     def test_norm_bound_approves_desk_without_the_eigenvalue(self,
                                                              monkeypatch):

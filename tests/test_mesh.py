@@ -313,6 +313,30 @@ class TestLocatePoints:
         np.testing.assert_array_equal(chunked[0], whole[0])
         assert chunked[1].tobytes() == whole[1].tobytes()
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_kept_boxes_locate_as_a_fresh_mesh(self, tmp_path, monkeypatch,
+                                                tol):
+        m = _jittered_mesh(tmp_path)
+        points = _probe_points(m, np.random.default_rng(5))
+        locate_points(m, points[:1], tol)
+        locate_points(m, points[:1], 1e-3)    # a second set, for another tol
+        computed = []
+        boxes = meshmod._element_boxes
+
+        def counted(mesh, tol):
+            computed.append(tol)
+            return boxes(mesh, tol)
+
+        monkeypatch.setattr(meshmod, "_element_boxes", counted)
+        kept = locate_points(m, points, tol)
+        assert computed == []
+        fresh = locate_points(TriMesh(m.nodes, m.elements), points, tol)
+        assert computed == [tol]
+        np.testing.assert_array_equal(kept[0], fresh[0])
+        assert kept[1].tobytes() == fresh[1].tobytes()
+        # inside, on shared edges and nodes, and outside alike
+        assert (kept[0] == -1).any() and (kept[0] >= 0).any()
+
     def test_empty_and_misshapen_input(self):
         m = build_structured_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
         elements, values = locate_points(m, np.empty((0, 2)))

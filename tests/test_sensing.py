@@ -9,8 +9,8 @@ from plumetrace.mesh import build_structured_mesh
 from plumetrace.sensing import (
     QuantisedObservation,
     SensorNetwork,
+    _fence_layout,
     build_measurement_matrix,
-    fence_positions,
     generate_positions,
     load_sensor_layout,
     save_sensor_layout,
@@ -306,7 +306,7 @@ class TestPositionGenerators:
         self.center = np.array([250.0, 500.0])
 
     def test_fence_ring_structure(self):
-        pos = fence_positions(self.desk, self.center, 40)
+        pos = _fence_layout(self.desk, self.center, 40)[0]
         assert pos.shape == (40, 2)
         assert len(np.unique(pos, axis=0)) == 40
         rings = np.max(np.abs(pos - self.center), axis=1)
@@ -316,28 +316,28 @@ class TestPositionGenerators:
         assert int((rings > 150.0).sum()) == 8  # background grid
 
     def test_fence_snaps_to_nodes_on_matching_grid(self):
-        pos = fence_positions(self.desk, self.center, 32)  # rings only
+        pos = _fence_layout(self.desk, self.center, 32)[0]  # rings only
         for p in pos:
             nearest = np.abs(self.desk.nodes - p).max(axis=1).min()
             assert nearest == 0.0
 
     def test_fence_corner_positions(self):
-        pos = fence_positions(self.desk, self.center, 4)
+        pos = _fence_layout(self.desk, self.center, 4)[0]
         expected = {(200.0, 450.0), (200.0, 550.0), (300.0, 450.0), (300.0, 550.0)}
         assert {tuple(p) for p in pos} == expected
 
     def test_fence_partial_ring_is_evenly_thinned(self):
-        pos = fence_positions(self.desk, self.center, 25)
+        pos = _fence_layout(self.desk, self.center, 25)[0]
         rings = np.max(np.abs(pos - self.center), axis=1)
         assert int((rings == 150.0).sum()) == 5
 
     def test_fence_near_boundary_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            fence_positions(self.desk, (50.0, 500.0), 40)
+            _fence_layout(self.desk, (50.0, 500.0), 40)
 
     def test_fence_needs_four_sensors(self):
         with pytest.raises(ValueError, match="at least 4"):
-            fence_positions(self.desk, self.center, 3)
+            _fence_layout(self.desk, self.center, 3)
 
 
 class TestSimulateMeasurement:
