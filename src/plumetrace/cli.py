@@ -18,6 +18,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import re
 import signal
 import sys
 from pathlib import Path
@@ -303,6 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default 0)")
     p_mesh.add_argument("--dt", type=float,
                         help="check this time step in the preview")
+    # a value after a space may look like a flag (-1e-3, -inf): argparse
+    # takes only -5 and -0.5 to be values unless told what else is
+    p_mesh._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
     p_mesh.set_defaults(func=cmd_mesh)
 
     p_sim = sub.add_parser("simulate", parents=[scenario],

@@ -16,14 +16,14 @@ giving the augmented transition used by the estimators.
 
 A time-varying flow is discretised again for each flow interval, so the
 work is split by what it depends on.  Once per mesh (on the first
-:func:`assemble` call, kept on the mesh): the lumped mass matrix, the
-element-to-global index pattern, each element's diffusion bracket and the
-element of each source position.  Once per flow interval: the element
-matrices, their sum into the canonical CSR stiffness, and array passes
-over that stiffness for ``A``, the augmented transition and the stability
-operator ``M^-1 N``, each byte for byte what the scipy expressions
-``I - dt diags(1/m) @ N``, ``bmat([[A, B], [0, 1]])`` and the sorted
-``diags(1/m) @ N`` give.
+:func:`assemble` call, kept on the mesh): the diagonal ``m`` of the lumped
+mass, the element-to-global index pattern, each element's diffusion
+bracket and the element of each source position.  Once per flow interval:
+the element matrices, their sum into the canonical CSR stiffness, and
+array passes for ``M^-1 N`` (kept on the system, for the stability report
+and the model alike), ``A`` and the augmented transition, each byte for
+byte what the scipy expressions, the sorted ``diags(1/m) @ N``,
+``I - dt diags(1/m) @ N`` and ``bmat([[A, B], [0, 1]])``, give.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class GlobalSystem:
 
     Attributes
     ----------
-    mass : scipy.sparse.csr_matrix
-        Global diagonal mass matrix M, shape ``(C, C)``; one read-only
-        matrix shared by every system assembled on the same mesh.
+    mass : numpy.ndarray
+        Diagonal ``m`` of the lumped mass matrix M, shape ``(C,)``; one
+        read-only array shared by every system assembled on the same mesh.
     stiffness : scipy.sparse.csr_matrix
         Global transport matrix N, shape ``(C, C)``.
     source : numpy.ndarray
@@ -69,9 +69,35 @@ class GlobalSystem:
         requested.
     """
 
-    mass: sp.csr_matrix
+    mass: np.ndarray
     stiffness: sp.csr_matrix
     source: np.ndarray
+
+    @cached_property
+    def operator(self) -> sp.csr_matrix:
+        """``M^-1 N`` as a canonical CSR matrix, formed on first read and
+        kept: ``(1/m_r) N_rc`` for every stored ``N_rc`` of the
+        duplicate-summed stiffness whose product is not zero, in ascending
+        column order, the bytes of ``diags(1/m) @ N`` with its indices
+        sorted.  ``ValueError`` naming the first node whose mass is zero or
+        not finite, such as a node that no element uses."""
+        bad = np.flatnonzero(~np.isfinite(self.mass) | (self.mass == 0.0))
+        if bad.size:
+            raise ValueError(
+                f"node {bad[0]} has mass {self.mass[bad[0]]:g}: a mass must "
+                f"be finite and nonzero (a node no element uses has none)")
+        n = self.mass.size
+        stiffness = self.stiffness.tocsr()
+        if not stiffness.has_canonical_format:
+            stiffness = stiffness.copy()
+            stiffness.sum_duplicates()
+        rows = np.repeat(np.arange(n), np.diff(stiffness.indptr))
+        values = (1.0 / self.mass)[rows] * stiffness.data
+        kept = values != 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            rows[kept], minlength=n))])
+        return sp.csr_matrix((values[kept], stiffness.indices[kept], indptr),
+                             shape=(n, n))
 
 
 def _element_velocities_array(mesh: TriMesh, velocities) -> np.ndarray:
@@ -107,28 +133,22 @@ class _MeshTerms:
     ``rows`` and ``cols`` index the entries of the ``(E, 3, 3)`` element
     matrices into the global matrix, ``bracket`` is each element's
     diffusion bracket ``gy gy^T + gx gx^T`` (scaled by ``lam / 4S`` per
-    call), ``mass`` the lumped mass matrix, shared by every system on the
-    mesh, and ``sources`` the element of each source position located so
-    far.
+    call), ``mass`` the read-only lumped mass vector, shared by every
+    system on the mesh, and ``sources`` the element of each source position
+    located so far.
     """
 
     def __init__(self, mesh: TriMesh):
         elems = mesh.elements
-        n = mesh.node_count
         self.rows = np.repeat(elems, 3, axis=1).ravel()
         self.cols = np.tile(elems, (1, 3)).ravel()
         gy = np.stack([mesh._y32, -mesh._y31, mesh._y21], axis=1)
         gx = np.stack([mesh._x32, -mesh._x31, mesh._x21], axis=1)
         self.bracket = (gy[:, :, None] * gy[:, None, :]
                         + gx[:, :, None] * gx[:, None, :])
-        diag = np.zeros(n)
-        np.add.at(diag, elems.ravel(), np.repeat(mesh.areas / 3.0, 3))
-        held = np.flatnonzero(diag)  # as sp.diags(diag).tocsr() stores it
-        self.mass = sp.csr_matrix(
-            (diag[held], held, np.searchsorted(held, np.arange(n + 1))),
-            shape=(n, n))
-        for arr in (self.mass.data, self.mass.indices, self.mass.indptr):
-            arr.setflags(write=False)
+        self.mass = np.zeros(mesh.node_count)
+        np.add.at(self.mass, elems.ravel(), np.repeat(mesh.areas / 3.0, 3))
+        self.mass.setflags(write=False)
         self.sources: dict[tuple[float, float], int] = {}
 
     def source_element(self, mesh: TriMesh, source) -> int:
@@ -155,14 +175,15 @@ def assemble(
     diffusivity: float,
     source=None,
 ) -> GlobalSystem:
-    """Assemble the global mass and transport matrices and source vector.
+    """Assemble the global lumped mass, transport matrix and source vector.
 
-    The mass matrix is diagonal: each element gives ``S/3`` to each of its
-    vertices, the row sums of its consistent mass matrix.  It depends on
-    the mesh alone and is built once per mesh, with the element-to-global
-    index pattern, the diffusion brackets and the source's element; each
-    call computes only the element matrices and sums them into the
-    canonical (sorted, duplicate-free) CSR stiffness.
+    The mass matrix is diagonal, kept as its ``(C,)`` diagonal: each
+    element gives ``S/3`` to each of its vertices, the row sums of its
+    consistent mass matrix.  It depends on the mesh alone and is built
+    once per mesh, with the element-to-global index pattern, the diffusion
+    brackets and the source's element; each call computes only the
+    element matrices and sums them into the canonical (sorted,
+    duplicate-free) CSR stiffness.
 
     Parameters
     ----------
@@ -277,39 +298,6 @@ def _append_to_rows(data, indices, indptr, extra, present, columns):
     return out_data, out_indices, out_indptr
 
 
-def _mass_diagonal(mass: sp.spmatrix) -> np.ndarray:
-    """The diagonal of a diagonal mass matrix; ``ValueError`` if ``mass`` is
-    not diagonal or has a zero or non-finite entry on its diagonal."""
-    mass = mass.tocsr()
-    rows = np.repeat(np.arange(mass.shape[0]), np.diff(mass.indptr))
-    if mass.data[mass.indices != rows].any():
-        raise ValueError("mass matrix is not diagonal")
-    diag = mass.diagonal()
-    if (diag == 0.0).any():
-        raise ValueError("mass matrix is singular (zero diagonal entry)")
-    if not np.isfinite(diag).all():
-        raise ValueError("mass matrix has a non-finite diagonal entry")
-    return diag
-
-
-def _scaled_stiffness(mass_diag: np.ndarray, stiffness: sp.spmatrix):
-    """``M^-1 N`` as the ``(values, columns, rows, indptr)`` of a canonical
-    CSR matrix: ``(1/m_r) N_rc`` for every stored ``N_rc`` of the
-    duplicate-summed stiffness whose product is not zero, in ascending
-    column order; ``rows`` gives each value's row."""
-    inv = 1.0 / mass_diag
-    stiffness = stiffness.tocsr()
-    if not stiffness.has_canonical_format:
-        stiffness = stiffness.copy()
-        stiffness.sum_duplicates()
-    rows = np.repeat(np.arange(inv.size), np.diff(stiffness.indptr))
-    values = inv[rows] * stiffness.data
-    kept = values != 0.0
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(
-        rows[kept], minlength=inv.size))])
-    return values[kept], stiffness.indices[kept], rows[kept], indptr
-
-
 def build_model(
     system: GlobalSystem,
     dt: float,
@@ -318,17 +306,16 @@ def build_model(
 ) -> DispersionModel:
     """Form the forward-Euler state-space model from assembled matrices.
 
-    ``A = I - dt M^-1 N`` and ``B = dt M^-1 Q``, with the diagonal mass
-    matrix inverted entrywise.  ``dt`` may be zero, which freezes the
+    ``A = I - dt M^-1 N`` and ``B = dt M^-1 Q``, from the system's kept
+    :attr:`GlobalSystem.operator`.  ``dt`` may be zero, which freezes the
     field (``A = I, B = 0``).
 
     Raises
     ------
     ValueError
-        If ``dt`` is negative or not finite, the mass matrix is not
-        diagonal, is singular or is not finite, the field variance is not
-        a finite positive scalar, or the strength variance is not finite
-        and positive.
+        If ``dt`` is negative or not finite, a node's mass is zero or not
+        finite, the field variance is not a finite positive scalar, or the
+        strength variance is not finite and positive.
     """
     dt = _finite("time step", dt, positive=False)
     strength_var = _finite("strength variance", strength_var, positive=True)
@@ -338,23 +325,24 @@ def build_model(
         )
     field_var = _finite("field variance", field_var, positive=True)
 
-    diag = _mass_diagonal(system.mass)
-    n = system.source.shape[0]
-    values, cols, rows, indptr = _scaled_stiffness(diag, system.stiffness)
+    op = system.operator
+    n = op.shape[0]
+    counts = np.diff(op.indptr)
+    rows = np.repeat(np.arange(n), counts)
     # the bytes of (I - dt * (diags(1/m) @ N)).tocsr(): exact zeros dropped,
     # each row's off-diagonals in ascending order and its diagonal last
-    step_values = values * dt
-    on_diag = cols == rows
+    step_values = op.data * dt
+    on_diag = op.indices == rows
     off = ~on_diag & (step_values != 0.0)
     diagonal = np.ones(n)
     diagonal[rows[on_diag]] -= step_values[on_diag]
     a = sp.csr_matrix(_append_to_rows(
-        -step_values[off], cols[off],
+        -step_values[off], op.indices[off],
         np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))]),
         diagonal, diagonal != 0.0, np.arange(n)), shape=(n, n))
-    if (np.diff(indptr) <= 1).all():
+    if (counts <= 1).all():
         a.sort_indices()   # scipy merges such operands in column order
-    b = dt * system.source / diag
+    b = dt * system.source / system.mass
     return DispersionModel(
         transition=a,
         injection=np.asarray(b, dtype=float),
@@ -463,15 +451,6 @@ class StabilityReport:
         return 0.0 < dt <= self.critical_dt * (1.0 + 1e-12)
 
 
-def _lambda_operator(mass: sp.spmatrix, stiffness: sp.spmatrix) -> sp.csr_matrix:
-    """``M^-1 N`` in canonical order, the bytes of ``diags(1/m) @ N`` with
-    its indices sorted; the operator whose eigenvalues the report takes."""
-    values, cols, _, indptr = _scaled_stiffness(_mass_diagonal(mass),
-                                                stiffness)
-    n = indptr.size - 1
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
-
-
 def _lambda_max(operator: sp.csr_matrix) -> float:
     """Dominant eigenvalue magnitude of the canonical operator ``M^-1 N``
     by implicitly restarted Arnoldi (ARPACK); ``ArpackNoConvergence`` if it
@@ -522,9 +501,11 @@ def stability_report(mesh: TriMesh, velocities, diffusivity: float,
     """Diagnose explicit time integration for a mesh, flow and diffusivity.
 
     ``velocities`` are per-element, shape ``(E, 2)``, or a single vector.
-    The report keeps the operator ``M^-1 N`` of ``system``, the assembled
-    system of these velocities and diffusivity whatever its source, or of
-    one assembled here.  The classical bounds and Peclet numbers are
+    The report keeps the :attr:`GlobalSystem.operator` ``M^-1 N`` of
+    ``system``, the assembled system of these velocities and diffusivity
+    whatever its source, so a model built from the same system forms no
+    second one; without ``system`` it assembles one here.  The classical
+    bounds and Peclet numbers are
     computed now; the eigenvalue solve waits for the first read of
     ``lambda_max`` or ``critical_dt``, which ``approves`` skips for a step
     within the norm bound.
@@ -544,7 +525,7 @@ def stability_report(mesh: TriMesh, velocities, diffusivity: float,
         diffusion_dt=diffusion,
         peclet=peclet,
         artificial_diffusivity=lam_star,
-        _operator=_lambda_operator(system.mass, system.stiffness),
+        _operator=system.operator,
     )
 
 

@@ -161,7 +161,7 @@ def scipy_transition(system, dt: float) -> sp.csr_matrix:
     """``A = I - dt M^-1 N`` by scipy's sparse algebra: the expression whose
     bytes ``fem.build_model``'s array passes reproduce."""
     n = system.source.shape[0]
-    minv_n = sp.diags(1.0 / system.mass.diagonal()) @ system.stiffness.tocsr()
+    minv_n = sp.diags(1.0 / system.mass) @ system.stiffness.tocsr()
     return (sp.identity(n, format="csr") - dt * minv_n).tocsr()
 
 
@@ -177,8 +177,7 @@ def scipy_augmented_transition(model) -> sp.csr_matrix:
 def scipy_lambda_operator(system) -> sp.csr_matrix:
     """``diags(1/m) @ N`` with its indices sorted: the operator the
     stability report hands ARPACK."""
-    operator = (sp.diags(1.0 / system.mass.diagonal())
-                @ system.stiffness).tocsr()
+    operator = (sp.diags(1.0 / system.mass) @ system.stiffness).tocsr()
     operator.sort_indices()
     return operator
 

@@ -268,12 +268,25 @@ class TestMeshCommand:
     def test_preview_refuses_values_no_config_may_hold(self, flag, value,
                                                        rule, capsys):
         flags = {"--diffusivity": "25", flag: value}
-        code = main(["mesh", "--rect", "0", "0", "1000", "1000",
-                     *(f"{name}={given}" for name, given in flags.items())])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{flag} must be {rule}, got {value}" in captured.err
+        for given in ([f"{name}={text}" for name, text in flags.items()],
+                      [word for pair in flags.items() for word in pair]):
+            code = main(["mesh", "--rect", "0", "0", "1000", "1000", *given])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag} must be {rule}, got {value}" in captured.err
+
+    @pytest.mark.parametrize("flags, printed", [
+        (["--rect", "-1e3", "0", "1e3", "1e3"], "nodes 121  elements 200\n"),
+        (["--rect", "0", "0", "1000", "1000", "--diffusivity", "25",
+          "--flow-v", "-1e-3"], "stability: "),
+        (["--rect", "-1E3", "-1_0", "-0", "-.5", "--flow-u", "-5e-4",
+          "--diffusivity", "1e1"], "peclet: "),
+    ], ids=["rect", "flow-v", "every-float-flag"])
+    def test_values_after_a_space_may_start_with_a_minus(self, flags,
+                                                         printed, capsys):
+        assert main(["mesh", *flags]) == 0
+        assert printed in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, named", [
         (["--rect", "0", "0", "2", "1"], "--rect"),
@@ -803,6 +816,29 @@ class TestPipeline:
         assert main(["estimate"] + args) == 1
         assert capsys.readouterr().err == "runtime error: weights collapsed\n"
         assert not (out / "estimates_rbpf.csv").exists()
+
+    def test_a_node_no_element_uses_is_named(self, tmp_path, capsys):
+        # the desk mesh file with one more node, at (500, 500), that no
+        # element uses: its lumped mass is zero
+        mesh = tmp_path / "mesh.txt"
+        assert main(["mesh", "--rect", "0", "0", "1000", "1000", "--nx", "20",
+                     "--ny", "20", "--out", str(mesh)]) == 0
+        nodes, elements = mesh.read_text().split("elements ")
+        assert nodes.startswith("nodes 441\n")
+        mesh.write_text(nodes.replace("nodes 441", "nodes 442")
+                        + "500 500\nelements " + elements)
+        rect = "x0 = 0\ny0 = 0\nx1 = 1000\ny1 = 1000\nnx = 20\nny = 20\n"
+        text = (CONFIG_DIR / "desk.cfg").read_text()
+        assert text.count(rect) == 1
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text(text.replace(rect, f"file = {mesh}\n"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node 441 has mass 0: " in captured.err
+        assert not out.exists()
 
     def test_a_mesh_file_gives_the_rectangle_run(self, tmp_path):
         # the mesh command's file of the desk rectangle: a short desk run

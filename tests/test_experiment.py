@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -267,6 +268,25 @@ class TestBuildScenario:
         second = build_scenario(config)
         assert len(computed) == 2 and computed[1] is second.mesh
         assert second.mesh is not first.mesh
+
+    def test_the_report_and_the_first_model_share_one_operator(
+            self, monkeypatch):
+        formed = []
+        form = fem.GlobalSystem.operator.func
+
+        def form_counted(system):
+            formed.append(system)
+            return form(system)
+
+        counted = functools.cached_property(form_counted)
+        counted.__set_name__(fem.GlobalSystem, "operator")
+        monkeypatch.setattr(fem.GlobalSystem, "operator", counted)
+        scenario = build_scenario(tiny_config())
+        scenario.provider.model_at(0)
+        # M^-1 N of flow interval 0 is formed once, for the report, and
+        # the provider's first model reads the kept one
+        assert len(formed) == 1
+        assert scenario.report._operator is formed[0].operator
 
     def test_file_flow(self, tmp_path):
         xs = np.array([-1.0, 5.0, 11.0])
